@@ -35,7 +35,6 @@ from .errors import (
 __all__ = [
     "GrowthRow",
     "CoveringSample",
-    "GrowthTable",
     "growth_series",
     "greedy_ball_cover",
     "covering_number",
@@ -68,13 +67,6 @@ class CoveringSample:
     base: int
     offset: int
     count: int
-
-
-@dataclass(frozen=True)
-class GrowthTable:
-    rows: tuple
-    covering: tuple
-    bounded_geometry: int
 
 
 def growth_series(window: Window) -> tuple:

@@ -19,10 +19,12 @@ import gzip
 import hashlib
 import json
 import os
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .errors import OutOfWindowError, WindowCapError
+from .errors import OutOfWindowError, ParameterError, WindowCapError
 from .groups import GeneratorSet, Group, spec_to_string
 
 __all__ = ["Window", "Geodesic", "build_window", "window_cache_key"]
@@ -63,6 +65,7 @@ class Window:
     spheres: tuple  # spheres[r] = tuple of elements of norm r, build order
     steps: tuple  # non-identity generators, sorted by printed form
     _pred: dict = field(default_factory=dict, repr=False)
+    _index: Optional["WindowIndex"] = field(default=None, repr=False, compare=False)
 
     def __contains__(self, g) -> bool:
         return g in self.norms
@@ -78,6 +81,13 @@ class Window:
     @property
     def elements(self) -> list:
         return list(self)
+
+    @property
+    def index(self) -> "WindowIndex":
+        """The integer view of this window, built on first use and kept."""
+        if self._index is None:
+            self._index = WindowIndex(self)
+        return self._index
 
     def knorm(self, g) -> int:
         """Word norm of g relative to the generator set."""
@@ -159,6 +169,75 @@ class Window:
             points.append(cur)
         points.reverse()
         return Geodesic(tuple(points))
+
+
+class WindowIndex:
+    """Integer view of a window: ids, sphere offsets, neighbour tables, ranks.
+
+    Ids follow window order, so sphere r holds the ids offsets[r] up to
+    offsets[r + 1]. Neighbour tables and printed-form ranks are computed on
+    first request and kept, so a caller that needs neither pays only for
+    the ids.
+    """
+
+    def __init__(self, window: Window):
+        self.group = window.group
+        self.elements = window.elements
+        self.ids = {g: i for i, g in enumerate(self.elements)}
+        offsets = [0]
+        for sph in window.spheres:
+            offsets.append(offsets[-1] + len(sph))
+        self.offsets = tuple(offsets)
+        self._tables: dict = {}
+        self._ranks: Optional[array] = None
+
+    def norm(self, i: int) -> int:
+        """Word norm of the element with id i."""
+        return bisect_right(self.offsets, i) - 1
+
+    def neighbours(self, steps) -> tuple:
+        """Right-neighbour columns for a step set closed under inverses.
+
+        One array('i') per non-identity step s: entry i is the id of
+        elements[i]*s, or -1 when that product lies outside the window. The
+        column of s^-1 is the inverse of the column of s, so each inverse
+        pair costs one product per element.
+        """
+        key = frozenset(steps) - {self.group.identity}
+        cols = self._tables.get(key)
+        if cols is None:
+            cols = self._tables[key] = self._fill(key)
+        return cols
+
+    def _fill(self, steps: frozenset) -> tuple:
+        grp = self.group
+        if any(grp.inv(s) not in steps for s in steps):
+            raise ParameterError("step set is not closed under inverses")
+        ids = self.ids
+        cols: dict = {}
+        for s in steps:
+            mirror = cols.get(grp.inv(s))
+            if mirror is None:
+                col = array("i", [ids.get(grp.mul(x, s), -1) for x in self.elements])
+            else:
+                col = array("i", [-1]) * len(self.elements)
+                for i, y in enumerate(mirror):
+                    if y >= 0:
+                        col[y] = i
+            cols[s] = col
+        return tuple(cols.values())
+
+    def ranks(self) -> array:
+        """ranks[i] is the position of elements[i] in printed-form order."""
+        if self._ranks is None:
+            show = self.group.show
+            elements = self.elements
+            order = sorted(range(len(elements)), key=lambda i: show(elements[i]))
+            ranks = array("i", [0]) * len(elements)
+            for pos, i in enumerate(order):
+                ranks[i] = pos
+            self._ranks = ranks
+        return self._ranks
 
 
 def window_cache_key(group: Group, gens: GeneratorSet, radius: int) -> str:

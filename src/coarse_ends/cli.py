@@ -30,6 +30,7 @@ from .cayley import DEFAULT_CAP, build_window
 from .covers import clopen_scale_test
 from .ends import component_tree, components, end_count
 from .errors import (
+    CoarseEndsError,
     CoreRadiusError,
     CoverVerificationError,
     ElementSyntaxError,
@@ -47,7 +48,13 @@ from .groups import Group, parse_spec, power_generators, spec_to_string, standar
 
 REPORT_SCHEMA = "coarse-ends.report/1"
 
+
+class _ArgumentError(CoarseEndsError):
+    """A flag value that parses but that no command can use."""
+
+
 _USAGE_ERRORS = (
+    _ArgumentError,
     SpecSyntaxError,
     ElementSyntaxError,
     SelectorError,
@@ -82,6 +89,20 @@ def _bind(args):
     if args.gen_power > 1:
         gens = power_generators(group, gens, args.gen_power)
     return group, gens
+
+
+def _check_common(args) -> None:
+    if args.gen_power < 1:
+        raise _ArgumentError(f"--gen-power must be at least 1, got {args.gen_power}")
+    if args.window is not None and args.window < 0:
+        raise _ArgumentError(f"--window must be nonnegative, got {args.window}")
+
+
+def _int_list(text: str, flag: str) -> list:
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise _ArgumentError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
 def _cache_dir(args) -> Optional[str]:
@@ -316,7 +337,7 @@ def cmd_growth(args) -> Report:
     radius = args.window if args.window is not None else 8
     window = build_window(group, gens, radius, cap=args.cap, cache_dir=_cache_dir(args))
     rows = growth_series(window)
-    offsets = [int(x) for x in args.cover_offsets.split(",") if x.strip()]
+    offsets = _int_list(args.cover_offsets, "--cover-offsets")
     warnings = []
     samples = []
     for t in offsets:
@@ -366,7 +387,7 @@ def cmd_asdim(args) -> Report:
     window = build_window(group, gens, radius, cap=args.cap, cache_dir=_cache_dir(args))
     n_list = None
     if args.n_list:
-        n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
+        n_list = _int_list(args.n_list, "--n-list")
     witness = asdim_upper_bound(
         window,
         p=args.p,
@@ -521,6 +542,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_common(args)
         report = _DISPATCH[args.command](args)
     except _USAGE_ERRORS as exc:
         print(f"coarse-ends: error: {exc}", file=sys.stderr)
@@ -533,8 +555,12 @@ def main(argv=None) -> int:
         return 4
     payload = _render(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"coarse-ends: error: cannot write the report: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(payload)
     return report.exit_code

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 from .asdim import greedy_ball_cover
 from .cayley import DEFAULT_CAP, Window, build_window
 from .covers import InterfaceReport, interface
-from .errors import CoverVerificationError, MismatchError, ParameterError
+from .errors import CoverVerificationError, ParameterError
 from .groups import GeneratorSet, Group, power_generators
 
 __all__ = [
@@ -68,60 +68,105 @@ class ComponentDecomposition:
         return sum(1 for c in self.components if not c.outer)
 
 
-def _flood(window: Window, members: set, steps: Sequence) -> list:
-    """Split members into adjacency components; deterministic labeling.
+class _UnionFind:
+    """Components of a growing member set of window ids.
 
-    Components are collected in window order and then sorted by their
-    least printed element, which fixes the index assignment.
+    Adding an id joins it to every member among its step neighbours, read
+    off the window's neighbour table. The table holds right neighbours
+    only, so an edge is seen from whichever end is added second; that is
+    the whole adjacency because the step set is closed under inverses.
+    Adding the spheres R, R-1, ..., r in turn yields the decomposition of
+    {|g| >= r} after each one (offline incremental connectivity, as in
+    Tarjan 1975). count and outer track the number of components and of
+    those reaching the outer sphere.
     """
-    grp = window.group
-    visited = set()
-    raw = []
-    for g in window:
-        if g not in members or g in visited:
-            continue
-        stack = [g]
-        visited.add(g)
-        comp = []
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for s in steps:
-                y = grp.mul(x, s)
-                if y in members and y not in visited:
-                    visited.add(y)
-                    stack.append(y)
-        raw.append(comp)
-    out = []
-    boundary = window.radius
-    for comp in raw:
-        comp.sort(key=lambda g: (window.norms[g], grp.key(g)))
-        outer = any(window.norms[x] == boundary for x in comp)
-        out.append(
-            Component(
-                elements=tuple(comp),
-                outer=outer,
-                size=len(comp),
-                max_norm=window.norms[comp[-1]],
-                least=min(grp.key(x) for x in comp),
-            )
-        )
-    out.sort(key=lambda c: c.least)
-    return out
+
+    def __init__(self, window: Window, steps: Optional[GeneratorSet] = None):
+        index = window.index
+        self.cols = index.neighbours((window.gens if steps is None else steps).elements)
+        n = len(index.elements)
+        self.boundary = index.offsets[window.radius]
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.present = bytearray(n)
+        self.touches = bytearray(n)  # at roots: the component reaches the boundary
+        self.count = 0
+        self.outer = 0
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    def add(self, ids: Iterable[int]) -> None:
+        parent, size, present, touches = self.parent, self.size, self.present, self.touches
+        find, cols, boundary = self.find, self.cols, self.boundary
+        count, outer = self.count, self.outer
+        for i in ids:
+            present[i] = 1
+            count += 1
+            if i >= boundary:
+                touches[i] = 1
+                outer += 1
+            for col in cols:
+                y = col[i]
+                if y < 0 or not present[y]:
+                    continue
+                a, b = find(i), find(y)
+                if a == b:
+                    continue
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                count -= 1
+                if touches[a] and touches[b]:
+                    outer -= 1
+                touches[a] |= touches[b]
+        self.count, self.outer = count, outer
+
+    def labels(self, lo: int) -> list:
+        """Root of every id from lo to the end of the window."""
+        find = self.find
+        return [find(i) for i in range(lo, len(self.parent))]
 
 
-def _step_list(window: Window, steps: Optional[GeneratorSet]):
-    src = window.gens if steps is None else steps
-    grp = window.group
-    return tuple(sorted((g for g in src.elements if g != grp.identity), key=grp.key))
+def _classes(labels: list, lo: int, ranks) -> list:
+    """Ids lo, lo+1, ... grouped by root label, ordered by least printed element."""
+    groups: dict = {}
+    for i, root in enumerate(labels, start=lo):
+        groups.setdefault(root, []).append(i)
+    return sorted(groups.values(), key=lambda ids: min(ranks[i] for i in ids))
 
 
 def components(window: Window, r: int, steps: Optional[GeneratorSet] = None) -> ComponentDecomposition:
-    """Decompose {g in window : |g| >= r} into components of the step adjacency."""
+    """Decompose {g in window : |g| >= r} into components of the step adjacency.
+
+    Components are indexed by their least printed element; each lists its
+    elements by norm, then printed form. The step set must be closed under
+    inverses.
+    """
     if not 0 <= r < window.radius:
         raise ParameterError(f"base radius {r} must satisfy 0 <= r < window radius {window.radius}")
-    members = {g for g, n in window.norms.items() if n >= r}
-    comps = _flood(window, members, _step_list(window, steps))
+    index = window.index
+    lo = index.offsets[r]
+    uf = _UnionFind(window, steps)
+    uf.add(range(lo, len(index.elements)))
+    ranks = index.ranks()
+    comps = []
+    for ids in _classes(uf.labels(lo), lo, ranks):
+        least = min(ids, key=ranks.__getitem__)
+        ids.sort(key=lambda i: (index.norm(i), ranks[i]))
+        comps.append(
+            Component(
+                elements=tuple(index.elements[i] for i in ids),
+                outer=ids[-1] >= uf.boundary,
+                size=len(ids),
+                max_norm=index.norm(ids[-1]),
+                least=window.group.show(index.elements[least]),
+            )
+        )
     return ComponentDecomposition(
         base_radius=r, window_radius=window.radius, components=tuple(comps)
     )
@@ -190,8 +235,10 @@ class EndTree:
 def component_tree(window: Window, r_min: int, r_max: int, margin: int = 4) -> EndTree:
     """Nest the decompositions at radii r_min..r_max into a tree.
 
-    Every component at radius r+1 lives inside exactly one component at
-    radius r; a violation would mean the flood fill is broken and raises.
+    One sweep adds the spheres R..r_min and records every element's
+    component at each radius in range. Components only merge as the sweep
+    moves inward, so every component at radius r+1 lies inside exactly one
+    component at radius r, its parent.
     The verdict is the classification read off this window alone, with no
     enlargement re-run; end_count applies the stricter discipline.
     """
@@ -201,32 +248,34 @@ def component_tree(window: Window, r_min: int, r_max: int, margin: int = 4) -> E
         raise ParameterError(
             f"window radius {window.radius} too small: need r_max + {margin} <= R"
         )
+    index = window.index
+    offsets = index.offsets
+    uf = _UnionFind(window)
+    labels = {}
+    for r in range(window.radius, r_min - 1, -1):
+        uf.add(range(offsets[r], offsets[r + 1]))
+        if r <= r_max:
+            labels[r] = uf.labels(offsets[r])
+    ranks = index.ranks()
     levels = []
-    prev_owner = None
     outer_counts = []
     exhausted = False
+    owner = None  # root label at the previous radius -> node id
     for r in range(r_min, r_max + 1):
-        dec = components(window, r)
-        owner = {}
+        lo = offsets[r]
+        classes = _classes(labels[r], lo, ranks)
         nodes = []
-        for idx, comp in enumerate(dec.components):
-            for x in comp.elements:
-                owner[x] = idx
-        for idx, comp in enumerate(dec.components):
+        for idx, ids in enumerate(classes):
             parent = None
-            if prev_owner is not None:
-                parents = {prev_owner[x] for x in comp.elements}
-                if len(parents) != 1:
-                    raise MismatchError(
-                        f"component at r={r} spans several components at r={r - 1}"
-                    )
-                parent = parents.pop()
-            nodes.append(TreeNode(id=idx, size=comp.size, outer=comp.outer, parent=parent))
+            if owner is not None:
+                parent = owner[labels[r - 1][ids[0] - offsets[r - 1]]]
+            outer = ids[-1] >= uf.boundary
+            nodes.append(TreeNode(id=idx, size=len(ids), outer=outer, parent=parent))
         levels.append(TreeLevel(r=r, nodes=tuple(nodes)))
-        outer_counts.append(dec.outer_count)
-        if not dec.components:
+        outer_counts.append(sum(1 for n in nodes if n.outer))
+        if not classes:
             exhausted = True
-        prev_owner = owner
+        owner = {labels[r][ids[0] - lo]: idx for idx, ids in enumerate(classes)}
     verdict, _, _ = classify_counts(outer_counts, exhausted=exhausted)
     return EndTree(levels=tuple(levels), verdict=verdict)
 
@@ -345,16 +394,18 @@ _NOTES = {
 
 
 def _count_rows(window: Window, r_max: int):
+    offsets = window.index.offsets
+    uf = _UnionFind(window)
+    counts = {}
+    for r in range(window.radius, 0, -1):
+        uf.add(range(offsets[r], offsets[r + 1]))
+        counts[r] = RadiusCount(r=r, outer=uf.outer, inner=uf.count - uf.outer)
     rows = []
-    exhausted_at = None
-    total = len(window)
     for r in range(1, r_max + 1):
-        if len(window.ball(r - 1)) == total:
-            exhausted_at = r
-            break
-        dec = components(window, r)
-        rows.append(RadiusCount(r=r, outer=dec.outer_count, inner=dec.inner_count))
-    return rows, exhausted_at
+        if offsets[r] == len(window):  # the ball of radius r-1 is everything
+            return rows, r
+        rows.append(counts[r])
+    return rows, None
 
 
 def end_count(
@@ -487,9 +538,9 @@ def k4_component_bound(window: Window, L: Iterable):
             raise ParameterError(
                 f"L reaches norm {window.maxnorm_of(L_set)}; need R >= that + 2"
             )
-    members = {g for g in window.norms if g not in L_set}
-    comps = _flood(window, members, _step_list(window, k4))
-    observed = sum(1 for c in comps if c.outer)
+    uf = _UnionFind(window, k4)
+    uf.add(i for i, g in enumerate(window.index.elements) if g not in L_set)
+    observed = uf.outer
     if not L_set:
         return observed, 0
     thickened = set()

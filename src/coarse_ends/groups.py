@@ -328,9 +328,6 @@ class Group:
             for side, x in reversed(a)
         )
 
-    def is_identity(self, a) -> bool:
-        return a == self.identity
-
     def validate(self, a) -> None:
         """Deep structural check; raises MismatchError on foreign payloads."""
         kind = self.kind
@@ -412,9 +409,6 @@ class Group:
     def key(self, a) -> str:
         """Sort key for the deterministic element order: the printed form."""
         return self.show(a)
-
-    def sort(self, elements) -> list:
-        return sorted(elements, key=self.key)
 
     # -- parsing ----------------------------------------------------------
 

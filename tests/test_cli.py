@@ -212,6 +212,28 @@ def test_exit_usage_errors_elements_file(capsys, tmp_path):
         assert "coarse-ends: error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["growth", "--group", "Z", "--window", "4", "--cover-offsets", "x"],
+        ["asdim", "--group", "Z", "--n-list", "1,a"],
+        ["growth", "--group", "Z", "--window", "4", "--out", "{missing}"],
+        ["ends", "--group", "Z", "--window", "-3"],
+        ["ends", "--group", "Z", "--gen-power", "0"],
+        ["growth", "--group", "Z", "--window", "4", "--gen-power", "-2"],
+    ],
+    ids=["cover-offsets", "n-list", "out-dir", "negative-window", "gen-power-0",
+         "gen-power-negative"],
+)
+def test_bad_flag_values_are_usage_errors(capsys, tmp_path, argv):
+    argv = [a.replace("{missing}", str(tmp_path / "missing" / "f")) for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("coarse-ends: error:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_exit_cap(capsys):
     code, out, err = run_cli(capsys, ["ends", "--group", "F2", "--cap", "1000"])
     assert code == 2

@@ -6,6 +6,7 @@ import pytest
 
 from coarse_ends import (
     CoverVerificationError,
+    GeneratorSet,
     ParameterError,
     bounded_mass_report,
     classify_counts,
@@ -13,6 +14,7 @@ from coarse_ends import (
     components,
     end_count,
     k4_component_bound,
+    power_generators,
     star,
     union_component_clopen_check,
 )
@@ -64,28 +66,50 @@ def test_components_parameter_errors():
 
 def _window_pool():
     return [
-        ("Z", 8),
-        ("Z^2", 5),
-        ("F2", 4),
-        ("C6", 6),
-        ("(Z x C2)", 6),
-        ("(C2 * C2)", 8),
-        ("(C2 * C3)", 6),
+        ("Z", 8, 1),
+        ("Z^2", 5, 1),
+        ("F2", 4, 1),
+        ("C6", 6, 1),  # exhausted from r = 4 on
+        ("(Z x C2)", 6, 1),
+        ("(C2 * C2)", 8, 1),
+        ("(C2 * C3)", 6, 1),
+        ("Z", 6, 2),
+        ("(Z x C2)", 4, 2),
     ]
 
 
+def _oracle(window, r, steps):
+    grp = window.group
+    members = {g for g in window if window.knorm(g) >= r}
+    return members, flood_partition(members, lambda x: [grp.mul(x, s) for s in steps])
+
+
 def test_partition_laws_randomized():
-    """Partition + no-cross-edge + oracle agreement over 1000 (spec, r) cases."""
+    """Partition, no-cross-edge and oracle agreement over 1000 (spec, r) cases.
+
+    Each case also checks the swept counts and tree against the oracle: the
+    outer/inner counts end_count reports at r, the tree's parent of every
+    component at r, and the decomposition under K^2 steps.
+    """
     rng = random.Random("partition-laws")
     pool = _window_pool()
+    sweeps = {}
     cases = 0
     while cases < 1000:
-        text, radius = rng.choice(pool)
-        window = get_window(text, radius)
+        text, radius, power = rng.choice(pool)
+        window = get_window(text, radius, power)
         grp = window.group
+        if (text, radius, power) not in sweeps:
+            gens = get_gens(text, power)
+            sweeps[text, radius, power] = (
+                end_count(grp, gens, radius - 1, window_radius=radius).evidence,
+                component_tree(window, 0, radius - 1, margin=1),
+                power_generators(grp, gens, 2),
+            )
+        evidence, tree, k2 = sweeps[text, radius, power]
         r = rng.randrange(0, radius)
         dec = components(window, r)
-        members = {g for g in window if window.knorm(g) >= r}
+        members, want = _oracle(window, r, window.steps)
         seen = {}
         for idx, comp in enumerate(dec.components):
             for x in comp.elements:
@@ -98,10 +122,39 @@ def test_partition_laws_randomized():
                 y = grp.mul(x, s)
                 if y in members:
                     assert seen[y] == seen[x]
-        want = flood_partition(members, lambda x: [grp.mul(x, s) for s in steps])
         assert {frozenset(c.elements) for c in dec.components} == want
+
+        outer = sum(1 for part in want if any(window.knorm(x) == radius for x in part))
+        if r >= 1 and evidence.exhausted_at is not None and r >= evidence.exhausted_at:
+            assert not members and len(evidence.counts) == evidence.exhausted_at - 1
+        elif r >= 1:
+            row = evidence.counts[r - 1]
+            assert (row.r, row.outer, row.inner) == (r, outer, len(want) - outer)
+
+        level = tree.levels[r]
+        assert [(n.size, n.outer) for n in level.nodes] == [
+            (c.size, c.outer) for c in dec.components
+        ]
+        if r >= 1:
+            coarser = components(window, r - 1)
+            _, coarser_want = _oracle(window, r - 1, window.steps)
+            assert {frozenset(c.elements) for c in coarser.components} == coarser_want
+            for n in level.nodes:  # each component lies inside its parent
+                inside = set(coarser.components[n.parent].elements)
+                assert set(dec.components[n.id].elements) <= inside
+
+        wide = components(window, r, k2)
+        _, wide_want = _oracle(window, r, [s for s in k2.elements if s != grp.identity])
+        assert {frozenset(c.elements) for c in wide.components} == wide_want
         cases += 1
     assert cases == 1000
+
+
+def test_step_set_must_be_closed_under_inverses():
+    w = get_window("Z", 6)
+    one_way = GeneratorSet(frozenset({(0,), (1,)}))
+    with pytest.raises(ParameterError, match="inverses"):
+        components(w, 1, one_way)
 
 
 # ---------------------------------------------------------------------------
