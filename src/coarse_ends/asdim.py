@@ -38,7 +38,6 @@ __all__ = [
     "growth_series",
     "greedy_ball_cover",
     "covering_number",
-    "exact_covering_number",
     "bounded_geometry_check",
     "estimate_delta",
     "SeparatedNet",
@@ -121,56 +120,6 @@ def covering_number(window: Window, S: int, t: int) -> int:
         return 1
     target = window.ball(S + t)
     return len(greedy_ball_cover(window, target, S))
-
-
-def exact_covering_number(window: Window, S: int, t: int, cap: int = 18) -> int:
-    """Minimum number of radius-S translates covering the radius-(S+t) ball.
-
-    Exhaustive branch and bound over candidate centers; only sensible for
-    tiny targets, hence the hard cap on target size.
-    """
-    if S + t > window.radius:
-        raise ParameterError("window too small")
-    target = window.ball(S + t)
-    if len(target) > cap:
-        raise ParameterError(f"exact search limited to targets of size <= {cap}")
-    grp = window.group
-    index = {g: i for i, g in enumerate(target)}
-    full = (1 << len(target)) - 1
-    ball = window.ball(min(S, window.radius))
-    masks = set()
-    for c in window.ball(min(2 * S + t, window.radius)):
-        m = 0
-        for v in ball:
-            y = grp.mul(c, v)
-            if y in index:
-                m |= 1 << index[y]
-        if m:
-            masks.add(m)
-    masks = sorted(masks, reverse=True)
-    by_bit = [[] for _ in range(len(target))]
-    for m in masks:
-        for b in range(len(target)):
-            if m >> b & 1:
-                by_bit[b].append(m)
-
-    best = covering_number(window, S, t)  # greedy seeds the bound
-
-    def search(mask: int, used: int) -> None:
-        nonlocal best
-        if mask == full:
-            best = min(best, used)
-            return
-        if used + 1 >= best:
-            return
-        b = 0
-        while mask >> b & 1:
-            b += 1
-        for m in by_bit[b]:
-            search(mask | m, used + 1)
-
-    search(0, 0)
-    return best
 
 
 def bounded_geometry_check(window: Window) -> int:

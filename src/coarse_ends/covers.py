@@ -12,6 +12,12 @@ Core discipline: with core radius c <= R - 2*maxnorm(B), deciding whether
 a core element lies in a star only consults elements of norm at most
 c + 2*maxnorm(B) <= R, so interfaces restricted to the core are exact,
 not boundary artifacts.
+
+Interfaces are computed on the window graph, not by products: when
+B^(-1)*B is the window ball B(k), as it is for every power of the
+generator set, the interface is the set of core elements within k-1
+steps of an edge between A and its complement. One breadth-first search
+from those edges finds it; `interface` states why that is exact.
 """
 
 from __future__ import annotations
@@ -30,8 +36,6 @@ __all__ = [
     "scale_difference_set",
     "star",
     "interface",
-    "coarsely_identical",
-    "clopen_intersection_law",
     "star_preserves_clopen",
     "clopen_scale_test",
 ]
@@ -113,13 +117,25 @@ def _core_bound(window: Window, scale_maxnorm: int) -> int:
 def interface(A: Iterable, B: Iterable, window: Window, core_radius: int) -> InterfaceReport:
     """Interface of A versus its window complement, restricted to B(core_radius).
 
-    Membership in either star is tested pointwise: x is in st(A) iff some
-    x*u with u in B^(-1)*B lands in A, and in st(complement) iff some such
-    product lands in the window outside A. Elements of A outside the
-    window never participate, so A is effectively intersected with the
-    window first.
+    A is intersected with the window W first; C is W minus A. The scale
+    difference set B^(-1)*B must be the window ball B(k) with
+    k = maxnorm(B^(-1)*B). Every power K^t of the generator set qualifies;
+    any other scale raises ParameterError. A core element x then lies in
+    both stars iff it is within k steps of A and within k steps of C.
+
+    One breadth-first search on the window graph answers that for the
+    whole core. It starts at the endpoints of the edges between A and C,
+    stops at depth k-1, and the interface is the set of core elements it
+    reaches, in window order. This is exact. From a core element x every
+    path of length <= k stays inside the window, since
+    core_radius + k <= R. On a shortest path from x in A to C, the first
+    point in C comes right after a cut-edge endpoint, at distance <= k-1
+    from x; the same holds with A and C swapped. Conversely, a cut-edge
+    endpoint within k-1 of x puts both sides within k of x. Such an
+    endpoint has norm <= core_radius + k - 1, so the search starts at no
+    larger norm.
     """
-    grp = window.group
+    B = set(B)
     mn = window.maxnorm_of(B)
     if core_radius < 0:
         raise ParameterError("core radius must be nonnegative")
@@ -129,22 +145,51 @@ def interface(A: Iterable, B: Iterable, window: Window, core_radius: int) -> Int
             f"core radius {core_radius} exceeds {limit} = R - 2*maxnorm(B); "
             "star answers there would be boundary artifacts"
         )
-    A_set = set(A)
-    diff = sorted(scale_difference_set(grp, B), key=grp.key)
+    index = window.index
+    if len(B) == index.offsets[mn + 1]:
+        # B is the ball B(mn), so B^(-1)*B is B(2*mn), inside W as 2*mn <= R
+        k = index.norm(index.offsets[2 * mn + 1] - 1)
+    else:
+        diff = scale_difference_set(window.group, B)
+        k = window.maxnorm_of(diff)
+        if len(diff) != index.offsets[k + 1]:
+            raise ParameterError(
+                f"scale difference set B^(-1)*B is not the window ball of radius {k}"
+            )
     found = []
-    for x in window.ball(core_radius):
-        in_a = False
-        in_c = False
-        for u in diff:
-            y = grp.mul(x, u)
-            if y in A_set:
-                in_a = True
-            elif y in window:
-                in_c = True
-            if in_a and in_c:
-                found.append(x)
-                break
-    rho = window.maxnorm_of(found) if found else -1
+    if k > 0:
+        ids = index.ids
+        inside = bytearray(len(ids))
+        for a in A:
+            i = ids.get(a)
+            if i is not None:
+                inside[i] = 1
+        cols = index.neighbours(window.gens.elements)
+        seen = bytearray(len(ids))
+        frontier = []
+        for i in range(index.offsets[core_radius + k]):
+            side = inside[i]
+            for col in cols:
+                j = col[i]
+                if j >= 0 and inside[j] != side:
+                    seen[i] = 1
+                    frontier.append(i)
+                    break
+        reached = list(frontier)
+        for _ in range(k - 1):
+            nxt = []
+            for i in frontier:
+                for col in cols:
+                    j = col[i]
+                    if j >= 0 and not seen[j]:
+                        seen[j] = 1
+                        nxt.append(j)
+            reached.extend(nxt)
+            frontier = nxt
+        core_end = index.offsets[core_radius + 1]
+        elements = index.elements
+        found = [elements[i] for i in sorted(i for i in reached if i < core_end)]
+    rho = window.knorm(found[-1]) if found else -1
     return InterfaceReport(
         interface=tuple(found),
         rho=rho,
@@ -152,26 +197,6 @@ def interface(A: Iterable, B: Iterable, window: Window, core_radius: int) -> Int
         scale_maxnorm=mn,
         verdict=rho < core_radius,
     )
-
-
-def coarsely_identical(A: Iterable, C: Iterable, window: Window) -> int:
-    """Largest norm in the symmetric difference of A and C; -1 when equal."""
-    diff = set(A) ^ set(C)
-    return window.maxnorm_of(diff) if diff else -1
-
-
-def clopen_intersection_law(A1: Iterable, A2: Iterable, B: Iterable, window: Window, core_radius: int) -> bool:
-    """Whether interface(A1 meet A2) lies inside interface(A1) union interface(A2).
-
-    This inclusion is a theorem of the star algebra; the function exists
-    as a test hook and should never return False on correct inputs.
-    """
-    s1 = set(A1)
-    s2 = set(A2)
-    i_meet = interface(s1 & s2, B, window, core_radius).interface
-    i1 = set(interface(s1, B, window, core_radius).interface)
-    i2 = set(interface(s2, B, window, core_radius).interface)
-    return all(x in i1 or x in i2 for x in i_meet)
 
 
 def star_preserves_clopen(A: Iterable, B: Iterable, V: Iterable, window: Window, core_radius: int) -> InterfaceReport:

@@ -98,12 +98,17 @@ class _SpecParser:
     G ::= "Z" | "Z^" nat | "F" nat | "C" nat | "(" G "x" G ")" | "(" G "*" G ")"
 
     Whitespace between tokens is ignored; offsets reported in errors index
-    into the original string.
+    into the original string. Parentheses may nest at most MAX_DEPTH deep,
+    which keeps parsing, and the recursive group arithmetic built on the
+    spec, far from the interpreter's recursion limit.
     """
+
+    MAX_DEPTH = 64
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
@@ -127,6 +132,11 @@ class _SpecParser:
         self.skip_ws()
         c = self.peek()
         if c == "(":
+            if self.depth == self.MAX_DEPTH:
+                raise SpecSyntaxError(
+                    f"group expression nests deeper than {self.MAX_DEPTH} levels", self.pos
+                )
+            self.depth += 1
             self.pos += 1
             left = self.parse_group()
             self.skip_ws()
@@ -139,6 +149,7 @@ class _SpecParser:
             if self.peek() != ")":
                 raise SpecSyntaxError("expected ')'", self.pos)
             self.pos += 1
+            self.depth -= 1
             return DirectProduct(left, right) if op == "x" else FreeProduct(left, right)
         if c == "Z":
             self.pos += 1

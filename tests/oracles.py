@@ -2,11 +2,15 @@
 
 Everything here is deliberately naive: FIFO queues, full scans, brute
 force subset search. None of it shares code or data structures with the
-package, so agreement between the two is meaningful evidence.
+package, so agreement between the two is meaningful evidence. The one
+exception is the last section: test hooks that state laws about the
+package's own functions and therefore call them.
 """
 
 from collections import deque
 from itertools import combinations
+
+from coarse_ends import ParameterError, interface
 
 
 def bfs_norms(group, gens, radius):
@@ -92,3 +96,82 @@ def min_cover_size(universe, candidate_sets):
             if got >= universe:
                 return k
     return upper
+
+
+def exact_covering_number(window, S, t, cap=18):
+    """Minimum number of radius-S translates covering the radius-(S+t) ball.
+
+    Exhaustive branch and bound over candidate centers, seeded with a
+    greedy cover over the same candidates; only sensible for tiny
+    targets, hence the hard cap on target size.
+    """
+    if S + t > window.radius:
+        raise ParameterError("window too small")
+    target = window.ball(S + t)
+    if len(target) > cap:
+        raise ParameterError(f"exact search limited to targets of size <= {cap}")
+    grp = window.group
+    index = {g: i for i, g in enumerate(target)}
+    full = (1 << len(target)) - 1
+    ball = window.ball(min(S, window.radius))
+    masks = set()
+    for c in window.ball(min(2 * S + t, window.radius)):
+        m = 0
+        for v in ball:
+            y = grp.mul(c, v)
+            if y in index:
+                m |= 1 << index[y]
+        if m:
+            masks.add(m)
+    masks = sorted(masks, reverse=True)
+    by_bit = [[] for _ in range(len(target))]
+    for m in masks:
+        for b in range(len(target)):
+            if m >> b & 1:
+                by_bit[b].append(m)
+
+    best = 0
+    covered = 0
+    while covered != full:
+        covered |= max(masks, key=lambda m: bin(m & ~covered).count("1"))
+        best += 1
+
+    def search(mask, used):
+        nonlocal best
+        if mask == full:
+            best = min(best, used)
+            return
+        if used + 1 >= best:
+            return
+        b = 0
+        while mask >> b & 1:
+            b += 1
+        for m in by_bit[b]:
+            search(mask | m, used + 1)
+
+    search(0, 0)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Test hooks over the package
+
+
+def coarsely_identical(A, C, window):
+    """Largest norm in the symmetric difference of A and C; -1 when equal."""
+    diff = set(A) ^ set(C)
+    return window.maxnorm_of(diff) if diff else -1
+
+
+def clopen_intersection_law(A1, A2, B, window, core_radius):
+    """Whether interface(A1 meet A2) lies inside interface(A1) union interface(A2).
+
+    This inclusion is a theorem of the star algebra, so it should never
+    return False on correct inputs.
+    """
+    s1 = set(A1)
+    s2 = set(A2)
+    i_meet = interface(s1 & s2, B, window, core_radius).interface
+    i1 = set(interface(s1, B, window, core_radius).interface)
+    i2 = set(interface(s2, B, window, core_radius).interface)
+    return all(x in i1 or x in i2 for x in i_meet)

@@ -25,14 +25,13 @@ from coarse_ends import (
     covering_number,
     end_count,
     estimate_delta,
-    exact_covering_number,
     k4_component_bound,
     star,
     verify_cover,
 )
 from coarse_ends.cli import main as cli_main
 from helpers import ZOO, get_gens, get_group, get_window, random_subset
-from oracles import flood_partition, min_cover_size
+from oracles import exact_covering_number, flood_partition, min_cover_size
 
 
 @contextmanager

@@ -13,13 +13,12 @@ from coarse_ends import (
     build_annulus_cover,
     covering_number,
     estimate_delta,
-    exact_covering_number,
     greedy_ball_cover,
     growth_series,
     verify_cover,
 )
 from helpers import get_gens, get_group, get_window
-from oracles import min_cover_size
+from oracles import exact_covering_number, min_cover_size
 
 
 # ---------------------------------------------------------------------------

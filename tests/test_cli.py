@@ -221,9 +221,10 @@ def test_exit_usage_errors_elements_file(capsys, tmp_path):
         ["ends", "--group", "Z", "--window", "-3"],
         ["ends", "--group", "Z", "--gen-power", "0"],
         ["growth", "--group", "Z", "--window", "4", "--gen-power", "-2"],
+        ["ends", "--group", "(Z * " * 600 + "Z" + ")" * 600],
     ],
     ids=["cover-offsets", "n-list", "out-dir", "negative-window", "gen-power-0",
-         "gen-power-negative"],
+         "gen-power-negative", "nested-spec"],
 )
 def test_bad_flag_values_are_usage_errors(capsys, tmp_path, argv):
     argv = [a.replace("{missing}", str(tmp_path / "missing" / "f")) for a in argv]

@@ -6,15 +6,16 @@ import pytest
 
 from coarse_ends import (
     CoreRadiusError,
-    clopen_intersection_law,
+    ParameterError,
     clopen_scale_test,
-    coarsely_identical,
     interface,
+    power_generators,
     scale_difference_set,
     star,
     star_preserves_clopen,
 )
 from helpers import get_gens, get_group, get_window, random_subset
+from oracles import clopen_intersection_law, coarsely_identical
 
 
 def _gen_set(text):
@@ -105,20 +106,76 @@ def test_interface_empty_and_full():
     assert rep.rho == -1 and rep.verdict is True
 
 
+def _scale(window, t):
+    return set(power_generators(window.group, window.gens, t).elements)
+
+
 def test_interface_matches_naive():
-    for text, radius in [("Z", 10), ("Z^2", 5), ("F2", 4), ("(C2 * C3)", 5)]:
-        window = get_window(text, radius)
+    # (spec, radius, generator power, scale powers t); each scale K^t runs
+    # at its largest legal core R - 2*maxnorm(K^t)
+    cases = [
+        ("Z", 10, 1, (1, 2, 3)),
+        ("Z^2", 7, 1, (1, 2, 3)),
+        ("F2", 4, 1, (1, 2)),
+        ("(C2 * C3)", 6, 1, (1, 2, 3)),
+        ("(Z x C2)", 8, 1, (1, 2, 3)),
+        ("C6", 8, 1, (1, 2, 3)),  # exhausted: K^(2t) saturates the group
+        ("Z^2", 5, 2, (1, 2)),  # gen-power-2 window
+    ]
+    for text, radius, power, scales in cases:
+        window = get_window(text, radius, power)
         grp = window.group
-        B = _gen_set(text)
-        core = radius - 2
-        rng = random.Random(f"iface:{text}")
-        for _ in range(200):
-            A = random_subset(window, rng)
-            rep = interface(A, B, window, core)
-            want = _naive_interface(grp, A, B, window, core)
-            assert set(rep.interface) == want
-            assert rep.rho == (max(map(window.knorm, want)) if want else -1)
-            assert rep.verdict == (rep.rho < core)
+        rng = random.Random(f"iface:{text}:{power}")
+        for t in scales:
+            B = _scale(window, t)
+            core = radius - 2 * window.maxnorm_of(B)
+            for _ in range(200 if (t, power) == (1, 1) else 25):
+                A = random_subset(window, rng)
+                rep = interface(A, B, window, core)
+                want = _naive_interface(grp, A, B, window, core)
+                assert set(rep.interface) == want, (text, power, t)
+                assert list(rep.interface) == [g for g in window if g in want]
+                assert rep.rho == (max(map(window.knorm, want)) if want else -1)
+                assert rep.verdict == (rep.rho < core)
+        # B = {e}: each star is its own set, so the interface is empty
+        A = random_subset(window, rng)
+        rep = interface(A, {grp.identity}, window, radius)
+        assert _naive_interface(grp, A, {grp.identity}, window, radius) == set()
+        assert rep.interface == () and rep.rho == -1 and rep.verdict is True
+
+
+def test_interface_ignores_elements_outside_the_window():
+    window = get_window("Z^2", 6)
+    outer = get_window("Z^2", 10)
+    rng = random.Random("iface:outside")
+    for t in (1, 2):
+        B = _scale(window, t)
+        core = 6 - 2 * t
+        for _ in range(50):
+            A = random_subset(outer, rng)
+            inside = {a for a in A if a in window}
+            assert A != inside
+            assert interface(A, B, window, core) == interface(inside, B, window, core)
+
+
+def test_interface_scale_must_be_a_window_ball():
+    window = get_window("Z^2", 8)
+    grp = window.group
+    A = {g for g in window if g[0] >= 1}
+    for B in ({grp.identity, (1, 0)}, {grp.identity, (1, 0), (-1, 0)}):
+        with pytest.raises(ParameterError):
+            interface(A, B, window, 4)
+    # the same half-space at the ball scale K is accepted
+    K = _scale(window, 1)
+    want = _naive_interface(grp, A, K, window, 4)
+    assert set(interface(A, K, window, 4).interface) == want != set()
+    # so is a scale that is no ball itself but whose B^(-1)*B is one
+    wz = get_window("Z", 10)
+    half = {(0,), (1,)}
+    A = {g for g in wz if g[0] >= 2}
+    assert _naive_difference(wz.group, half) == set(wz.ball(1))
+    want = _naive_interface(wz.group, A, half, wz, 8)
+    assert set(interface(A, half, wz, 8).interface) == want == {(1,), (2,)}
 
 
 def test_interface_core_bound():
@@ -241,8 +298,6 @@ def test_component_union_certificates():
 
 def test_certificate_parameter_errors():
     window = get_window("Z", 8)
-    from coarse_ends import ParameterError
-
     with pytest.raises(ParameterError):
         clopen_scale_test(window, {(1,)}, 0)
     with pytest.raises(CoreRadiusError):

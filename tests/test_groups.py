@@ -69,6 +69,17 @@ def test_parse_spec_errors(bad, offset):
     assert exc.value.offset == offset
 
 
+def test_spec_nesting_depth_is_bounded():
+    def nested(depth):
+        return "(Z * " * depth + "Z" + ")" * depth
+
+    assert spec_to_string(parse_spec(nested(64))) == nested(64)
+    for depth in (65, 600):
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse_spec(nested(depth))
+        assert exc.value.offset == 64 * len("(Z * ")
+
+
 def test_letter_budget():
     text = "C2"
     for _ in range(26):
