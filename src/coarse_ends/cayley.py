@@ -22,6 +22,7 @@ import os
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import OutOfWindowError, ParameterError, WindowCapError
@@ -175,15 +176,14 @@ class WindowIndex:
     """Integer view of a window: ids, sphere offsets, neighbour tables, ranks.
 
     Ids follow window order, so sphere r holds the ids offsets[r] up to
-    offsets[r + 1]. Neighbour tables and printed-form ranks are computed on
-    first request and kept, so a caller that needs neither pays only for
-    the ids.
+    offsets[r + 1]. The id map, neighbour tables and printed-form ranks are
+    computed on first request and kept, so a caller that needs none of them
+    pays only for the element list and the offsets.
     """
 
     def __init__(self, window: Window):
         self.group = window.group
         self.elements = window.elements
-        self.ids = {g: i for i, g in enumerate(self.elements)}
         offsets = [0]
         for sph in window.spheres:
             offsets.append(offsets[-1] + len(sph))
@@ -191,39 +191,58 @@ class WindowIndex:
         self._tables: dict = {}
         self._ranks: Optional[array] = None
 
+    @cached_property
+    def ids(self) -> dict:
+        """The id of every window element."""
+        return {g: i for i, g in enumerate(self.elements)}
+
     def norm(self, i: int) -> int:
         """Word norm of the element with id i."""
         return bisect_right(self.offsets, i) - 1
 
-    def neighbours(self, steps) -> tuple:
+    def neighbours(self, steps, radius: Optional[int] = None) -> tuple:
         """Right-neighbour columns for a step set closed under inverses.
 
         One array('i') per non-identity step s: entry i is the id of
         elements[i]*s, or -1 when that product lies outside the window. The
         column of s^-1 is the inverse of the column of s, so each inverse
-        pair costs one product per element.
+        pair costs one product per element. With radius given, the columns
+        may hold only the rows of norm <= radius; a later request for more
+        rows fills the table again.
         """
+        rows = len(self.elements) if radius is None else self.offsets[radius + 1]
         key = frozenset(steps) - {self.group.identity}
         cols = self._tables.get(key)
-        if cols is None:
-            cols = self._tables[key] = self._fill(key)
+        if cols is None or (cols and len(cols[0]) < rows):
+            cols = self._tables[key] = self._fill(key, rows)
         return cols
 
-    def _fill(self, steps: frozenset) -> tuple:
+    def _fill(self, steps: frozenset, rows: int) -> tuple:
         grp = self.group
         if any(grp.inv(s) not in steps for s in steps):
             raise ParameterError("step set is not closed under inverses")
-        ids = self.ids
+        elements = self.elements
+        if rows < len(elements) and "ids" not in self.__dict__:
+            # products of rows of norm <= r have norm <= r+1
+            end = self.offsets[self.norm(rows - 1) + 2]
+            ids = {g: i for i, g in enumerate(elements[:end])}
+        else:
+            ids = self.ids
+        # a row of norm r gets its s^-1 entry from an s row of norm <= r+1,
+        # so mirroring leaves the last sphere of a partial table to products
+        last = self.offsets[self.norm(rows - 1)] if rows < len(elements) else rows
         cols: dict = {}
         for s in steps:
             mirror = cols.get(grp.inv(s))
             if mirror is None:
-                col = array("i", [ids.get(grp.mul(x, s), -1) for x in self.elements])
+                col = array("i", [ids.get(grp.mul(x, s), -1) for x in elements[:rows]])
             else:
-                col = array("i", [-1]) * len(self.elements)
+                col = array("i", [-1]) * rows
                 for i, y in enumerate(mirror):
-                    if y >= 0:
+                    if 0 <= y < last:
                         col[y] = i
+                for y in range(last, rows):
+                    col[y] = ids.get(grp.mul(elements[y], s), -1)
             cols[s] = col
         return tuple(cols.values())
 

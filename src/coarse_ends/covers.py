@@ -13,11 +13,12 @@ a core element lies in a star only consults elements of norm at most
 c + 2*maxnorm(B) <= R, so interfaces restricted to the core are exact,
 not boundary artifacts.
 
-Interfaces are computed on the window graph, not by products: when
-B^(-1)*B is the window ball B(k), as it is for every power of the
-generator set, the interface is the set of core elements within k-1
-steps of an edge between A and its complement. One breadth-first search
-from those edges finds it; `interface` states why that is exact.
+Interfaces are computed on the window graph, not by products: the scale
+must be a window ball B(m), as every power of the generator set is, so
+B^(-1)*B is the window ball B(k) with k <= 2m, and the interface is the
+set of core elements within k-1 steps of an edge between A and its
+complement. One breadth-first search from those edges finds it;
+`interface` states why that is exact.
 """
 
 from __future__ import annotations
@@ -117,11 +118,13 @@ def _core_bound(window: Window, scale_maxnorm: int) -> int:
 def interface(A: Iterable, B: Iterable, window: Window, core_radius: int) -> InterfaceReport:
     """Interface of A versus its window complement, restricted to B(core_radius).
 
-    A is intersected with the window W first; C is W minus A. The scale
-    difference set B^(-1)*B must be the window ball B(k) with
-    k = maxnorm(B^(-1)*B). Every power K^t of the generator set qualifies;
-    any other scale raises ParameterError. A core element x then lies in
-    both stars iff it is within k steps of A and within k steps of C.
+    A is intersected with the window W first; C is W minus A. The scale B
+    must be the window ball B(m) with m = maxnorm(B); every power K^t of
+    the generator set is one, and any other scale raises ParameterError.
+    Then B^(-1)*B is B(2m), which lies in W, and equals the window ball
+    B(k) with k its largest nonempty sphere (k < 2m once a finite group is
+    exhausted). A core element x lies in both stars iff it is within k
+    steps of A and within k steps of C.
 
     One breadth-first search on the window graph answers that for the
     whole core. It starts at the endpoints of the edges between A and C,
@@ -131,11 +134,14 @@ def interface(A: Iterable, B: Iterable, window: Window, core_radius: int) -> Int
     core_radius + k <= R. On a shortest path from x in A to C, the first
     point in C comes right after a cut-edge endpoint, at distance <= k-1
     from x; the same holds with A and C swapped. Conversely, a cut-edge
-    endpoint within k-1 of x puts both sides within k of x. Such an
-    endpoint has norm <= core_radius + k - 1, so the search starts at no
-    larger norm.
+    endpoint within k-1 of x puts both sides within k of x. Every vertex
+    on such a path is within k-1 of x, so it has norm <= core_radius + k - 1;
+    the search starts and steps only there, and reads no neighbour rows
+    beyond that sphere.
     """
     B = set(B)
+    if not B:
+        raise ParameterError("scale B is empty")
     mn = window.maxnorm_of(B)
     if core_radius < 0:
         raise ParameterError("core radius must be nonnegative")
@@ -146,28 +152,19 @@ def interface(A: Iterable, B: Iterable, window: Window, core_radius: int) -> Int
             "star answers there would be boundary artifacts"
         )
     index = window.index
-    if len(B) == index.offsets[mn + 1]:
-        # B is the ball B(mn), so B^(-1)*B is B(2*mn), inside W as 2*mn <= R
-        k = index.norm(index.offsets[2 * mn + 1] - 1)
-    else:
-        diff = scale_difference_set(window.group, B)
-        k = window.maxnorm_of(diff)
-        if len(diff) != index.offsets[k + 1]:
-            raise ParameterError(
-                f"scale difference set B^(-1)*B is not the window ball of radius {k}"
-            )
+    if len(B) != index.offsets[mn + 1]:
+        raise ParameterError(f"scale B is not the window ball of radius {mn}")
+    k = index.norm(index.offsets[2 * mn + 1] - 1)
     found = []
     if k > 0:
-        ids = index.ids
-        inside = bytearray(len(ids))
-        for a in A:
-            i = ids.get(a)
-            if i is not None:
-                inside[i] = 1
-        cols = index.neighbours(window.gens.elements)
-        seen = bytearray(len(ids))
+        A = set(A)
+        reach = index.offsets[core_radius + k]
+        # the rows below reach have neighbours of norm <= core_radius + k
+        inside = bytearray(g in A for g in index.elements[: index.offsets[core_radius + k + 1]])
+        cols = index.neighbours(window.gens.elements, core_radius + k - 1)
+        seen = bytearray(reach)
         frontier = []
-        for i in range(index.offsets[core_radius + k]):
+        for i in range(reach):
             side = inside[i]
             for col in cols:
                 j = col[i]
@@ -181,7 +178,7 @@ def interface(A: Iterable, B: Iterable, window: Window, core_radius: int) -> Int
             for i in frontier:
                 for col in cols:
                     j = col[i]
-                    if j >= 0 and not seen[j]:
+                    if 0 <= j < reach and not seen[j]:
                         seen[j] = 1
                         nxt.append(j)
             reached.extend(nxt)
@@ -202,8 +199,9 @@ def interface(A: Iterable, B: Iterable, window: Window, core_radius: int) -> Int
 def star_preserves_clopen(A: Iterable, B: Iterable, V: Iterable, window: Window, core_radius: int) -> InterfaceReport:
     """Interface report of star(A, B) at scale V.
 
-    For the star to be exact wherever the interface test consults it, the
-    core must retreat by both scales: core <= R - 2*maxnorm(V) - 2*maxnorm(B).
+    V must be a window ball, as `interface` requires. For the star to be
+    exact wherever the interface test consults it, the core must retreat
+    by both scales: core <= R - 2*maxnorm(V) - 2*maxnorm(B).
     """
     mn_b = window.maxnorm_of(B)
     mn_v = window.maxnorm_of(V)

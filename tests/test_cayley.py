@@ -194,3 +194,17 @@ def test_window_cap():
         build_window(grp, gens, 10, cap=1000)
     assert exc.value.cap == 1000
     assert exc.value.radius_reached == 5  # |B(5)| = 485, |B(6)| = 1457
+
+
+def test_partial_neighbour_table_matches_full():
+    for text, radius, power in [("Z^2", 6, 1), ("F2", 4, 1), ("(C2 * C3)", 6, 1),
+                                ("C6", 6, 1), ("Z^2", 5, 2)]:
+        steps = get_gens(text, power).elements
+        full = get_window(text, radius, power).index.neighbours(steps)
+        for r in range(radius + 1):
+            index = get_window(text, radius, power).index
+            rows = index.offsets[r + 1]
+            part = index.neighbours(steps, r)
+            assert [list(c[:rows]) for c in part] == [list(c[:rows]) for c in full], (text, r)
+            # a later request for every row fills the whole table
+            assert [list(c) for c in index.neighbours(steps)] == [list(c) for c in full]

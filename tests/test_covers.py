@@ -169,13 +169,14 @@ def test_interface_scale_must_be_a_window_ball():
     K = _scale(window, 1)
     want = _naive_interface(grp, A, K, window, 4)
     assert set(interface(A, K, window, 4).interface) == want != set()
-    # so is a scale that is no ball itself but whose B^(-1)*B is one
+    # a scale that is no ball is refused even when its B^(-1)*B is one
     wz = get_window("Z", 10)
     half = {(0,), (1,)}
-    A = {g for g in wz if g[0] >= 2}
     assert _naive_difference(wz.group, half) == set(wz.ball(1))
-    want = _naive_interface(wz.group, A, half, wz, 8)
-    assert set(interface(A, half, wz, 8).interface) == want == {(1,), (2,)}
+    with pytest.raises(ParameterError):
+        interface({g for g in wz if g[0] >= 2}, half, wz, 8)
+    with pytest.raises(ParameterError, match="empty"):
+        interface(A, set(), window, 4)
 
 
 def test_interface_core_bound():
