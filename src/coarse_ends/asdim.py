@@ -149,6 +149,8 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
     distance is not visible in the window are skipped; a same-index
     distance that escapes the window is counted as R+1.
     """
+    if pair_budget < 1:
+        raise ParameterError(f"pair_budget must be at least 1, got {pair_budget}")
     grp = window.group
     els = [g for g in window if window.norms[g] > 0]
     n = len(els)

@@ -15,10 +15,6 @@ byte-stable.
 
 from __future__ import annotations
 
-import gzip
-import hashlib
-import json
-import os
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -26,12 +22,11 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import OutOfWindowError, ParameterError, WindowCapError
-from .groups import GeneratorSet, Group, spec_to_string
+from .groups import GeneratorSet, Group
 
-__all__ = ["Window", "Geodesic", "build_window", "window_cache_key"]
+__all__ = ["Window", "Geodesic", "build_window"]
 
 DEFAULT_CAP = 5_000_000
-_CACHE_SCHEMA = "coarse-ends.window/1"
 
 
 @dataclass(frozen=True)
@@ -259,103 +254,40 @@ class WindowIndex:
         return self._ranks
 
 
-def window_cache_key(group: Group, gens: GeneratorSet, radius: int) -> str:
-    """Stable digest identifying a window build."""
-    payload = {
-        "schema": _CACHE_SCHEMA,
-        "spec": spec_to_string(group.spec),
-        "gens": sorted(group.show(g) for g in gens.elements),
-        "radius": radius,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _cache_path(cache_dir: str, key: str) -> str:
-    return os.path.join(cache_dir, f"window-{key}.json.gz")
-
-
-def _load_cached(path: str, group: Group) -> Optional[list]:
-    try:
-        with gzip.open(path, "rt", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if data.get("schema") != _CACHE_SCHEMA:
-        return None
-    return [[group.parse(s) for s in sph] for sph in data["spheres"]]
-
-
-def _store_cached(path: str, group: Group, gens: GeneratorSet, radius: int, spheres) -> None:
-    data = {
-        "schema": _CACHE_SCHEMA,
-        "spec": spec_to_string(group.spec),
-        "gens": sorted(group.show(g) for g in gens.elements),
-        "radius": radius,
-        "spheres": [[group.show(g) for g in sph] for sph in spheres],
-    }
-    tmp = path + ".tmp"
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with gzip.open(tmp, "wt", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-    os.replace(tmp, path)
-
-
 def build_window(
     group: Group,
     gens: GeneratorSet,
     radius: int,
     cap: int = DEFAULT_CAP,
-    cache_dir: Optional[str] = None,
 ) -> Window:
     """Enumerate the ball of the given radius by breadth-first search.
 
     Raises WindowCapError as soon as the element count would exceed cap,
-    reporting the last fully enumerated radius. With cache_dir set, sphere
-    lists are stored gzip-compressed and reloaded verbatim, so warm and
-    cold builds yield identical windows.
+    reporting the last fully enumerated radius.
     """
     if radius < 0:
         raise ValueError("window radius must be nonnegative")
     steps = tuple(
         sorted((g for g in gens.elements if g != group.identity), key=group.key)
     )
-
-    spheres_payload = None
-    cache_file = None
-    if cache_dir is not None:
-        cache_file = _cache_path(cache_dir, window_cache_key(group, gens, radius))
-        spheres_payload = _load_cached(cache_file, group)
-
-    if spheres_payload is None:
-        spheres_payload = [[group.identity]]
-        norms = {group.identity: 0}
-        for r in range(1, radius + 1):
-            nxt = []
-            for p in spheres_payload[r - 1]:
-                for s in steps:
-                    q = group.mul(p, s)
-                    if q not in norms:
-                        norms[q] = r
-                        nxt.append(q)
-                        if len(norms) > cap:
-                            raise WindowCapError(cap, r - 1)
-            spheres_payload.append(nxt)
-        if cache_file is not None:
-            _store_cached(cache_file, group, gens, radius, spheres_payload)
-    else:
-        norms = {}
-        for r, sph in enumerate(spheres_payload):
-            for g in sph:
-                norms[g] = r
-        if len(norms) > cap:
-            raise WindowCapError(cap, radius)
-
+    spheres = [(group.identity,)]
+    norms = {group.identity: 0}
+    for r in range(1, radius + 1):
+        nxt = []
+        for p in spheres[r - 1]:
+            for s in steps:
+                q = group.mul(p, s)
+                if q not in norms:
+                    norms[q] = r
+                    nxt.append(q)
+                    if len(norms) > cap:
+                        raise WindowCapError(cap, r - 1)
+        spheres.append(tuple(nxt))
     return Window(
         group=group,
         gens=gens,
         radius=radius,
         norms=norms,
-        spheres=tuple(tuple(sph) for sph in spheres_payload),
+        spheres=tuple(spheres),
         steps=steps,
     )

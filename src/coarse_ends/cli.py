@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -105,11 +104,6 @@ def _int_list(text: str, flag: str) -> list:
         raise _ArgumentError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
-def _cache_dir(args) -> Optional[str]:
-    # the environment variable wins over the flag by contract
-    return os.environ.get("COARSE_ENDS_CACHE") or args.cache_dir
-
-
 def _base_config(args, window_radius: int) -> dict:
     return {
         "group": spec_to_string(parse_spec(args.group)),
@@ -136,6 +130,10 @@ def _bool(b) -> str:
 
 
 def cmd_ends(args) -> Report:
+    if args.span < 1:
+        raise _ArgumentError(f"--span must be at least 1, got {args.span}")
+    if args.growth_span < 2:
+        raise _ArgumentError(f"--growth-span must be at least 2, got {args.growth_span}")
     group, gens = _bind(args)
     radius = args.window if args.window is not None else 2 * args.rmax + 4
     verdict = end_count(
@@ -146,7 +144,6 @@ def cmd_ends(args) -> Report:
         growth_span=args.growth_span,
         window_radius=radius,
         cap=args.cap,
-        cache_dir=_cache_dir(args),
     )
     config = _base_config(args, radius)
     config.update(rmax=args.rmax, span=args.span, growth_span=args.growth_span)
@@ -185,7 +182,7 @@ def cmd_ends(args) -> Report:
 def cmd_tree(args) -> Report:
     group, gens = _bind(args)
     radius = args.window if args.window is not None else 2 * args.rmax + 4
-    window = build_window(group, gens, radius, cap=args.cap, cache_dir=_cache_dir(args))
+    window = build_window(group, gens, radius, cap=args.cap)
     tree = component_tree(window, args.rmin, args.rmax)
     config = _base_config(args, radius)
     config.update(rmin=args.rmin, rmax=args.rmax)
@@ -271,7 +268,7 @@ def _load_elements(path: str, group: Group, window) -> set:
 def cmd_clopen(args) -> Report:
     group, gens = _bind(args)
     radius = args.window if args.window is not None else 4 * args.tmax + 4
-    window = build_window(group, gens, radius, cap=args.cap, cache_dir=_cache_dir(args))
+    window = build_window(group, gens, radius, cap=args.cap)
     if args.select is not None:
         set_fn = _parse_selector(args.select)
         chosen = f"select={args.select}"
@@ -285,7 +282,6 @@ def cmd_clopen(args) -> Report:
         args.tmax,
         enlarge_by=4,
         cap=args.cap,
-        cache_dir=_cache_dir(args),
     )
     config = _base_config(args, radius)
     config.update(tmax=args.tmax, set=chosen)
@@ -335,7 +331,7 @@ def cmd_clopen(args) -> Report:
 def cmd_growth(args) -> Report:
     group, gens = _bind(args)
     radius = args.window if args.window is not None else 8
-    window = build_window(group, gens, radius, cap=args.cap, cache_dir=_cache_dir(args))
+    window = build_window(group, gens, radius, cap=args.cap)
     rows = growth_series(window)
     offsets = _int_list(args.cover_offsets, "--cover-offsets")
     warnings = []
@@ -382,9 +378,11 @@ def cmd_growth(args) -> Report:
 
 
 def cmd_asdim(args) -> Report:
+    if args.pair_budget < 1:
+        raise _ArgumentError(f"--pair-budget must be at least 1, got {args.pair_budget}")
     group, gens = _bind(args)
     radius = args.window if args.window is not None else 14
-    window = build_window(group, gens, radius, cap=args.cap, cache_dir=_cache_dir(args))
+    window = build_window(group, gens, radius, cap=args.cap)
     n_list = None
     if args.n_list:
         n_list = _int_list(args.n_list, "--n-list")
@@ -461,8 +459,6 @@ def _add_common(sub, formats=("json", "csv", "text")):
                      help="window radius override (per-command default otherwise)")
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
                      help=f"window element cap (default {DEFAULT_CAP})")
-    sub.add_argument("--cache-dir", default=None, dest="cache_dir",
-                     help="window cache directory (COARSE_ENDS_CACHE overrides)")
     sub.add_argument("--format", choices=list(formats), default="json")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for sampled computations (recorded in reports)")

@@ -219,7 +219,6 @@ def clopen_scale_test(
     t_max: int,
     enlarge_by: int = 4,
     cap: Optional[int] = None,
-    cache_dir: Optional[str] = None,
 ) -> ClopenCertificate:
     """Interface sizes for scales K^t, t = 1..t_max, with a stability re-run.
 
@@ -248,7 +247,6 @@ def clopen_scale_test(
         gens,
         window.radius + enlarge_by,
         cap=cap if cap is not None else DEFAULT_CAP,
-        cache_dir=cache_dir,
     )
     A_small = set(resolver(window))
     A_big = set(resolver(big))

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from .asdim import greedy_ball_cover
 from .cayley import DEFAULT_CAP, Window, build_window
-from .covers import InterfaceReport, interface
+from .covers import InterfaceReport, interface, star
 from .errors import CoverVerificationError, ParameterError
 from .groups import GeneratorSet, Group, power_generators
 
@@ -331,6 +331,15 @@ class EndVerdict:
         }
 
 
+def _check_spans(stab_span: int, growth_span: int) -> None:
+    # a span of 0 makes the whole sequence its tail, and a growth span of 1
+    # makes "strictly increasing" true of an empty run of comparisons
+    if stab_span < 1:
+        raise ParameterError(f"stab_span must be at least 1, got {stab_span}")
+    if growth_span < 2:
+        raise ParameterError(f"growth_span must be at least 2, got {growth_span}")
+
+
 def classify_counts(
     counts: Sequence[int],
     stab_span: int = 3,
@@ -345,6 +354,7 @@ def classify_counts(
     no finitely generated group has a finite end count above two, so the
     window is reporting an artifact.
     """
+    _check_spans(stab_span, growth_span)
     if exhausted:
         return "Zero", None, False
     counts = list(counts)
@@ -417,15 +427,15 @@ def end_count(
     window_radius: Optional[int] = None,
     enlarge_by: int = 4,
     cap: int = DEFAULT_CAP,
-    cache_dir: Optional[str] = None,
 ) -> EndVerdict:
     """End-count verdict from component counts at radii 1..r_max."""
     if r_max < 1:
         raise ParameterError("r_max must be at least 1")
+    _check_spans(stab_span, growth_span)
     radius = window_radius if window_radius is not None else 2 * r_max + 4
     if r_max >= radius:
         raise ParameterError(f"r_max {r_max} must be smaller than the window radius {radius}")
-    window = build_window(group, gens, radius, cap=cap, cache_dir=cache_dir)
+    window = build_window(group, gens, radius, cap=cap)
     rows, exhausted_at = _count_rows(window, r_max)
     outer = [c.outer for c in rows]
     candidate, anomaly, growth_flag = classify_counts(
@@ -446,7 +456,7 @@ def end_count(
             )
         else:
             recheck_radius = radius + enlarge_by
-            big = build_window(group, gens, recheck_radius, cap=cap, cache_dir=cache_dir)
+            big = build_window(group, gens, recheck_radius, cap=cap)
             recheck_rows, re_exhausted = _count_rows(big, r_max)
             stable = (
                 re_exhausted is None
@@ -528,10 +538,9 @@ def k4_component_bound(window: Window, L: Iterable):
     the complement is the whole window in one piece, so no comparison is
     made.
     """
-    grp = window.group
     gens = window.gens
     L_set = set(L)
-    k4 = power_generators(grp, gens, 4)
+    k4 = power_generators(window.group, gens, 4)
     if L_set:
         reach = window.maxnorm_of(L_set) + 2
         if reach > window.radius:
@@ -543,14 +552,7 @@ def k4_component_bound(window: Window, L: Iterable):
     observed = uf.outer
     if not L_set:
         return observed, 0
-    thickened = set()
-    diff2 = power_generators(grp, gens, 2).elements
-    for a in L_set:
-        for u in diff2:
-            x = grp.mul(a, u)
-            if x in window:
-                thickened.add(x)
-    centers = greedy_ball_cover(window, thickened, 1)
+    centers = greedy_ball_cover(window, star(L_set, gens.elements, window), 1)
     m = len(centers)
     if observed > m:
         raise CoverVerificationError(

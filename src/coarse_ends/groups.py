@@ -538,8 +538,7 @@ class Group:
 class GeneratorSet:
     """A finite symmetric generating set containing the identity.
 
-    power records how many standard-set factors the set is a product of,
-    so caches can key on it.
+    power records how many standard-set factors the set is a product of.
     """
 
     elements: frozenset

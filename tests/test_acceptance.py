@@ -7,7 +7,6 @@ timed criteria assert their wall-clock budgets.
 """
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -272,14 +271,11 @@ def test_acceptance_09_determinism(capsys):
             ["growth", "--group", "(C2 * C3)", "--window", "6", "--format", "csv"],
             ["asdim", "--group", "Z", "--seed", "7"],
         ]
-        env = dict(os.environ)
-        env.pop("COARSE_ENDS_CACHE", None)
 
         def spawn(argv):
             return subprocess.run(
                 [sys.executable, "-m", "coarse_ends"] + argv,
                 capture_output=True,
-                env=env,
                 timeout=120,
             )
 

@@ -296,6 +296,11 @@ def test_asdim_parameter_errors():
         asdim_upper_bound(wz, n_list=[9])
     with pytest.raises(ParameterError):
         asdim_upper_bound(get_window("Z", 6))  # no room for the offset samples
+    for budget in (0, -5):  # delta_hat must rest on at least one pair
+        with pytest.raises(ParameterError):
+            estimate_delta(get_window("Z^2", 4), pair_budget=budget)
+        with pytest.raises(ParameterError):
+            asdim_upper_bound(get_window("Z^2", 8), pair_budget=budget)
 
 
 def test_asdim_exhausted_group():

@@ -1,4 +1,4 @@
-"""Window construction, metric laws, geodesics, caching."""
+"""Window construction, metric laws, geodesics."""
 
 import random
 
@@ -8,7 +8,6 @@ from coarse_ends import (
     OutOfWindowError,
     WindowCapError,
     build_window,
-    window_cache_key,
 )
 from helpers import ZOO, get_gens, get_group, get_window
 from oracles import bfs_norms
@@ -152,39 +151,6 @@ def test_fresh_builds_are_identical():
         b = build_window(grp, gens, 5)
         assert a.elements == b.elements
         assert a.spheres == b.spheres
-
-
-def test_cache_roundtrip(tmp_path):
-    grp = get_group("(C2 * C3)")
-    gens = get_gens("(C2 * C3)")
-    cold = build_window(grp, gens, 6, cache_dir=str(tmp_path))
-    files = list(tmp_path.glob("window-*.json.gz"))
-    assert len(files) == 1
-    warm = build_window(grp, gens, 6, cache_dir=str(tmp_path))
-    assert warm.elements == cold.elements
-    assert warm.spheres == cold.spheres
-
-
-def test_corrupted_cache_falls_back(tmp_path):
-    grp = get_group("Z")
-    gens = get_gens("Z")
-    reference = build_window(grp, gens, 5)
-    key = window_cache_key(grp, gens, 5)
-    path = tmp_path / f"window-{key}.json.gz"
-    path.write_bytes(b"not gzip at all")
-    rebuilt = build_window(grp, gens, 5, cache_dir=str(tmp_path))
-    assert rebuilt.elements == reference.elements
-
-
-def test_cache_key_sensitivity():
-    grp = get_group("Z")
-    gens = get_gens("Z")
-    k1 = window_cache_key(grp, gens, 5)
-    assert k1 == window_cache_key(grp, gens, 5)
-    assert k1 != window_cache_key(grp, gens, 6)
-    assert k1 != window_cache_key(grp, get_gens("Z", 2), 5)
-    other = get_group("Z^2")
-    assert k1 != window_cache_key(other, get_gens("Z^2"), 5)
 
 
 def test_window_cap():

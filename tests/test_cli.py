@@ -1,19 +1,16 @@
 """Command-line behavior: envelopes, formats, exit codes, determinism."""
 
+import io
 import json
-import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarse_ends import __version__
 from coarse_ends.cli import main
-
-
-@pytest.fixture(autouse=True)
-def _no_cache_env(monkeypatch):
-    monkeypatch.delenv("COARSE_ENDS_CACHE", raising=False)
 
 
 def run_cli(capsys, argv):
@@ -222,9 +219,15 @@ def test_exit_usage_errors_elements_file(capsys, tmp_path):
         ["ends", "--group", "Z", "--gen-power", "0"],
         ["growth", "--group", "Z", "--window", "4", "--gen-power", "-2"],
         ["ends", "--group", "(Z * " * 600 + "Z" + ")" * 600],
+        ["ends", "--group", "Z^2", "--growth-span", "1", "--span", "5"],
+        ["ends", "--group", "Z", "--span", "0"],
+        ["ends", "--group", "Z", "--span", "-1"],
+        ["asdim", "--group", "Z^2", "--window", "8", "--pair-budget", "0"],
+        ["asdim", "--group", "Z^2", "--window", "8", "--pair-budget", "-5"],
     ],
     ids=["cover-offsets", "n-list", "out-dir", "negative-window", "gen-power-0",
-         "gen-power-negative", "nested-spec"],
+         "gen-power-negative", "nested-spec", "growth-span-1", "span-0", "span-negative",
+         "pair-budget-0", "pair-budget-negative"],
 )
 def test_bad_flag_values_are_usage_errors(capsys, tmp_path, argv):
     argv = [a.replace("{missing}", str(tmp_path / "missing" / "f")) for a in argv]
@@ -263,7 +266,7 @@ def test_exit_refusals(capsys):
         assert "coarse-ends: refusing:" in err
 
 
-def test_argparse_exits(capsys):
+def test_argparse_exits(capsys, tmp_path, monkeypatch):
     assert main(["--version"]) == 0
     captured = capsys.readouterr()
     assert captured.out == f"coarse-ends {__version__}\n"
@@ -273,33 +276,82 @@ def test_argparse_exits(capsys):
     capsys.readouterr()
     assert main(["frobnicate", "--group", "Z"]) == 1
     capsys.readouterr()
-
-
-# ---------------------------------------------------------------------------
-# Cache wiring
-
-
-def test_cache_dir_flag(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    argv = ["ends", "--group", "Z", "--cache-dir", str(cache)]
-    code, first, _ = run_cli(capsys, argv)
+    # the window cache is gone: its flag is unknown and its variable is ignored
+    assert main(["ends", "--group", "Z", "--cache-dir", str(tmp_path)]) == 1
+    capsys.readouterr()
+    code, plain, _ = run_cli(capsys, ["ends", "--group", "Z"])
     assert code == 0
-    files = list(cache.glob("window-*.json.gz"))
-    assert files  # both the base and the recheck window land here
-    code, second, _ = run_cli(capsys, argv)
-    assert code == 0 and second == first
+    monkeypatch.setenv("COARSE_ENDS_CACHE", str(tmp_path))
+    code, with_env, _ = run_cli(capsys, ["ends", "--group", "Z"])
+    assert code == 0
+    assert with_env == plain
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_cache_env_overrides_flag(capsys, tmp_path, monkeypatch):
-    env_dir = tmp_path / "from-env"
-    flag_dir = tmp_path / "from-flag"
-    monkeypatch.setenv("COARSE_ENDS_CACHE", str(env_dir))
-    code, _, _ = run_cli(
-        capsys, ["ends", "--group", "Z", "--cache-dir", str(flag_dir)]
+# Every flag value is drawn small: the window is always given and at most 6,
+# and the cap is at most 3000, so even a default probe or recheck window
+# stops at the cap instead of growing. Drawn values are mostly valid; one
+# optional fragment at the end overrides a flag with a bad value.
+_SELECTORS = ["component:r=1:index=0", "component:r=2:index=1", "component:r=0:index=9"]
+
+
+def _num(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+_COMMON = [
+    st.sampled_from(["Z", "Z^2", "F2", "C6", "(C2 * C3)", "(Z x C2)"]).map(
+        lambda g: ["--group", g]
+    ),
+    _num(0, 6).map(lambda v: ["--window", v]),
+    st.sampled_from(["40", "400", "3000"]).map(lambda v: ["--cap", v]),
+    _flag("--gen-power", _num(1, 3)),
+    _flag("--format", st.sampled_from(["json", "csv", "text"])),
+    _flag("--seed", _num(-3, 3)),
+]
+_COMMAND_FLAGS = {
+    "ends": [_flag("--rmax", _num(1, 5)), _flag("--span", _num(1, 4)),
+             _flag("--growth-span", _num(2, 4))],
+    "tree": [_flag("--rmin", _num(1, 5)), _flag("--rmax", _num(1, 5)),
+             _flag("--format", st.just("dot"))],
+    "clopen": [_flag("--tmax", _num(1, 3)),
+               st.sampled_from(_SELECTORS).map(lambda v: ["--select", v])],
+    "growth": [_flag("--cover-offsets", st.sampled_from(["1", "1,2", "2,3"]))],
+    "asdim": [_flag("--p", _num(1, 2)), _flag("--s", _num(1, 2)),
+              _flag("--n-list", st.sampled_from(["2", "2,3", "3"])),
+              _flag("--pair-budget", _num(1, 200))],
+}
+_OVERRIDE = st.one_of(st.just([]), st.tuples(
+    st.sampled_from(["--group", "--window", "--cap", "--gen-power", "--format", "--rmin",
+                     "--rmax", "--span", "--growth-span", "--tmax", "--select",
+                     "--cover-offsets", "--p", "--s", "--n-list", "--pair-budget", "--bogus"]),
+    st.sampled_from(["-1", "0", "x", "", "1,a", "1.5", "Z^", "(Z", "Q7", "dot", "xml",
+                     "component:r=1", "shell:r=1"]),
+).map(list))
+
+
+def _argv():
+    return st.sampled_from(sorted(_COMMAND_FLAGS)).flatmap(
+        lambda cmd: st.tuples(*_COMMON, *_COMMAND_FLAGS[cmd], _OVERRIDE).map(
+            lambda parts: [cmd] + [a for part in parts for a in part]
+        )
     )
-    assert code == 0
-    assert list(env_dir.glob("window-*.json.gz"))
-    assert not flag_dir.exists()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_any_argv_maps_to_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 1, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    if code not in (0, 3):
+        assert out.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +359,9 @@ def test_cache_env_overrides_flag(capsys, tmp_path, monkeypatch):
 
 
 def _spawn(argv):
-    env = dict(os.environ)
-    env.pop("COARSE_ENDS_CACHE", None)
     return subprocess.run(
         [sys.executable, "-m", "coarse_ends"] + argv,
         capture_output=True,
-        env=env,
         timeout=120,
     )
 

@@ -272,6 +272,11 @@ def test_end_count_parameter_errors():
         end_count(get_group("Z"), get_gens("Z"), 0)
     with pytest.raises(ParameterError):
         end_count(get_group("Z"), get_gens("Z"), 8, window_radius=8)
+    # a span of 0 made the whole sequence its tail; a growth span of 1
+    # certified Infinite from an empty run of comparisons
+    for spans in [(0, 3), (-1, 3), (3, 1), (5, 0)]:
+        with pytest.raises(ParameterError):
+            end_count(get_group("Z^2"), get_gens("Z^2"), 4, *spans)
 
 
 # ---------------------------------------------------------------------------

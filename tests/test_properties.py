@@ -5,9 +5,11 @@ these are as reproducible as the explicit loops but explore generated
 edge cases (empty sets, full windows, degenerate count sequences).
 """
 
+import pytest
 from hypothesis import given, strategies as st
 
 from coarse_ends import (
+    ParameterError,
     classify_counts,
     components,
     greedy_ball_cover,
@@ -93,24 +95,33 @@ def test_greedy_cover_property(data, s):
 @given(
     st.lists(st.integers(min_value=0, max_value=5), max_size=8),
     st.booleans(),
+    st.integers(min_value=-1, max_value=5),
+    st.integers(min_value=0, max_value=5),
 )
-def test_classify_counts_total(counts, exhausted):
-    verdict, anomaly, growth = classify_counts(counts, exhausted=exhausted)
+def test_classify_counts_total(counts, exhausted, stab_span, growth_span):
+    if stab_span < 1 or growth_span < 2:
+        with pytest.raises(ParameterError):
+            classify_counts(counts, stab_span, growth_span, exhausted)
+        return
+    verdict, anomaly, growth = classify_counts(counts, stab_span, growth_span, exhausted)
     assert verdict in {"Zero", "One", "Two", "Infinite", "Undetermined"}
     if exhausted:
         assert verdict == "Zero"
         return
     assert verdict != "Zero"
-    tail = counts[-3:]
+    stab_tail = counts[-stab_span:]
     if verdict == "One":
-        assert tail == [1, 1, 1]
+        assert stab_tail == [1] * stab_span
     if verdict == "Two":
-        assert tail == [2, 2, 2]
+        assert stab_tail == [2] * stab_span
     if verdict == "Infinite":
         assert growth is True
-        assert len(set(tail)) > 1  # a stable tail is classified first
-        assert tail[0] < tail[1] < tail[2]
-    if len(tail) == 3 and len(set(tail)) == 1 and tail[0] >= 3:
+        # a stable tail is classified first
+        assert len(stab_tail) < stab_span or len(set(stab_tail)) > 1
+        tail = counts[-growth_span:]
+        assert len(tail) == growth_span
+        assert all(a < b for a, b in zip(tail, tail[1:]))
+    if len(stab_tail) == stab_span and len(set(stab_tail)) == 1 and stab_tail[0] >= 3:
         assert verdict == "Undetermined" and anomaly is not None
 
 
