@@ -15,7 +15,11 @@ scans then confirm the diameter and multiplicity laws that make the
 family of covers witness asdim <= 2*N - 1.
 
 All greedy choices (net points, cover centers) are ordered by norm then
-printed form, so witnesses are reproducible byte for byte.
+printed form, so witnesses are reproducible byte for byte. Ball translates
+are products, not neighbour-table walks: a greedy cover on a free group
+spends about one product per covered element, less than the |K|/2 per
+element that a table costs. perfbench/spans.py wraps `greedy_ball_cover`,
+`build_annulus_cover` and `verify_cover` by name.
 """
 
 from __future__ import annotations
@@ -70,12 +74,11 @@ class CoveringSample:
 
 def growth_series(window: Window) -> tuple:
     """Sphere and cumulative ball sizes per radius, straight from the window."""
-    rows = []
-    total = 0
-    for r in range(window.radius + 1):
-        total += len(window.sphere(r))
-        rows.append(GrowthRow(r=r, sphere=len(window.sphere(r)), ball=total))
-    return tuple(rows)
+    off = window.offsets
+    return tuple(
+        GrowthRow(r=r, sphere=off[r + 1] - off[r], ball=off[r + 1])
+        for r in range(window.radius + 1)
+    )
 
 
 def greedy_ball_cover(window: Window, target: Iterable, s: int) -> list:
@@ -123,16 +126,13 @@ def covering_number(window: Window, S: int, t: int) -> int:
 
 
 def bounded_geometry_check(window: Window) -> int:
-    """Greedy count of generator-set translates covering the product set K*K."""
+    """Greedy count of generator-set translates covering the product set K*K.
+
+    K holds the identity, so K*K is the window ball B(2) as a set.
+    """
     if window.radius < 3:
         raise ParameterError("window radius must be at least 3")
-    grp = window.group
-    gens = window.gens.elements
-    kk = set()
-    for a in gens:
-        for b in gens:
-            kk.add(grp.mul(a, b))
-    return len(greedy_ball_cover(window, kk, 1))
+    return covering_number(window, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
     def geo(g):
         cached = geos.get(g)
         if cached is None:
-            cached = window.geodesic(g).points
+            cached = window.geodesic(g)
             geos[g] = cached
         return cached
 
@@ -327,6 +327,40 @@ def _pair_distance(window: Window, g, h) -> int:
     return window.norms.get(rel, window.radius + 1)
 
 
+def _probe_multiplicity(covers: Sequence[AnnulusCover], radius: int) -> tuple:
+    """Most distinct sets, over covers of one window, met by one probe ball.
+
+    Sets are told apart by their cover. The probe balls of the radius are
+    centered, in window order, on every element whose ball can meet the
+    annuli from that of covers[0] to that of covers[-1]. Returns the
+    maximum and the first center reaching it (None when no ball meets a set).
+    """
+    window = covers[0].window
+    grp = window.group
+    assignment: dict = {}
+    base = 0
+    for cover in covers:
+        for g, ids in cover.assignment.items():
+            assignment[g] = assignment.get(g, ()) + tuple(base + i for i in ids)
+        base += len(cover.sets)
+    last = covers[-1]
+    lo = max(0, 2 * covers[0].n + 1 - radius)
+    hi = min(window.radius, 2 * last.n + 2 * last.p * last.s + radius)
+    ball = window.ball(radius)
+    best = 0
+    best_center = None
+    for z in window.elements[window.offsets[lo] : window.offsets[hi + 1]]:
+        seen = set()
+        for u in ball:
+            ids = assignment.get(grp.mul(z, u))
+            if ids:
+                seen.update(ids)
+        if len(seen) > best:
+            best = len(seen)
+            best_center = z
+    return best, best_center
+
+
 def verify_cover(cover: AnnulusCover, probe_radius: int, n2delta: int) -> CoverStats:
     """Exact diameter and multiplicity scan for one annulus cover.
 
@@ -337,7 +371,6 @@ def verify_cover(cover: AnnulusCover, probe_radius: int, n2delta: int) -> CoverS
     probe radius <= n2delta.
     """
     window = cover.window
-    grp = window.group
     ps = cover.p * cover.s
     if not 1 <= probe_radius <= ps:
         raise ParameterError(f"probe radius must lie in 1..{ps}")
@@ -348,28 +381,13 @@ def verify_cover(cover: AnnulusCover, probe_radius: int, n2delta: int) -> CoverS
                 d = _pair_distance(window, members[i], members[j])
                 if d > max_diam:
                     max_diam = d
-    lo = 2 * cover.n
-    hi = 2 * cover.n + 2 * ps
     multiplicity = {}
     worst_center = None
     for pr in range(1, probe_radius + 1):
-        ball = window.ball(pr)
-        best = 0
-        best_center = None
-        for r_norm in range(max(0, lo + 1 - pr), min(window.radius, hi + pr) + 1):
-            for z in window.sphere(r_norm):
-                seen = set()
-                for u in ball:
-                    y = grp.mul(z, u)
-                    ids = cover.assignment.get(y)
-                    if ids:
-                        seen.update(ids)
-                if len(seen) > best:
-                    best = len(seen)
-                    best_center = z
+        best, best_center = _probe_multiplicity((cover,), pr)
         multiplicity[pr] = best
         if best > n2delta and worst_center is None:
-            worst_center = grp.show(best_center)
+            worst_center = window.group.show(best_center)
     passed = max_diam <= 8 * ps and multiplicity[probe_radius] <= n2delta
     if max_diam > 8 * ps and worst_center is None:
         worst_center = "diameter law"
@@ -429,31 +447,6 @@ class AsdimWitness:
             "probe_radii": list(self.probe_radii),
             "probe_values": list(self.probe_values),
         }
-
-
-def _cross_multiplicity(cover_a: AnnulusCover, cover_b: AnnulusCover, radius: int) -> int:
-    """Max distinct sets from two adjacent annulus covers met by one probe ball."""
-    window = cover_a.window
-    grp = window.group
-    ps = cover_a.p * cover_a.s
-    lo = 2 * cover_a.n
-    hi = 2 * cover_b.n + 2 * ps
-    ball = window.ball(radius)
-    best = 0
-    for r_norm in range(max(0, lo + 1 - radius), min(window.radius, hi + radius) + 1):
-        for z in window.sphere(r_norm):
-            seen = set()
-            for u in ball:
-                y = grp.mul(z, u)
-                ids = cover_a.assignment.get(y)
-                if ids:
-                    seen.update(("a", i) for i in ids)
-                ids = cover_b.assignment.get(y)
-                if ids:
-                    seen.update(("b", i) for i in ids)
-            if len(seen) > best:
-                best = len(seen)
-    return best
 
 
 def asdim_upper_bound(
@@ -526,10 +519,9 @@ def asdim_upper_bound(
         stats.append(st)
     cross = None
     if len(covers) >= 2:
-        cross_radius = ps
         cross = 0
         for cov_a, cov_b in zip(covers, covers[1:]):
-            val = _cross_multiplicity(cov_a, cov_b, cross_radius)
+            val, _ = _probe_multiplicity((cov_a, cov_b), ps)
             if val > 2 * n2delta:
                 raise CoverVerificationError(
                     f"adjacent annuli n={cov_a.n},{cov_b.n} exceed the cross bound: "

@@ -11,6 +11,9 @@ sphere's elements in order against the generator steps sorted by printed
 form. Two builds with the same spec, generators, and radius therefore
 produce identical element sequences, which keeps every downstream report
 byte-stable.
+
+perfbench/spans.py wraps `build_window` and `Window.geodesic` by name and
+reads `Window.spheres`, so those names stay.
 """
 
 from __future__ import annotations
@@ -24,66 +27,48 @@ from typing import Iterator, Optional
 from .errors import OutOfWindowError, ParameterError, WindowCapError
 from .groups import GeneratorSet, Group
 
-__all__ = ["Window", "Geodesic", "build_window"]
+__all__ = ["Window", "build_window"]
 
 DEFAULT_CAP = 5_000_000
 
 
-@dataclass(frozen=True)
-class Geodesic:
-    """A geodesic from the identity; points[i] has norm i."""
-
-    points: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.points) - 1
-
-    @property
-    def endpoint(self):
-        return self.points[-1]
-
-    def __iter__(self) -> Iterator:
-        return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
-
-
 @dataclass
 class Window:
-    """A radius-R ball with norms, sphere lists, and canonical geodesics."""
+    """A radius-R ball: elements in window order, sphere offsets and norms.
+
+    The id of an element is its position in window order, so sphere r holds
+    the ids offsets[r] up to offsets[r + 1]. The id map, neighbour tables,
+    printed-form ranks and canonical predecessors are computed on first
+    request and kept, so a caller that needs none of them pays only for the
+    breadth-first search.
+    """
 
     group: Group
     gens: GeneratorSet
     radius: int
+    # element -> norm. The values are small cached ints; an id map in its
+    # place would add one int object per element to every window.
     norms: dict
-    spheres: tuple  # spheres[r] = tuple of elements of norm r, build order
+    elements: list  # window order: sphere by sphere, build order
+    offsets: tuple  # radius + 2 entries; offsets[-1] == len(elements)
     steps: tuple  # non-identity generators, sorted by printed form
-    _pred: dict = field(default_factory=dict, repr=False)
-    _index: Optional["WindowIndex"] = field(default=None, repr=False, compare=False)
+    _pred: dict = field(default_factory=dict, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __contains__(self, g) -> bool:
         return g in self.norms
 
     def __len__(self) -> int:
-        return len(self.norms)
+        return len(self.elements)
 
     def __iter__(self) -> Iterator:
         """All elements in window order (sphere by sphere, build order)."""
-        for sph in self.spheres:
-            yield from sph
+        return iter(self.elements)
 
     @property
-    def elements(self) -> list:
-        return list(self)
-
-    @property
-    def index(self) -> "WindowIndex":
-        """The integer view of this window, built on first use and kept."""
-        if self._index is None:
-            self._index = WindowIndex(self)
-        return self._index
+    def spheres(self) -> tuple:
+        """One list per radius; each call copies the window."""
+        return tuple(self.sphere(r) for r in range(self.radius + 1))
 
     def knorm(self, g) -> int:
         """Word norm of g relative to the generator set."""
@@ -94,22 +79,23 @@ class Window:
                 f"element {self.group.show(g)} lies outside the radius-{self.radius} window"
             ) from None
 
+    def norm(self, i: int) -> int:
+        """Word norm of the element with id i."""
+        return bisect_right(self.offsets, i) - 1
+
     def distance(self, g, h) -> int:
         """Left-invariant word metric; defined when inv(g)*h is in the window."""
         return self.knorm(self.group.mul(self.group.inv(g), h))
 
-    def sphere(self, r: int) -> tuple:
+    def sphere(self, r: int) -> list:
         if not 0 <= r <= self.radius:
             raise OutOfWindowError(f"sphere radius {r} outside window radius {self.radius}")
-        return self.spheres[r]
+        return self.elements[self.offsets[r] : self.offsets[r + 1]]
 
     def ball(self, r: int) -> list:
         if not 0 <= r <= self.radius:
             raise OutOfWindowError(f"ball radius {r} outside window radius {self.radius}")
-        out = []
-        for sph in self.spheres[: r + 1]:
-            out.extend(sph)
-        return out
+        return self.elements[: self.offsets[r + 1]]
 
     def annulus(self, lo: int, hi: int) -> list:
         """Elements g with lo < |g| <= hi, in window order."""
@@ -117,83 +103,40 @@ class Window:
             raise ValueError(f"empty annulus bounds ({lo}, {hi}]")
         if not 0 <= hi <= self.radius:
             raise OutOfWindowError(f"annulus reach {hi} outside window radius {self.radius}")
-        out = []
-        for r in range(max(lo + 1, 0), hi + 1):
-            out.extend(self.spheres[r])
-        return out
+        return self.elements[self.offsets[max(lo + 1, 0)] : self.offsets[hi + 1]]
 
     def maxnorm_of(self, items) -> int:
         """Largest norm over items; 0 for an empty collection."""
-        best = 0
-        for g in items:
-            n = self.knorm(g)
-            if n > best:
-                best = n
-        return best
+        return max(map(self.knorm, items), default=0)
 
     def predecessor(self, g):
         """Canonical predecessor: the least-printed p at norm |g|-1 with
         p*s = g for a generator step s."""
-        if g not in self.norms:
-            raise OutOfWindowError(
-                f"element {self.group.show(g)} lies outside the radius-{self.radius} window"
-            )
+        r = self.knorm(g)
         if g in self._pred:
             return self._pred[g]
-        r = self.norms[g]
         if r == 0:
             raise ValueError("the identity has no predecessor")
         grp = self.group
-        best = None
-        best_key = None
-        for s in self.steps:
-            p = grp.mul(g, grp.inv(s))
-            if self.norms.get(p) == r - 1:
-                k = grp.key(p)
-                if best_key is None or k < best_key:
-                    best, best_key = p, k
+        # by products, not the neighbour table: geodesics are walked for few
+        # elements, and a table costs |K|/2 products per element of the window
+        below = [grp.mul(g, grp.inv(s)) for s in self.steps]
+        best = min((p for p in below if self.norms.get(p) == r - 1), key=grp.key)
         self._pred[g] = best
         return best
 
-    def geodesic(self, g) -> Geodesic:
-        """The canonical geodesic from the identity to g (least-predecessor walk)."""
-        self.knorm(g)  # membership check
+    def geodesic(self, g) -> tuple:
+        """The canonical geodesic from the identity to g (least-predecessor
+        walk); point i has norm i."""
         points = [g]
-        cur = g
-        while self.norms[cur] > 0:
-            cur = self.predecessor(cur)
-            points.append(cur)
-        points.reverse()
-        return Geodesic(tuple(points))
-
-
-class WindowIndex:
-    """Integer view of a window: ids, sphere offsets, neighbour tables, ranks.
-
-    Ids follow window order, so sphere r holds the ids offsets[r] up to
-    offsets[r + 1]. The id map, neighbour tables and printed-form ranks are
-    computed on first request and kept, so a caller that needs none of them
-    pays only for the element list and the offsets.
-    """
-
-    def __init__(self, window: Window):
-        self.group = window.group
-        self.elements = window.elements
-        offsets = [0]
-        for sph in window.spheres:
-            offsets.append(offsets[-1] + len(sph))
-        self.offsets = tuple(offsets)
-        self._tables: dict = {}
-        self._ranks: Optional[array] = None
+        for _ in range(self.knorm(g)):
+            points.append(self.predecessor(points[-1]))
+        return tuple(reversed(points))
 
     @cached_property
     def ids(self) -> dict:
         """The id of every window element."""
         return {g: i for i, g in enumerate(self.elements)}
-
-    def norm(self, i: int) -> int:
-        """Word norm of the element with id i."""
-        return bisect_right(self.offsets, i) - 1
 
     def neighbours(self, steps, radius: Optional[int] = None) -> tuple:
         """Right-neighbour columns for a step set closed under inverses.
@@ -241,17 +184,16 @@ class WindowIndex:
             cols[s] = col
         return tuple(cols.values())
 
+    @cached_property
     def ranks(self) -> array:
         """ranks[i] is the position of elements[i] in printed-form order."""
-        if self._ranks is None:
-            show = self.group.show
-            elements = self.elements
-            order = sorted(range(len(elements)), key=lambda i: show(elements[i]))
-            ranks = array("i", [0]) * len(elements)
-            for pos, i in enumerate(order):
-                ranks[i] = pos
-            self._ranks = ranks
-        return self._ranks
+        show = self.group.show
+        elements = self.elements
+        order = sorted(range(len(elements)), key=lambda i: show(elements[i]))
+        ranks = array("i", [0]) * len(elements)
+        for pos, i in enumerate(order):
+            ranks[i] = pos
+        return ranks
 
 
 def build_window(
@@ -267,27 +209,30 @@ def build_window(
     """
     if radius < 0:
         raise ValueError("window radius must be nonnegative")
+    if cap < 1:
+        raise ParameterError(f"window element cap must be at least 1, got {cap}")
     steps = tuple(
         sorted((g for g in gens.elements if g != group.identity), key=group.key)
     )
-    spheres = [(group.identity,)]
+    elements = [group.identity]
+    offsets = [0, 1]
     norms = {group.identity: 0}
     for r in range(1, radius + 1):
-        nxt = []
-        for p in spheres[r - 1]:
+        for p in elements[offsets[r - 1] :]:
             for s in steps:
                 q = group.mul(p, s)
                 if q not in norms:
                     norms[q] = r
-                    nxt.append(q)
-                    if len(norms) > cap:
+                    elements.append(q)
+                    if len(elements) > cap:
                         raise WindowCapError(cap, r - 1)
-        spheres.append(tuple(nxt))
+        offsets.append(len(elements))
     return Window(
         group=group,
         gens=gens,
         radius=radius,
         norms=norms,
-        spheres=tuple(spheres),
+        elements=elements,
+        offsets=tuple(offsets),
         steps=steps,
     )

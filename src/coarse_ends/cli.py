@@ -95,6 +95,13 @@ def _check_common(args) -> None:
         raise _ArgumentError(f"--gen-power must be at least 1, got {args.gen_power}")
     if args.window is not None and args.window < 0:
         raise _ArgumentError(f"--window must be nonnegative, got {args.window}")
+    if args.cap < 1:
+        raise _ArgumentError(f"--cap must be at least 1, got {args.cap}")
+
+
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise _ArgumentError(f"{flag} must be at least {low}, got {value}")
 
 
 def _int_list(text: str, flag: str) -> list:
@@ -130,10 +137,9 @@ def _bool(b) -> str:
 
 
 def cmd_ends(args) -> Report:
-    if args.span < 1:
-        raise _ArgumentError(f"--span must be at least 1, got {args.span}")
-    if args.growth_span < 2:
-        raise _ArgumentError(f"--growth-span must be at least 2, got {args.growth_span}")
+    _at_least("--rmax", args.rmax, 1)
+    _at_least("--span", args.span, 1)
+    _at_least("--growth-span", args.growth_span, 2)
     group, gens = _bind(args)
     radius = args.window if args.window is not None else 2 * args.rmax + 4
     verdict = end_count(
@@ -180,6 +186,8 @@ def cmd_ends(args) -> Report:
 
 
 def cmd_tree(args) -> Report:
+    _at_least("--rmin", args.rmin, 0)
+    _at_least("--rmax", args.rmax, args.rmin)
     group, gens = _bind(args)
     radius = args.window if args.window is not None else 2 * args.rmax + 4
     window = build_window(group, gens, radius, cap=args.cap)
@@ -266,6 +274,7 @@ def _load_elements(path: str, group: Group, window) -> set:
 
 
 def cmd_clopen(args) -> Report:
+    _at_least("--tmax", args.tmax, 1)
     group, gens = _bind(args)
     radius = args.window if args.window is not None else 4 * args.tmax + 4
     window = build_window(group, gens, radius, cap=args.cap)
@@ -329,16 +338,16 @@ def cmd_clopen(args) -> Report:
 
 
 def cmd_growth(args) -> Report:
+    offsets = _int_list(args.cover_offsets, "--cover-offsets")
+    for t in offsets:
+        _at_least("--cover-offsets", t, 1)
     group, gens = _bind(args)
     radius = args.window if args.window is not None else 8
     window = build_window(group, gens, radius, cap=args.cap)
     rows = growth_series(window)
-    offsets = _int_list(args.cover_offsets, "--cover-offsets")
     warnings = []
     samples = []
     for t in offsets:
-        if t < 1:
-            raise ParameterError("covering offsets must be positive")
         hi = min(t + 3, radius - t)
         if hi < t:
             warnings.append(f"offset {t} does not fit the window; skipped")
@@ -378,8 +387,9 @@ def cmd_growth(args) -> Report:
 
 
 def cmd_asdim(args) -> Report:
-    if args.pair_budget < 1:
-        raise _ArgumentError(f"--pair-budget must be at least 1, got {args.pair_budget}")
+    _at_least("--p", args.p, 1)
+    _at_least("--s", args.s, 1)
+    _at_least("--pair-budget", args.pair_budget, 1)
     group, gens = _bind(args)
     radius = args.window if args.window is not None else 14
     window = build_window(group, gens, radius, cap=args.cap)

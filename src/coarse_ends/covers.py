@@ -151,17 +151,17 @@ def interface(A: Iterable, B: Iterable, window: Window, core_radius: int) -> Int
             f"core radius {core_radius} exceeds {limit} = R - 2*maxnorm(B); "
             "star answers there would be boundary artifacts"
         )
-    index = window.index
-    if len(B) != index.offsets[mn + 1]:
+    offsets = window.offsets
+    if len(B) != offsets[mn + 1]:
         raise ParameterError(f"scale B is not the window ball of radius {mn}")
-    k = index.norm(index.offsets[2 * mn + 1] - 1)
+    k = window.norm(offsets[2 * mn + 1] - 1)
     found = []
     if k > 0:
         A = set(A)
-        reach = index.offsets[core_radius + k]
+        reach = offsets[core_radius + k]
         # the rows below reach have neighbours of norm <= core_radius + k
-        inside = bytearray(g in A for g in index.elements[: index.offsets[core_radius + k + 1]])
-        cols = index.neighbours(window.gens.elements, core_radius + k - 1)
+        inside = bytearray(g in A for g in window.elements[: offsets[core_radius + k + 1]])
+        cols = window.neighbours(window.gens.elements, core_radius + k - 1)
         seen = bytearray(reach)
         frontier = []
         for i in range(reach):
@@ -183,9 +183,8 @@ def interface(A: Iterable, B: Iterable, window: Window, core_radius: int) -> Int
                         nxt.append(j)
             reached.extend(nxt)
             frontier = nxt
-        core_end = index.offsets[core_radius + 1]
-        elements = index.elements
-        found = [elements[i] for i in sorted(i for i in reached if i < core_end)]
+        core_end = offsets[core_radius + 1]
+        found = [window.elements[i] for i in sorted(i for i in reached if i < core_end)]
     rho = window.knorm(found[-1]) if found else -1
     return InterfaceReport(
         interface=tuple(found),

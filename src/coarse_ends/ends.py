@@ -82,10 +82,9 @@ class _UnionFind:
     """
 
     def __init__(self, window: Window, steps: Optional[GeneratorSet] = None):
-        index = window.index
-        self.cols = index.neighbours((window.gens if steps is None else steps).elements)
-        n = len(index.elements)
-        self.boundary = index.offsets[window.radius]
+        self.cols = window.neighbours((window.gens if steps is None else steps).elements)
+        n = len(window)
+        self.boundary = window.offsets[window.radius]
         self.parent = list(range(n))
         self.size = [1] * n
         self.present = bytearray(n)
@@ -149,22 +148,22 @@ def components(window: Window, r: int, steps: Optional[GeneratorSet] = None) -> 
     """
     if not 0 <= r < window.radius:
         raise ParameterError(f"base radius {r} must satisfy 0 <= r < window radius {window.radius}")
-    index = window.index
-    lo = index.offsets[r]
+    lo = window.offsets[r]
     uf = _UnionFind(window, steps)
-    uf.add(range(lo, len(index.elements)))
-    ranks = index.ranks()
+    uf.add(range(lo, len(window)))
+    ranks = window.ranks
+    elements = window.elements
     comps = []
     for ids in _classes(uf.labels(lo), lo, ranks):
         least = min(ids, key=ranks.__getitem__)
-        ids.sort(key=lambda i: (index.norm(i), ranks[i]))
+        ids.sort(key=lambda i: (window.norm(i), ranks[i]))
         comps.append(
             Component(
-                elements=tuple(index.elements[i] for i in ids),
+                elements=tuple(elements[i] for i in ids),
                 outer=ids[-1] >= uf.boundary,
                 size=len(ids),
-                max_norm=index.norm(ids[-1]),
-                least=window.group.show(index.elements[least]),
+                max_norm=window.norm(ids[-1]),
+                least=window.group.show(elements[least]),
             )
         )
     return ComponentDecomposition(
@@ -248,15 +247,14 @@ def component_tree(window: Window, r_min: int, r_max: int, margin: int = 4) -> E
         raise ParameterError(
             f"window radius {window.radius} too small: need r_max + {margin} <= R"
         )
-    index = window.index
-    offsets = index.offsets
+    offsets = window.offsets
     uf = _UnionFind(window)
     labels = {}
     for r in range(window.radius, r_min - 1, -1):
         uf.add(range(offsets[r], offsets[r + 1]))
         if r <= r_max:
             labels[r] = uf.labels(offsets[r])
-    ranks = index.ranks()
+    ranks = window.ranks
     levels = []
     outer_counts = []
     exhausted = False
@@ -404,7 +402,7 @@ _NOTES = {
 
 
 def _count_rows(window: Window, r_max: int):
-    offsets = window.index.offsets
+    offsets = window.offsets
     uf = _UnionFind(window)
     counts = {}
     for r in range(window.radius, 0, -1):
@@ -548,7 +546,7 @@ def k4_component_bound(window: Window, L: Iterable):
                 f"L reaches norm {window.maxnorm_of(L_set)}; need R >= that + 2"
             )
     uf = _UnionFind(window, k4)
-    uf.add(i for i, g in enumerate(window.index.elements) if g not in L_set)
+    uf.add(i for i, g in enumerate(window) if g not in L_set)
     observed = uf.outer
     if not L_set:
         return observed, 0

@@ -6,6 +6,7 @@ import pytest
 
 from coarse_ends import (
     OutOfWindowError,
+    ParameterError,
     WindowCapError,
     build_window,
 )
@@ -62,6 +63,28 @@ def test_ball_annulus_sphere_consistency():
         w.annulus(5, 2)
 
 
+@pytest.mark.parametrize(
+    "text,radius,power", [(text, 5, 1) for text in ZOO] + [("C6", 8, 1), ("Z^2", 4, 2)]
+)
+def test_window_is_one_flat_list(text, radius, power):
+    w = build_window(get_group(text), get_gens(text, power), radius)
+    assert list(w) == w.elements
+    assert len(w) == w.offsets[-1] == len(w.norms)
+    assert len(w.offsets) == radius + 2
+    for r in range(radius + 1):
+        assert w.sphere(r) == w.elements[w.offsets[r]:w.offsets[r + 1]]
+        assert w.ball(r) == w.elements[:w.offsets[r + 1]]
+        for lo in range(-1, r + 1):
+            assert w.annulus(lo, r) == w.elements[w.offsets[lo + 1]:w.offsets[r + 1]]
+    for i, g in enumerate(w.elements):
+        assert w.norm(i) == w.knorm(g)
+        assert w.ids[g] == i
+    # one sized sequence per radius holding the same elements, in order
+    assert len(w.spheres) == radius + 1
+    assert [len(sph) for sph in w.spheres] == [len(w.sphere(r)) for r in range(radius + 1)]
+    assert [g for sph in w.spheres for g in sph] == w.elements
+
+
 # ---------------------------------------------------------------------------
 # Metric laws
 
@@ -108,8 +131,8 @@ def test_geodesic_is_canonical_and_valid():
     w = get_window("Z^2", 6)
     geo = w.geodesic((1, 1))
     assert list(geo) == [(0, 0), (0, 1), (1, 1)]
-    assert geo.length == 2
-    assert geo.endpoint == (1, 1)
+    assert len(geo) - 1 == 2
+    assert geo[-1] == (1, 1)
 
     for text in ZOO:
         window = get_window(text, 4)
@@ -120,12 +143,12 @@ def test_geodesic_is_canonical_and_valid():
         for _ in range(200):
             g = rng.choice(els)
             geo = window.geodesic(g)
-            assert geo.points[0] == grp.identity
-            assert geo.endpoint == g
-            assert geo.length == window.knorm(g)
+            assert geo[0] == grp.identity
+            assert geo[-1] == g
+            assert len(geo) - 1 == window.knorm(g)
             for i, p in enumerate(geo):
                 assert window.knorm(p) == i
-            for p, q in zip(geo.points, geo.points[1:]):
+            for p, q in zip(geo, geo[1:]):
                 assert grp.mul(grp.inv(p), q) in steps
 
 
@@ -150,7 +173,7 @@ def test_fresh_builds_are_identical():
         a = build_window(grp, gens, 5)
         b = build_window(grp, gens, 5)
         assert a.elements == b.elements
-        assert a.spheres == b.spheres
+        assert a.offsets == b.offsets
 
 
 def test_window_cap():
@@ -160,17 +183,21 @@ def test_window_cap():
         build_window(grp, gens, 10, cap=1000)
     assert exc.value.cap == 1000
     assert exc.value.radius_reached == 5  # |B(5)| = 485, |B(6)| = 1457
+    # below 1 not even the identity fits, so no radius was built
+    for cap in (0, -1):
+        with pytest.raises(ParameterError):
+            build_window(grp, gens, 3, cap=cap)
 
 
 def test_partial_neighbour_table_matches_full():
     for text, radius, power in [("Z^2", 6, 1), ("F2", 4, 1), ("(C2 * C3)", 6, 1),
                                 ("C6", 6, 1), ("Z^2", 5, 2)]:
         steps = get_gens(text, power).elements
-        full = get_window(text, radius, power).index.neighbours(steps)
+        full = get_window(text, radius, power).neighbours(steps)
         for r in range(radius + 1):
-            index = get_window(text, radius, power).index
-            rows = index.offsets[r + 1]
-            part = index.neighbours(steps, r)
+            window = build_window(get_group(text), get_gens(text, power), radius)
+            rows = window.offsets[r + 1]
+            part = window.neighbours(steps, r)
             assert [list(c[:rows]) for c in part] == [list(c[:rows]) for c in full], (text, r)
             # a later request for every row fills the whole table
-            assert [list(c) for c in index.neighbours(steps)] == [list(c) for c in full]
+            assert [list(c) for c in window.neighbours(steps)] == [list(c) for c in full]

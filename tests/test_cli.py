@@ -224,10 +224,21 @@ def test_exit_usage_errors_elements_file(capsys, tmp_path):
         ["ends", "--group", "Z", "--span", "-1"],
         ["asdim", "--group", "Z^2", "--window", "8", "--pair-budget", "0"],
         ["asdim", "--group", "Z^2", "--window", "8", "--pair-budget", "-5"],
+        ["ends", "--group", "Z", "--rmax", "0"],
+        ["tree", "--group", "Z", "--rmin", "-1"],
+        ["tree", "--group", "Z", "--rmin", "3", "--rmax", "2"],
+        ["clopen", "--group", "Z", "--tmax", "0", "--select", "component:r=1:index=0"],
+        ["asdim", "--group", "Z", "--p", "0"],
+        ["asdim", "--group", "Z", "--s", "0"],
+        ["growth", "--group", "Z", "--cover-offsets", "0"],
+        ["ends", "--group", "Z", "--cap", "0"],
+        ["ends", "--group", "Z", "--cap", "-1"],
     ],
     ids=["cover-offsets", "n-list", "out-dir", "negative-window", "gen-power-0",
          "gen-power-negative", "nested-spec", "growth-span-1", "span-0", "span-negative",
-         "pair-budget-0", "pair-budget-negative"],
+         "pair-budget-0", "pair-budget-negative", "rmax-0", "rmin-negative",
+         "rmin-above-rmax", "tmax-0", "p-0", "s-0", "cover-offsets-0", "cap-0",
+         "cap-negative"],
 )
 def test_bad_flag_values_are_usage_errors(capsys, tmp_path, argv):
     argv = [a.replace("{missing}", str(tmp_path / "missing" / "f")) for a in argv]
