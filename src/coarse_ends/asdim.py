@@ -196,13 +196,7 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
     return best
 
 
-def _probe_hyperbolicity(window: Window, radii, pair_budget: int, seed: int, cap: int):
-    values = []
-    for r in radii:
-        probe = build_window(window.group, window.gens, r, cap=cap)
-        values.append(estimate_delta(probe, pair_budget, seed))
-    increasing = all(values[i] < values[i + 1] for i in range(len(values) - 1))
-    return tuple(values), increasing
+PROBE_RADII = (4, 6, 8)  # windows whose delta_hat must not strictly increase
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +205,8 @@ def _probe_hyperbolicity(window: Window, radii, pair_budget: int, seed: int, cap
 
 @dataclass(frozen=True)
 class SeparatedNet:
-    shell_radius: int  # = 2n
     separation: int  # = 2ps
     points: tuple
-    maximal: bool
 
 
 @dataclass(frozen=True)
@@ -238,7 +230,6 @@ class CoverStats:
     max_diameter: int
     diameter_bound: int  # 8ps
     multiplicity: dict  # probe radius -> max set count met by one ball
-    n2delta: int
     worst_center: Optional[str]
     passed: bool
 
@@ -278,9 +269,7 @@ def build_annulus_cover(window: Window, n: int, p: int, s: int) -> AnnulusCover:
             y = grp.mul(x, u)
             if y in shell_set:
                 blocked.add(y)
-    net = SeparatedNet(
-        shell_radius=2 * n, separation=sep, points=tuple(net_points), maximal=True
-    )
+    net = SeparatedNet(separation=sep, points=tuple(net_points))
     net_index = {x: i for i, x in enumerate(net_points)}
     assign_ball = window.ball(sep)
     annulus = tuple(window.annulus(2 * n, 2 * n + sep))
@@ -398,7 +387,6 @@ def verify_cover(cover: AnnulusCover, probe_radius: int, n2delta: int) -> CoverS
         max_diameter=max_diam,
         diameter_bound=8 * ps,
         multiplicity=multiplicity,
-        n2delta=n2delta,
         worst_center=worst_center,
         passed=passed,
     )
@@ -418,8 +406,6 @@ class AsdimWitness:
     n_list: tuple
     probe_radii: tuple
     probe_values: tuple
-    pair_budget: int
-    seed: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -456,13 +442,12 @@ def asdim_upper_bound(
     n_list: Optional[Sequence[int]] = None,
     pair_budget: int = 20000,
     seed: int = 0,
-    probe_radii: Sequence[int] = (4, 6, 8),
     cap: int = DEFAULT_CAP,
 ) -> AsdimWitness:
     """Full asymptotic-dimension witness: bound 2*N - 1 with verified covers.
 
     Refuses with NonHyperbolicError when the thin-geodesics estimate
-    strictly increases across the probe radii. delta is max(delta_hat, 1)
+    strictly increases across PROBE_RADII. delta is max(delta_hat, 1)
     + 1, the offset is t = 2*delta, and N maximizes the covering number
     over base radii S in [t, min(t+3, R-t)]. Annuli must be spaced by
     exactly p*s so that consecutive pairs are adjacent; each cover is
@@ -473,11 +458,12 @@ def asdim_upper_bound(
         raise ParameterError("p and s must be at least 1")
     ps = p * s
     radius = window.radius
-    probe_values, increasing = _probe_hyperbolicity(
-        window, tuple(probe_radii), pair_budget, seed, cap
+    probe_values = tuple(
+        estimate_delta(build_window(window.group, window.gens, r, cap=cap), pair_budget, seed)
+        for r in PROBE_RADII
     )
-    if increasing and len(probe_radii) >= 2:
-        raise NonHyperbolicError(tuple(probe_radii), probe_values)
+    if all(a < b for a, b in zip(probe_values, probe_values[1:])):
+        raise NonHyperbolicError(PROBE_RADII, probe_values)
     delta_hat = estimate_delta(window, pair_budget, seed)
     delta = max(delta_hat, 1) + 1
     t = 2 * delta
@@ -539,8 +525,6 @@ def asdim_upper_bound(
         p=p,
         s=s,
         n_list=tuple(n_list),
-        probe_radii=tuple(probe_radii),
-        probe_values=tuple(probe_values),
-        pair_budget=pair_budget,
-        seed=seed,
+        probe_radii=PROBE_RADII,
+        probe_values=probe_values,
     )

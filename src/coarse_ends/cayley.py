@@ -30,6 +30,7 @@ from .groups import GeneratorSet, Group
 __all__ = ["Window", "build_window"]
 
 DEFAULT_CAP = 5_000_000
+ENLARGE_BY = 4  # radius added to a window to recheck a verdict read off it
 
 
 @dataclass
@@ -82,10 +83,6 @@ class Window:
     def norm(self, i: int) -> int:
         """Word norm of the element with id i."""
         return bisect_right(self.offsets, i) - 1
-
-    def distance(self, g, h) -> int:
-        """Left-invariant word metric; defined when inv(g)*h is in the window."""
-        return self.knorm(self.group.mul(self.group.inv(g), h))
 
     def sphere(self, r: int) -> list:
         if not 0 <= r <= self.radius:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from . import __version__
@@ -28,21 +28,7 @@ from .asdim import (
 from .cayley import DEFAULT_CAP, build_window
 from .covers import clopen_scale_test
 from .ends import component_tree, components, end_count
-from .errors import (
-    CoarseEndsError,
-    CoreRadiusError,
-    CoverVerificationError,
-    ElementSyntaxError,
-    EmptyShellError,
-    MismatchError,
-    NonHyperbolicError,
-    OutOfWindowError,
-    ParameterError,
-    SelectorError,
-    SpecSyntaxError,
-    UnsupportedSpecError,
-    WindowCapError,
-)
+from .errors import CoarseEndsError, ElementSyntaxError, SelectorError
 from .groups import Group, parse_spec, power_generators, spec_to_string, standard_generators
 
 REPORT_SCHEMA = "coarse-ends.report/1"
@@ -52,22 +38,7 @@ class _ArgumentError(CoarseEndsError):
     """A flag value that parses but that no command can use."""
 
 
-_USAGE_ERRORS = (
-    _ArgumentError,
-    SpecSyntaxError,
-    ElementSyntaxError,
-    SelectorError,
-    UnsupportedSpecError,
-    MismatchError,
-)
-_REFUSALS = (
-    NonHyperbolicError,
-    EmptyShellError,
-    ParameterError,
-    CoreRadiusError,
-    OutOfWindowError,
-    CoverVerificationError,
-)
+_LABELS = {1: "error", 2: "resource cap", 4: "refusing"}
 
 
 @dataclass
@@ -254,7 +225,7 @@ def _load_elements(path: str, group: Group, window) -> set:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SelectorError(f"cannot read elements file: {exc}") from None
     out = set()
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -285,31 +256,10 @@ def cmd_clopen(args) -> Report:
         fixed = _load_elements(args.elements_file, group, window)
         set_fn = lambda w, _s=fixed: _s
         chosen = f"elements_file={args.elements_file}"
-    cert = clopen_scale_test(
-        window,
-        set_fn,
-        args.tmax,
-        enlarge_by=4,
-        cap=args.cap,
-    )
+    cert = clopen_scale_test(window, set_fn, args.tmax, cap=args.cap)
     config = _base_config(args, radius)
     config.update(tmax=args.tmax, set=chosen)
-    result = {
-        "verdict": cert.verdict,
-        "affine_ok": cert.affine_ok,
-        "window_radius": cert.window_radius,
-        "enlarged_radius": cert.enlarged_radius,
-        "entries": [
-            {
-                "scale_t": e.scale_t,
-                "rho": e.rho,
-                "core_radius": e.core_radius,
-                "stable": e.stable,
-                "verdict": e.verdict,
-            }
-            for e in cert.entries
-        ],
-    }
+    result = asdict(cert)
     lines = [
         f"group: {config['group']}",
         f"set: {chosen}",
@@ -396,6 +346,8 @@ def cmd_asdim(args) -> Report:
     n_list = None
     if args.n_list:
         n_list = _int_list(args.n_list, "--n-list")
+        if not n_list:
+            raise _ArgumentError(f"--n-list names no annulus index, got {args.n_list!r}")
     witness = asdim_upper_bound(
         window,
         p=args.p,
@@ -550,15 +502,9 @@ def main(argv=None) -> int:
     try:
         _check_common(args)
         report = _DISPATCH[args.command](args)
-    except _USAGE_ERRORS as exc:
-        print(f"coarse-ends: error: {exc}", file=sys.stderr)
-        return 1
-    except WindowCapError as exc:
-        print(f"coarse-ends: resource cap: {exc}", file=sys.stderr)
-        return 2
-    except _REFUSALS as exc:
-        print(f"coarse-ends: refusing: {exc}", file=sys.stderr)
-        return 4
+    except CoarseEndsError as exc:
+        print(f"coarse-ends: {_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
     payload = _render(report, args.format)
     if args.out:
         try:

@@ -24,9 +24,9 @@ complement. One breadth-first search from those edges finds it;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
-from .cayley import DEFAULT_CAP, Window, build_window
+from .cayley import DEFAULT_CAP, ENLARGE_BY, Window, build_window
 from .errors import CoreRadiusError, ParameterError
 from .groups import power_generators
 
@@ -34,10 +34,8 @@ __all__ = [
     "InterfaceReport",
     "ScaleEntry",
     "ClopenCertificate",
-    "scale_difference_set",
     "star",
     "interface",
-    "star_preserves_clopen",
     "clopen_scale_test",
 ]
 
@@ -81,7 +79,6 @@ class ClopenCertificate:
     affine_ok: bool
     window_radius: int
     enlarged_radius: int
-    step_maxnorm: int
 
 
 def scale_difference_set(group, B) -> set:
@@ -195,43 +192,25 @@ def interface(A: Iterable, B: Iterable, window: Window, core_radius: int) -> Int
     )
 
 
-def star_preserves_clopen(A: Iterable, B: Iterable, V: Iterable, window: Window, core_radius: int) -> InterfaceReport:
-    """Interface report of star(A, B) at scale V.
-
-    V must be a window ball, as `interface` requires. For the star to be
-    exact wherever the interface test consults it, the core must retreat
-    by both scales: core <= R - 2*maxnorm(V) - 2*maxnorm(B).
-    """
-    mn_b = window.maxnorm_of(B)
-    mn_v = window.maxnorm_of(V)
-    limit = window.radius - 2 * mn_v - 2 * mn_b
-    if core_radius > limit:
-        raise CoreRadiusError(
-            f"core radius {core_radius} exceeds {limit} = R - 2*maxnorm(V) - 2*maxnorm(B)"
-        )
-    return interface(star(A, B, window), V, window, core_radius)
-
-
 def clopen_scale_test(
     window: Window,
     set_fn: Callable[[Window], Iterable],
     t_max: int,
-    enlarge_by: int = 4,
-    cap: Optional[int] = None,
+    cap: int = DEFAULT_CAP,
 ) -> ClopenCertificate:
     """Interface sizes for scales K^t, t = 1..t_max, with a stability re-run.
 
     set_fn resolves the candidate set on a given window, so selectors that
     depend on the window (components, half-spaces) re-resolve on the
     enlarged window; a plain set may be passed and is used as-is on both.
-    Each scale is re-measured on a window enlarged by enlarge_by at the
+    Each scale is re-measured on a window enlarged by ENLARGE_BY at the
     SAME core radius; stable means the two interface sets agree.
     """
     if t_max < 1:
         raise ParameterError("t_max must be at least 1")
     grp = window.group
     gens = window.gens
-    step_mn = window.maxnorm_of(g for g in gens.elements)
+    step_mn = window.maxnorm_of(gens.elements)
     scales = {}
     for t in range(1, t_max + 1):
         scales[t] = power_generators(grp, gens, t).elements
@@ -241,12 +220,7 @@ def clopen_scale_test(
                 f"window radius {window.radius} cannot host a core at scale t={t}"
             )
     resolver = set_fn if callable(set_fn) else (lambda w, _frozen=set(set_fn): _frozen)
-    big = build_window(
-        grp,
-        gens,
-        window.radius + enlarge_by,
-        cap=cap if cap is not None else DEFAULT_CAP,
-    )
+    big = build_window(grp, gens, window.radius + ENLARGE_BY, cap=cap)
     A_small = set(resolver(window))
     A_big = set(resolver(big))
 
@@ -279,5 +253,4 @@ def clopen_scale_test(
         affine_ok=affine_ok,
         window_radius=window.radius,
         enlarged_radius=big.radius,
-        step_maxnorm=step_mn,
     )

@@ -17,12 +17,12 @@ generated group can sustain), is Undetermined with the evidence attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 from .asdim import greedy_ball_cover
-from .cayley import DEFAULT_CAP, Window, build_window
-from .covers import InterfaceReport, interface, star
+from .cayley import DEFAULT_CAP, ENLARGE_BY, Window, build_window
+from .covers import star
 from .errors import CoverVerificationError, ParameterError
 from .groups import GeneratorSet, Group, power_generators
 
@@ -38,8 +38,6 @@ __all__ = [
     "component_tree",
     "classify_counts",
     "end_count",
-    "bounded_mass_report",
-    "union_component_clopen_check",
     "k4_component_bound",
 ]
 
@@ -194,9 +192,6 @@ class EndTree:
     levels: tuple
     verdict: str
 
-    def outer_counts(self) -> list:
-        return [sum(1 for n in lv.nodes if n.outer) for lv in self.levels]
-
     def to_json_dict(self) -> dict:
         return {
             "levels": [
@@ -310,23 +305,7 @@ class EndVerdict:
     evidence: EndEvidence
 
     def to_json_dict(self) -> dict:
-        ev = self.evidence
-        return {
-            "verdict": self.verdict,
-            "note": self.note,
-            "counts": [{"r": c.r, "outer": c.outer, "inner": c.inner} for c in ev.counts],
-            "recheck_counts": None
-            if ev.recheck_counts is None
-            else [{"r": c.r, "outer": c.outer, "inner": c.inner} for c in ev.recheck_counts],
-            "stab_span": ev.stab_span,
-            "growth_span": ev.growth_span,
-            "window_radius": ev.window_radius,
-            "recheck_radius": ev.recheck_radius,
-            "exhausted_at": ev.exhausted_at,
-            "growth_flag": ev.growth_flag,
-            "stable": ev.stable,
-            "anomaly": ev.anomaly,
-        }
+        return {"verdict": self.verdict, "note": self.note, **asdict(self.evidence)}
 
 
 def _check_spans(stab_span: int, growth_span: int) -> None:
@@ -423,7 +402,6 @@ def end_count(
     stab_span: int = 3,
     growth_span: int = 3,
     window_radius: Optional[int] = None,
-    enlarge_by: int = 4,
     cap: int = DEFAULT_CAP,
 ) -> EndVerdict:
     """End-count verdict from component counts at radii 1..r_max."""
@@ -453,7 +431,7 @@ def end_count(
                 "component tree cannot be trusted at this size"
             )
         else:
-            recheck_radius = radius + enlarge_by
+            recheck_radius = radius + ENLARGE_BY
             big = build_window(group, gens, recheck_radius, cap=cap)
             recheck_rows, re_exhausted = _count_rows(big, r_max)
             stable = (
@@ -481,49 +459,6 @@ def end_count(
         anomaly=anomaly,
     )
     return EndVerdict(verdict=verdict, note=note, evidence=evidence)
-
-
-@dataclass(frozen=True)
-class BoundedMassReport:
-    count: int
-    total_size: int
-    max_norm: int  # -1 when no inner component exists
-
-
-def bounded_mass_report(window: Window, r: int, steps: Optional[GeneratorSet] = None) -> BoundedMassReport:
-    """Aggregate size of components that fail to reach the window boundary."""
-    dec = components(window, r, steps)
-    inner = [c for c in dec.components if not c.outer]
-    return BoundedMassReport(
-        count=len(inner),
-        total_size=sum(c.size for c in inner),
-        max_norm=max((c.max_norm for c in inner), default=-1),
-    )
-
-
-def union_component_clopen_check(
-    decomposition: ComponentDecomposition,
-    selection: Iterable[int],
-    window: Window,
-    scale_t: int = 1,
-) -> InterfaceReport:
-    """Interface report for a union of components of a ball complement.
-
-    Such unions are coarsely clopen, with interface pinned near the
-    removed ball: expect rho <= r + 2*t*maxnorm(K).
-    """
-    idxs = sorted(set(selection))
-    for i in idxs:
-        if not 0 <= i < len(decomposition.components):
-            raise ParameterError(f"component index {i} out of range")
-    union = set()
-    for i in idxs:
-        union.update(decomposition.components[i].elements)
-    B = power_generators(window.group, window.gens, scale_t).elements
-    core = window.radius - 2 * window.maxnorm_of(B)
-    if core < 0:
-        raise ParameterError("window too small for the requested scale")
-    return interface(union, B, window, core)
 
 
 def k4_component_bound(window: Window, L: Iterable):

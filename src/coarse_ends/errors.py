@@ -1,10 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with its CLI exit code."""
 
 from __future__ import annotations
 
 
 class CoarseEndsError(Exception):
     """Base class for every error this package raises deliberately."""
+
+    exit_code = 1
 
 
 class SpecSyntaxError(CoarseEndsError):
@@ -30,9 +32,13 @@ class UnsupportedSpecError(CoarseEndsError):
 class OutOfWindowError(CoarseEndsError):
     """Element or distance falls outside the built window."""
 
+    exit_code = 4
+
 
 class WindowCapError(CoarseEndsError):
     """Element cap hit during window construction."""
+
+    exit_code = 2
 
     def __init__(self, cap: int, radius_reached: int):
         super().__init__(
@@ -45,17 +51,25 @@ class WindowCapError(CoarseEndsError):
 class CoreRadiusError(CoarseEndsError):
     """Requested core radius is too large for the window and scale."""
 
+    exit_code = 4
+
 
 class ParameterError(CoarseEndsError):
     """Operation parameters violate a stated precondition."""
+
+    exit_code = 4
 
 
 class EmptyShellError(CoarseEndsError):
     """Annulus construction hit an empty shell (group exhausted)."""
 
+    exit_code = 4
+
 
 class NonHyperbolicError(CoarseEndsError):
     """Hyperbolicity probe failed; carries the probed delta values."""
+
+    exit_code = 4
 
     def __init__(self, radii: tuple[int, ...], values: tuple[int, ...]):
         super().__init__(
@@ -68,6 +82,8 @@ class NonHyperbolicError(CoarseEndsError):
 
 class CoverVerificationError(CoarseEndsError):
     """A cover law failed; message names the offending set or probe center."""
+
+    exit_code = 4
 
 
 class SelectorError(CoarseEndsError):

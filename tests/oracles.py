@@ -8,9 +8,17 @@ package's own functions and therefore call them.
 """
 
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations
 
-from coarse_ends import ParameterError, interface
+from coarse_ends import (
+    CoreRadiusError,
+    ParameterError,
+    components,
+    interface,
+    power_generators,
+    star,
+)
 
 
 def bfs_norms(group, gens, radius):
@@ -175,3 +183,58 @@ def clopen_intersection_law(A1, A2, B, window, core_radius):
     i1 = set(interface(s1, B, window, core_radius).interface)
     i2 = set(interface(s2, B, window, core_radius).interface)
     return all(x in i1 or x in i2 for x in i_meet)
+
+
+def distance(window, g, h):
+    """Left-invariant word metric; defined when inv(g)*h is in the window."""
+    return window.knorm(window.group.mul(window.group.inv(g), h))
+
+
+def star_preserves_clopen(A, B, V, window, core_radius):
+    """Interface report of star(A, B) at scale V.
+
+    V must be a window ball, as `interface` requires. For the star to be
+    exact wherever the interface test consults it, the core must retreat
+    by both scales: core <= R - 2*maxnorm(V) - 2*maxnorm(B).
+    """
+    limit = window.radius - 2 * window.maxnorm_of(V) - 2 * window.maxnorm_of(B)
+    if core_radius > limit:
+        raise CoreRadiusError(
+            f"core radius {core_radius} exceeds {limit} = R - 2*maxnorm(V) - 2*maxnorm(B)"
+        )
+    return interface(star(A, B, window), V, window, core_radius)
+
+
+@dataclass(frozen=True)
+class BoundedMassReport:
+    count: int
+    total_size: int
+    max_norm: int  # -1 when no inner component exists
+
+
+def bounded_mass_report(window, r, steps=None):
+    """Aggregate size of components that fail to reach the window boundary."""
+    inner = [c for c in components(window, r, steps).components if not c.outer]
+    return BoundedMassReport(
+        count=len(inner),
+        total_size=sum(c.size for c in inner),
+        max_norm=max((c.max_norm for c in inner), default=-1),
+    )
+
+
+def union_component_clopen_check(decomposition, selection, window, scale_t=1):
+    """Interface report for a union of components of a ball complement.
+
+    Such unions are coarsely clopen, with interface pinned near the
+    removed ball: expect rho <= r + 2*t*maxnorm(K).
+    """
+    union = set()
+    for i in sorted(set(selection)):
+        if not 0 <= i < len(decomposition.components):
+            raise ParameterError(f"component index {i} out of range")
+        union.update(decomposition.components[i].elements)
+    B = power_generators(window.group, window.gens, scale_t).elements
+    core = window.radius - 2 * window.maxnorm_of(B)
+    if core < 0:
+        raise ParameterError("window too small for the requested scale")
+    return interface(union, B, window, core)

@@ -9,7 +9,23 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coarse_ends import __version__
+from coarse_ends import (
+    CoarseEndsError,
+    CoreRadiusError,
+    CoverVerificationError,
+    ElementSyntaxError,
+    EmptyShellError,
+    MismatchError,
+    NonHyperbolicError,
+    OutOfWindowError,
+    ParameterError,
+    SelectorError,
+    SpecSyntaxError,
+    UnsupportedSpecError,
+    WindowCapError,
+    __version__,
+    cli,
+)
 from coarse_ends.cli import main
 
 
@@ -75,6 +91,46 @@ def test_csv_format_frozen(capsys):
         "2,2,0",
         "3,2,0",
     ]
+
+
+def test_ends_result_frozen(capsys):
+    code, out, _ = run_cli(capsys, ["ends", "--group", "Z^2", "--rmax", "4"])
+    assert code == 0
+    rows = [{"r": r, "outer": 1, "inner": 0} for r in range(1, 5)]
+    assert json.loads(out)["result"] == {
+        "verdict": "One",
+        "note": "a single unbounded complementary component persists at every radius "
+        "and survives window enlargement",
+        "counts": rows,
+        "recheck_counts": rows,
+        "stab_span": 3,
+        "growth_span": 3,
+        "window_radius": 12,
+        "recheck_radius": 16,
+        "exhausted_at": None,
+        "growth_flag": False,
+        "stable": True,
+        "anomaly": None,
+    }
+
+
+def test_clopen_result_frozen(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["clopen", "--group", "Z^2", "--window", "12", "--tmax", "2",
+         "--select", "component:r=1:index=0"],
+    )
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "verdict": True,
+        "affine_ok": True,
+        "window_radius": 12,
+        "enlarged_radius": 16,
+        "entries": [
+            {"scale_t": 1, "rho": 2, "core_radius": 10, "stable": True, "verdict": True},
+            {"scale_t": 2, "rho": 4, "core_radius": 8, "stable": True, "verdict": True},
+        ],
+    }
 
 
 def test_tree_dot_format(capsys):
@@ -200,13 +256,16 @@ def test_exit_usage_errors_elements_file(capsys, tmp_path):
     outside.write_text("(99)\n", encoding="utf-8")
     bad = tmp_path / "bad.txt"
     bad.write_text("(x)\n", encoding="utf-8")
-    for path in (outside, bad, tmp_path / "missing.txt"):
+    undecodable = tmp_path / "undecodable.txt"
+    undecodable.write_bytes(b"\xff\xfe(1)\n")
+    for path in (outside, bad, tmp_path / "missing.txt", undecodable):
         code, _, err = run_cli(
             capsys,
             ["clopen", "--group", "Z", "--window", "12", "--elements-file", str(path)],
         )
         assert code == 1, path
-        assert "coarse-ends: error:" in err
+        assert err.startswith("coarse-ends: error:")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -214,6 +273,7 @@ def test_exit_usage_errors_elements_file(capsys, tmp_path):
     [
         ["growth", "--group", "Z", "--window", "4", "--cover-offsets", "x"],
         ["asdim", "--group", "Z", "--n-list", "1,a"],
+        ["asdim", "--group", "Z", "--n-list", ","],
         ["growth", "--group", "Z", "--window", "4", "--out", "{missing}"],
         ["ends", "--group", "Z", "--window", "-3"],
         ["ends", "--group", "Z", "--gen-power", "0"],
@@ -234,7 +294,7 @@ def test_exit_usage_errors_elements_file(capsys, tmp_path):
         ["ends", "--group", "Z", "--cap", "0"],
         ["ends", "--group", "Z", "--cap", "-1"],
     ],
-    ids=["cover-offsets", "n-list", "out-dir", "negative-window", "gen-power-0",
+    ids=["cover-offsets", "n-list", "n-list-empty", "out-dir", "negative-window", "gen-power-0",
          "gen-power-negative", "nested-spec", "growth-span-1", "span-0", "span-negative",
          "pair-budget-0", "pair-budget-negative", "rmax-0", "rmin-negative",
          "rmin-above-rmax", "tmax-0", "p-0", "s-0", "cover-offsets-0", "cap-0",
@@ -275,6 +335,45 @@ def test_exit_refusals(capsys):
         assert code == 4, argv
         assert out == ""
         assert "coarse-ends: refusing:" in err
+
+
+# The exit code and stderr label of every deliberate error type. Each
+# class defined by the package must appear here exactly once.
+_EXIT_POLICY = [
+    (cli._ArgumentError("flag"), 1, "error"),
+    (SpecSyntaxError("spec", 3), 1, "error"),
+    (ElementSyntaxError("element"), 1, "error"),
+    (SelectorError("selector"), 1, "error"),
+    (UnsupportedSpecError("letters"), 1, "error"),
+    (MismatchError("payload"), 1, "error"),
+    (WindowCapError(100, 2), 2, "resource cap"),
+    (NonHyperbolicError((4, 6, 8), (1, 2, 3)), 4, "refusing"),
+    (EmptyShellError("shell"), 4, "refusing"),
+    (ParameterError("parameter"), 4, "refusing"),
+    (CoreRadiusError("core"), 4, "refusing"),
+    (OutOfWindowError("window"), 4, "refusing"),
+    (CoverVerificationError("cover"), 4, "refusing"),
+]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_exit_code_policy(capsys, monkeypatch):
+    assert sorted(type(e).__name__ for e, _, _ in _EXIT_POLICY) == sorted(
+        c.__name__ for c in _subclasses(CoarseEndsError)
+    )
+    for exc, code, label in _EXIT_POLICY:
+        def command(args, _exc=exc):
+            raise _exc
+
+        monkeypatch.setitem(cli._DISPATCH, "growth", command)
+        assert run_cli(capsys, ["growth", "--group", "Z"]) == (
+            code, "", f"coarse-ends: {label}: {exc}\n"
+        ), type(exc).__name__
 
 
 def test_argparse_exits(capsys, tmp_path, monkeypatch):

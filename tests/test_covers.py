@@ -10,12 +10,11 @@ from coarse_ends import (
     clopen_scale_test,
     interface,
     power_generators,
-    scale_difference_set,
     star,
-    star_preserves_clopen,
 )
+from coarse_ends.covers import scale_difference_set
 from helpers import get_gens, get_group, get_window, random_subset
-from oracles import clopen_intersection_law, coarsely_identical
+from oracles import clopen_intersection_law, coarsely_identical, star_preserves_clopen
 
 
 def _gen_set(text):

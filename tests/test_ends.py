@@ -8,7 +8,6 @@ from coarse_ends import (
     CoverVerificationError,
     GeneratorSet,
     ParameterError,
-    bounded_mass_report,
     classify_counts,
     component_tree,
     components,
@@ -16,10 +15,9 @@ from coarse_ends import (
     k4_component_bound,
     power_generators,
     star,
-    union_component_clopen_check,
 )
 from helpers import ZOO, get_gens, get_group, get_window
-from oracles import flood_partition
+from oracles import bounded_mass_report, flood_partition, union_component_clopen_check
 
 
 # ---------------------------------------------------------------------------
