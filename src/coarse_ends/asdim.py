@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .cayley import DEFAULT_CAP, Window, build_window
+from .cayley import Window
 from .errors import (
     CoverVerificationError,
     EmptyShellError,
@@ -442,12 +442,12 @@ def asdim_upper_bound(
     n_list: Optional[Sequence[int]] = None,
     pair_budget: int = 20000,
     seed: int = 0,
-    cap: int = DEFAULT_CAP,
 ) -> AsdimWitness:
     """Full asymptotic-dimension witness: bound 2*N - 1 with verified covers.
 
     Refuses with NonHyperbolicError when the thin-geodesics estimate
-    strictly increases across PROBE_RADII. delta is max(delta_hat, 1)
+    strictly increases across window.at(r), r in PROBE_RADII (grown under
+    the window's cap past R). delta is max(delta_hat, 1)
     + 1, the offset is t = 2*delta, and N maximizes the covering number
     over base radii S in [t, min(t+3, R-t)]. Annuli must be spaced by
     exactly p*s so that consecutive pairs are adjacent; each cover is
@@ -458,10 +458,7 @@ def asdim_upper_bound(
         raise ParameterError("p and s must be at least 1")
     ps = p * s
     radius = window.radius
-    probe_values = tuple(
-        estimate_delta(build_window(window.group, window.gens, r, cap=cap), pair_budget, seed)
-        for r in PROBE_RADII
-    )
+    probe_values = tuple(estimate_delta(window.at(r), pair_budget, seed) for r in PROBE_RADII)
     if all(a < b for a, b in zip(probe_values, probe_values[1:])):
         raise NonHyperbolicError(PROBE_RADII, probe_values)
     delta_hat = estimate_delta(window, pair_budget, seed)

@@ -10,7 +10,10 @@ by sphere in breadth-first insertion order, and the search expands each
 sphere's elements in order against the generator steps sorted by printed
 form. Two builds with the same spec, generators, and radius therefore
 produce identical element sequences, which keeps every downstream report
-byte-stable.
+byte-stable. It also makes the radius-r window the prefix of every larger
+one, so `Window.at` reads a smaller window off a larger one by slicing
+and gets a larger one by continuing the search from the outer sphere:
+one search per command serves every radius it reads.
 
 perfbench/spans.py wraps `build_window` and `Window.geodesic` by name and
 reads `Window.spheres`, so those names stay.
@@ -20,8 +23,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, Optional
 
 from .errors import OutOfWindowError, ParameterError, WindowCapError
@@ -41,7 +45,8 @@ class Window:
     the ids offsets[r] up to offsets[r + 1]. The id map, neighbour tables,
     printed-form ranks and canonical predecessors are computed on first
     request and kept, so a caller that needs none of them pays only for the
-    breadth-first search.
+    breadth-first search. cap bounds the element count of this window and
+    of every window grown from it by `at`.
     """
 
     group: Group
@@ -53,8 +58,9 @@ class Window:
     elements: list  # window order: sphere by sphere, build order
     offsets: tuple  # radius + 2 entries; offsets[-1] == len(elements)
     steps: tuple  # non-identity generators, sorted by printed form
-    _pred: dict = field(default_factory=dict, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
+    cap: int
+    _pred: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __contains__(self, g) -> bool:
         return g in self.norms
@@ -130,6 +136,34 @@ class Window:
             points.append(self.predecessor(points[-1]))
         return tuple(reversed(points))
 
+    def at(self, radius: int) -> Window:
+        """build_window(group, gens, radius, cap) from this window's search.
+
+        A smaller radius is a prefix; a larger one continues the search from
+        the outer sphere under the same cap. This window is left unchanged,
+        and no id map, table, rank or predecessor is shared with it.
+        """
+        if radius < 0:
+            raise ValueError("window radius must be nonnegative")
+        top = min(radius, self.radius)
+        end = self.offsets[top + 1]
+        elements = self.elements[:end]
+        # norms was filled in window order, so its first entries are the prefix
+        norms = dict(islice(self.norms.items(), end))
+        offsets = list(self.offsets[: top + 2])
+        mul, steps, cap = self.group.mul, self.steps, self.cap
+        for r in range(top + 1, radius + 1):
+            for p in elements[offsets[r - 1] :]:
+                for s in steps:
+                    q = mul(p, s)
+                    if q not in norms:
+                        norms[q] = r
+                        elements.append(q)
+                        if len(elements) > cap:
+                            raise WindowCapError(cap, r - 1)
+            offsets.append(len(elements))
+        return replace(self, radius=radius, norms=norms, elements=elements, offsets=tuple(offsets))
+
     @cached_property
     def ids(self) -> dict:
         """The id of every window element."""
@@ -204,32 +238,10 @@ def build_window(
     Raises WindowCapError as soon as the element count would exceed cap,
     reporting the last fully enumerated radius.
     """
-    if radius < 0:
-        raise ValueError("window radius must be nonnegative")
     if cap < 1:
         raise ParameterError(f"window element cap must be at least 1, got {cap}")
     steps = tuple(
         sorted((g for g in gens.elements if g != group.identity), key=group.key)
     )
-    elements = [group.identity]
-    offsets = [0, 1]
-    norms = {group.identity: 0}
-    for r in range(1, radius + 1):
-        for p in elements[offsets[r - 1] :]:
-            for s in steps:
-                q = group.mul(p, s)
-                if q not in norms:
-                    norms[q] = r
-                    elements.append(q)
-                    if len(elements) > cap:
-                        raise WindowCapError(cap, r - 1)
-        offsets.append(len(elements))
-    return Window(
-        group=group,
-        gens=gens,
-        radius=radius,
-        norms=norms,
-        elements=elements,
-        offsets=tuple(offsets),
-        steps=steps,
-    )
+    seed = Window(group, gens, 0, {group.identity: 0}, [group.identity], (0, 1), steps, cap)
+    return seed.at(radius)

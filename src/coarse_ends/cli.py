@@ -77,9 +77,12 @@ def _at_least(flag: str, value: int, low: int) -> None:
 
 def _int_list(text: str, flag: str) -> list:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise _ArgumentError(f"{flag} takes comma-separated integers, got {text!r}") from None
+    if not values:
+        raise _ArgumentError(f"{flag} names no integer, got {text!r}")
+    return values
 
 
 def _base_config(args, window_radius: int) -> dict:
@@ -250,13 +253,12 @@ def cmd_clopen(args) -> Report:
     radius = args.window if args.window is not None else 4 * args.tmax + 4
     window = build_window(group, gens, radius, cap=args.cap)
     if args.select is not None:
-        set_fn = _parse_selector(args.select)
+        chosen_set = _parse_selector(args.select)
         chosen = f"select={args.select}"
     else:
-        fixed = _load_elements(args.elements_file, group, window)
-        set_fn = lambda w, _s=fixed: _s
+        chosen_set = _load_elements(args.elements_file, group, window)
         chosen = f"elements_file={args.elements_file}"
-    cert = clopen_scale_test(window, set_fn, args.tmax, cap=args.cap)
+    cert = clopen_scale_test(window, chosen_set, args.tmax)
     config = _base_config(args, radius)
     config.update(tmax=args.tmax, set=chosen)
     result = asdict(cert)
@@ -343,11 +345,7 @@ def cmd_asdim(args) -> Report:
     group, gens = _bind(args)
     radius = args.window if args.window is not None else 14
     window = build_window(group, gens, radius, cap=args.cap)
-    n_list = None
-    if args.n_list:
-        n_list = _int_list(args.n_list, "--n-list")
-        if not n_list:
-            raise _ArgumentError(f"--n-list names no annulus index, got {args.n_list!r}")
+    n_list = None if args.n_list is None else _int_list(args.n_list, "--n-list")
     witness = asdim_upper_bound(
         window,
         p=args.p,
@@ -355,7 +353,6 @@ def cmd_asdim(args) -> Report:
         n_list=n_list,
         pair_budget=args.pair_budget,
         seed=args.seed,
-        cap=args.cap,
     )
     config = _base_config(args, radius)
     config.update(

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .cayley import DEFAULT_CAP, ENLARGE_BY, Window, build_window
+from .cayley import ENLARGE_BY, Window
 from .errors import CoreRadiusError, ParameterError
 from .groups import power_generators
 
@@ -196,15 +196,15 @@ def clopen_scale_test(
     window: Window,
     set_fn: Callable[[Window], Iterable],
     t_max: int,
-    cap: int = DEFAULT_CAP,
 ) -> ClopenCertificate:
     """Interface sizes for scales K^t, t = 1..t_max, with a stability re-run.
 
     set_fn resolves the candidate set on a given window, so selectors that
     depend on the window (components, half-spaces) re-resolve on the
     enlarged window; a plain set may be passed and is used as-is on both.
-    Each scale is re-measured on a window enlarged by ENLARGE_BY at the
-    SAME core radius; stable means the two interface sets agree.
+    Each scale is re-measured on window.at(R + ENLARGE_BY), grown under
+    the window's cap, at the SAME core radius; stable means the two
+    interface sets agree.
     """
     if t_max < 1:
         raise ParameterError("t_max must be at least 1")
@@ -220,7 +220,7 @@ def clopen_scale_test(
                 f"window radius {window.radius} cannot host a core at scale t={t}"
             )
     resolver = set_fn if callable(set_fn) else (lambda w, _frozen=set(set_fn): _frozen)
-    big = build_window(grp, gens, window.radius + ENLARGE_BY, cap=cap)
+    big = window.at(window.radius + ENLARGE_BY)
     A_small = set(resolver(window))
     A_big = set(resolver(big))
 

@@ -8,7 +8,7 @@ unbounded pieces; tracking how they nest as r grows yields a tree whose
 branches approximate the ends of the group.
 
 Verdicts are conservative. One and Two require the outer count to sit
-still across a span of radii, to survive rebuilding the window 4 larger,
+still across a span of radii, to survive growing the window 4 larger,
 and to coexist with zero bounded complementary mass; growth across the
 final radii yields Infinite; an exhausted group yields Zero; everything
 else, including a stable count of three or more (which no finitely
@@ -432,7 +432,7 @@ def end_count(
             )
         else:
             recheck_radius = radius + ENLARGE_BY
-            big = build_window(group, gens, recheck_radius, cap=cap)
+            big = window.at(recheck_radius)
             recheck_rows, re_exhausted = _count_rows(big, r_max)
             stable = (
                 re_exhausted is None

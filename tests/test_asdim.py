@@ -8,9 +8,11 @@ from coarse_ends import (
     EmptyShellError,
     NonHyperbolicError,
     ParameterError,
+    WindowCapError,
     asdim_upper_bound,
     bounded_geometry_check,
     build_annulus_cover,
+    build_window,
     covering_number,
     estimate_delta,
     greedy_ball_cover,
@@ -282,6 +284,14 @@ def test_asdim_refuses_grid():
         asdim_upper_bound(w)
     assert err.value.radii == (4, 6, 8)
     assert err.value.values == (4, 6, 8)
+
+
+def test_probe_windows_obey_the_window_cap():
+    # |B(6)| = 1457 fits the cap; the radius-8 probe grows past it after radius 6
+    window = build_window(get_group("F2"), get_gens("F2"), 6, cap=3000)
+    with pytest.raises(WindowCapError) as exc:
+        asdim_upper_bound(window, pair_budget=200)
+    assert exc.value.radius_reached == 6
 
 
 def test_asdim_parameter_errors():

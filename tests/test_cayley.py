@@ -183,10 +183,52 @@ def test_window_cap():
         build_window(grp, gens, 10, cap=1000)
     assert exc.value.cap == 1000
     assert exc.value.radius_reached == 5  # |B(5)| = 485, |B(6)| = 1457
+    # growing a smaller window hits the cap where a fresh build does
+    small = build_window(grp, gens, 3, cap=1000)
+    with pytest.raises(WindowCapError) as grown:
+        small.at(10)
+    assert (grown.value.cap, grown.value.radius_reached) == (1000, 5)
+    assert small.radius == 3 and len(small) == len(small.norms) == 53
+    assert len(build_window(grp, gens, 5, cap=485).at(2)) == 17
     # below 1 not even the identity fits, so no radius was built
     for cap in (0, -1):
         with pytest.raises(ParameterError):
             build_window(grp, gens, 3, cap=cap)
+
+
+@pytest.mark.parametrize(
+    "text,radius,power", [(text, 5, 1) for text in ZOO] + [("C6", 8, 1), ("Z^2", 4, 2)]
+)
+def test_at_equals_a_fresh_build(text, radius, power):
+    grp, gens = get_group(text), get_gens(text, power)
+    source = build_window(grp, gens, radius)
+    before = (list(source.elements), source.offsets, list(source.norms.items()))
+    for r in range(radius + 4):  # prefixes, the window itself, and continued searches
+        w = source.at(r)
+        fresh = build_window(grp, gens, r)
+        assert w.radius == r
+        assert w.elements == fresh.elements, (text, r)
+        assert w.offsets == fresh.offsets, (text, r)
+        assert list(w.norms.items()) == list(fresh.norms.items()), (text, r)
+        assert list(w.norms) == w.elements  # norms keeps window order
+    assert (source.elements, source.offsets, list(source.norms.items())) == before
+
+
+def test_at_shares_no_lazy_state():
+    grp, gens = get_group("(C2 * C3)"), get_gens("(C2 * C3)")
+    source = build_window(grp, gens, 6)
+    # fill the id map, ranks, predecessors and a neighbour table
+    source.ids, source.ranks, source.geodesic(source.elements[-1])
+    source.neighbours(gens.elements)
+    for r in (3, 6, 8):
+        w = source.at(r)
+        assert w.elements is not source.elements and w.norms is not source.norms
+        assert "ids" not in vars(w) and "ranks" not in vars(w)
+        assert w._tables == {} and w._pred == {}
+        assert list(w.ranks) == list(build_window(grp, gens, r).ranks)
+    assert len(source.ids) == len(source) and source._tables and source._pred
+    with pytest.raises(ValueError):
+        source.at(-1)
 
 
 def test_partial_neighbour_table_matches_full():

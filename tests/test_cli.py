@@ -24,6 +24,7 @@ from coarse_ends import (
     UnsupportedSpecError,
     WindowCapError,
     __version__,
+    build_window,
     cli,
 )
 from coarse_ends.cli import main
@@ -293,12 +294,14 @@ def test_exit_usage_errors_elements_file(capsys, tmp_path):
         ["growth", "--group", "Z", "--cover-offsets", "0"],
         ["ends", "--group", "Z", "--cap", "0"],
         ["ends", "--group", "Z", "--cap", "-1"],
+        ["growth", "--group", "Z", "--cover-offsets", ","],
+        ["asdim", "--group", "Z", "--n-list", ""],
     ],
     ids=["cover-offsets", "n-list", "n-list-empty", "out-dir", "negative-window", "gen-power-0",
          "gen-power-negative", "nested-spec", "growth-span-1", "span-0", "span-negative",
          "pair-budget-0", "pair-budget-negative", "rmax-0", "rmin-negative",
          "rmin-above-rmax", "tmax-0", "p-0", "s-0", "cover-offsets-0", "cap-0",
-         "cap-negative"],
+         "cap-negative", "cover-offsets-empty", "n-list-blank"],
 )
 def test_bad_flag_values_are_usage_errors(capsys, tmp_path, argv):
     argv = [a.replace("{missing}", str(tmp_path / "missing" / "f")) for a in argv]
@@ -310,10 +313,46 @@ def test_bad_flag_values_are_usage_errors(capsys, tmp_path, argv):
 
 
 def test_exit_cap(capsys):
-    code, out, err = run_cli(capsys, ["ends", "--group", "F2", "--cap", "1000"])
-    assert code == 2
-    assert out == ""
-    assert "resource cap" in err and "1000" in err
+    # Z^3: B(10) fits the cap, and growing the recheck window passes it after radius 12
+    for argv, radius in [(["ends", "--group", "F2", "--cap", "1000"], 5),
+                         (["ends", "--group", "Z^3", "--rmax", "3", "--cap", "3000"], 12)]:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"coarse-ends: resource cap: window element cap {argv[-1]} exceeded; "
+            f"last fully built radius {radius}\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv,key,value",
+    [
+        (["ends", "--group", "Z^2", "--rmax", "4"], "recheck_radius", 16),
+        (["tree", "--group", "Z^2", "--rmax", "3"], None, None),
+        (["clopen", "--group", "Z^2", "--window", "12", "--tmax", "2",
+          "--select", "component:r=1:index=0"], "enlarged_radius", 16),
+        (["growth", "--group", "Z^2", "--window", "6"], None, None),
+        (["asdim", "--group", "F2", "--window", "9", "--n-list", "2",
+          "--pair-budget", "400"], "probe_radii", [4, 6, 8]),
+    ],
+    ids=["ends", "tree", "clopen", "growth", "asdim"],
+)
+def test_one_search_per_command(capsys, monkeypatch, argv, key, value):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_window(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("coarse_ends") and getattr(module, "build_window", None) is build_window:
+            monkeypatch.setattr(module, "build_window", counted)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert len(calls) == 1
+    if key is not None:  # the command did read a second radius
+        assert json.loads(out)["result"][key] == value
 
 
 def test_exit_undetermined(capsys):

@@ -7,6 +7,8 @@ import pytest
 from coarse_ends import (
     CoreRadiusError,
     ParameterError,
+    WindowCapError,
+    build_window,
     clopen_scale_test,
     interface,
     power_generators,
@@ -302,3 +304,12 @@ def test_certificate_parameter_errors():
         clopen_scale_test(window, {(1,)}, 0)
     with pytest.raises(CoreRadiusError):
         clopen_scale_test(window, {(1,)}, 5)  # core 8 - 10 < 0
+
+
+def test_recheck_obeys_the_window_cap():
+    # |B(8)| = 145 fits the cap of 200, but the recheck window B(12) does not
+    window = build_window(get_group("Z^2"), get_gens("Z^2"), 8, cap=200)
+    with pytest.raises(WindowCapError) as exc:
+        clopen_scale_test(window, {(1, 0)}, 1)
+    assert exc.value.cap == 200
+    assert exc.value.radius_reached == 9  # |B(9)| = 181, |B(10)| = 221
