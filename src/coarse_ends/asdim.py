@@ -147,7 +147,9 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
     otherwise a seeded sample of the budget's size is drawn, making the
     estimate a deterministic lower bound either way. Pairs whose endpoint
     distance is not visible in the window are skipped; a same-index
-    distance that escapes the window is counted as R+1.
+    distance that escapes the window is counted as R+1. A sample in which
+    no pair reaches the comparison raises ParameterError, since its 0
+    would rest on no pair at all.
     """
     if pair_budget < 1:
         raise ParameterError(f"pair_budget must be at least 1, got {pair_budget}")
@@ -155,19 +157,20 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
     els = [g for g in window if window.norms[g] > 0]
     n = len(els)
     pairs: Iterable
-    if n * (n - 1) // 2 <= pair_budget:
+    sampled = n * (n - 1) // 2 > pair_budget
+    if not sampled:
         pairs = ((els[i], els[j]) for i in range(n) for j in range(i + 1, n))
     else:
         rng = random.Random(seed)
 
-        def sampled():
+        def draw():
             for _ in range(pair_budget):
                 i = rng.randrange(n)
                 j = rng.randrange(n)
                 if i != j:
                     yield els[i], els[j]
 
-        pairs = sampled()
+        pairs = draw()
     geos = {}
 
     def geo(g):
@@ -178,6 +181,7 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
         return cached
 
     best = 0
+    informative = 0
     for g, h in pairs:
         rel = grp.mul(grp.inv(g), h)
         if rel not in window.norms:
@@ -186,6 +190,7 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
         top = (window.norms[g] + window.norms[h] - d) // 2
         if top <= 0:
             continue
+        informative += 1
         cg = geo(g)
         ch = geo(h)
         for i in range(1, top + 1):
@@ -193,6 +198,11 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
             val = window.norms.get(y, window.radius + 1)
             if val > best:
                 best = val
+    if sampled and not informative:
+        raise ParameterError(
+            f"no sampled pair in the radius-{window.radius} window compares geodesics;"
+            f" pair budget {pair_budget} is too small"
+        )
     return best
 
 

@@ -19,8 +19,10 @@ direct products as pairs. The identity of any group prints as "e".
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
+from operator import add, neg
 from typing import Iterator, Union
 
 from .errors import (
@@ -226,6 +228,127 @@ def _free_concat(a: str, b: str) -> str:
     return a[:i] + b[j:]
 
 
+# Kernels: each family's mul, inv and show (of a non-identity payload),
+# built once per Group so that no product re-dispatches on the family.
+# Nested products go through child.mul and child.show, the class entry
+# points (see Group.mul).
+
+
+def _free_abelian_kernels(rank: int):
+    def mul(a, b):
+        if not (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b) == rank):
+            raise MismatchError("free abelian payload must be an int tuple of the right rank")
+        return tuple(map(add, a, b))
+
+    def inv(a):
+        return tuple(map(neg, a))
+
+    def show(a):
+        return "(" + ",".join(map(str, a)) + ")"
+
+    return mul, inv, show
+
+
+def _cyclic_kernels(order: int, letter: str):
+    def mul(a, b):
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise MismatchError("cyclic payload must be an int residue")
+        return (a + b) % order
+
+    def inv(a):
+        return (order - a) % order
+
+    def show(a):
+        return letter + ("" if a == 1 else str(a))
+
+    return mul, inv, show
+
+
+class _PrintedRuns(dict):
+    """Printed form of each run of one letter ("aaa" -> "a3", "BB" -> "b-2"),
+    computed on first request."""
+
+    def __missing__(self, run: str) -> str:
+        exp = len(run) if run[0].islower() else -len(run)
+        text = self[run] = run[0].lower() + ("" if exp == 1 else str(exp))
+        return text
+
+
+def _free_kernels(letters: tuple):
+    runs = re.compile("|".join(f"{c}+|{c.upper()}+" for c in letters)).findall
+    printed = _PrintedRuns()
+
+    def mul(a, b):
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise MismatchError("free payload must be a letter string")
+        if a and b and a[-1] == b[0].swapcase():
+            return _free_concat(a, b)
+        return a + b
+
+    def inv(a):
+        return a[::-1].swapcase()
+
+    def show(a):
+        return "".join(map(printed.__getitem__, runs(a)))
+
+    return mul, inv, show
+
+
+def _direct_kernels(left: "Group", right: "Group"):
+    def mul(a, b):
+        if not (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b) == 2):
+            raise MismatchError("direct product payload must be a pair")
+        return (left.mul(a[0], b[0]), right.mul(a[1], b[1]))
+
+    def inv(a):
+        return (left.inv(a[0]), right.inv(a[1]))
+
+    def show(a):
+        return f"({left.show(a[0])},{right.show(a[1])})"
+
+    return mul, inv, show
+
+
+def _free_product_kernels(left: "Group", right: "Group", tagged: bool):
+    children = (left, right)
+    # printed syllable = prefix + child.show(x) + suffix, per side
+    prefix = tuple(
+        ("<>"[side] if tagged else "") + ("(" if child.kind == "free_product" else "")
+        for side, child in enumerate(children)
+    )
+    suffix = tuple(")" if child.kind == "free_product" else "" for child in children)
+
+    def mul(a, b):
+        if not (isinstance(a, tuple) and isinstance(b, tuple)):
+            raise MismatchError("free product payload must be a syllable tuple")
+        # b's sides alternate, so nothing merges unless the seam shares a side
+        if not a or not b or a[-1][0] != b[0][0]:
+            return a + b
+        out = list(a)
+        for syl in b:
+            side, x = syl
+            if not out or out[-1][0] != side:
+                out.append(syl)
+                continue
+            child = children[side]
+            merged = child.mul(out[-1][1], x)
+            if merged == child.identity:
+                out.pop()
+            else:
+                out[-1] = (side, merged)
+        return tuple(out)
+
+    def inv(a):
+        return tuple((side, children[side].inv(x)) for side, x in reversed(a))
+
+    def show(a):
+        return ".".join(
+            [prefix[side] + children[side].show(x) + suffix[side] for side, x in a]
+        )
+
+    return mul, inv, show
+
+
 class Group:
     """A spec bound to arithmetic, printing, and parsing.
 
@@ -244,19 +367,23 @@ class Group:
         if isinstance(spec, FreeAbelian):
             self.kind = "free_abelian"
             self.identity = (0,) * spec.rank
+            kernels = _free_abelian_kernels(spec.rank)
         elif isinstance(spec, Free):
             self.kind = "free"
             self.letters = self._claim_letters(cursor, spec.rank)
             self.identity = ""
+            kernels = _free_kernels(self.letters)
         elif isinstance(spec, Cyclic):
             self.kind = "cyclic"
             self.letters = self._claim_letters(cursor, 1)
             self.identity = 0
+            kernels = _cyclic_kernels(spec.order, self.letters[0])
         elif isinstance(spec, DirectProduct):
             self.kind = "direct"
             self.left = Group(spec.left, cursor)
             self.right = Group(spec.right, cursor)
             self.identity = (self.left.identity, self.right.identity)
+            kernels = _direct_kernels(self.left, self.right)
         elif isinstance(spec, FreeProduct):
             self.kind = "free_product"
             self.left = Group(spec.left, cursor)
@@ -269,8 +396,10 @@ class Group:
                 self.left.kind in ("free", "cyclic")
                 and self.right.kind in ("free", "cyclic")
             )
+            kernels = _free_product_kernels(self.left, self.right, self.tagged)
         else:
             raise MismatchError(f"not a group spec: {spec!r}")
+        self._mul, self._inv, self._show = kernels
 
     @staticmethod
     def _claim_letters(cursor: list[int], count: int) -> tuple[str, ...]:
@@ -287,57 +416,17 @@ class Group:
 
     # -- arithmetic -------------------------------------------------------
 
+    # mul, inv and show stay methods of the class, each delegating to the
+    # family's kernel, so that a wrapper patched onto Group (as a tracer
+    # counting products does) sees every call, nested ones included.
+
     def mul(self, a, b):
         """Product a*b in canonical form."""
-        kind = self.kind
-        if kind == "free_abelian":
-            if not (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b) == len(self.identity)):
-                raise MismatchError("free abelian payload must be an int tuple of the right rank")
-            return tuple(x + y for x, y in zip(a, b))
-        if kind == "cyclic":
-            if not (isinstance(a, int) and isinstance(b, int)):
-                raise MismatchError("cyclic payload must be an int residue")
-            return (a + b) % self.spec.order
-        if kind == "free":
-            if not (isinstance(a, str) and isinstance(b, str)):
-                raise MismatchError("free payload must be a letter string")
-            return _free_concat(a, b)
-        if kind == "direct":
-            if not (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b) == 2):
-                raise MismatchError("direct product payload must be a pair")
-            return (self.left.mul(a[0], b[0]), self.right.mul(a[1], b[1]))
-        # free product: merge at the seam, cancelling identity syllables
-        if not (isinstance(a, tuple) and isinstance(b, tuple)):
-            raise MismatchError("free product payload must be a syllable tuple")
-        out = list(a)
-        for syl in b:
-            side, x = syl
-            if not out or out[-1][0] != side:
-                out.append(syl)
-                continue
-            child = self.left if side == 0 else self.right
-            merged = child.mul(out[-1][1], x)
-            if merged == child.identity:
-                out.pop()
-            else:
-                out[-1] = (side, merged)
-        return tuple(out)
+        return self._mul(a, b)
 
     def inv(self, a):
         """Inverse of a in canonical form."""
-        kind = self.kind
-        if kind == "free_abelian":
-            return tuple(-x for x in a)
-        if kind == "cyclic":
-            return (self.spec.order - a) % self.spec.order
-        if kind == "free":
-            return a[::-1].swapcase()
-        if kind == "direct":
-            return (self.left.inv(a[0]), self.right.inv(a[1]))
-        return tuple(
-            (side, (self.left if side == 0 else self.right).inv(x))
-            for side, x in reversed(a)
-        )
+        return self._inv(a)
 
     def validate(self, a) -> None:
         """Deep structural check; raises MismatchError on foreign payloads."""
@@ -385,37 +474,7 @@ class Group:
 
     def show(self, a) -> str:
         """Canonical printed form; the identity of any group prints "e"."""
-        if a == self.identity:
-            return "e"
-        kind = self.kind
-        if kind == "free_abelian":
-            return "(" + ",".join(str(x) for x in a) + ")"
-        if kind == "cyclic":
-            return self.letters[0] + ("" if a == 1 else str(a))
-        if kind == "free":
-            parts = []
-            i = 0
-            while i < len(a):
-                c = a[i]
-                j = i
-                while j < len(a) and a[j] == c:
-                    j += 1
-                exp = (j - i) if c.islower() else -(j - i)
-                parts.append(c.lower() + ("" if exp == 1 else str(exp)))
-                i = j
-            return "".join(parts)
-        if kind == "direct":
-            return f"({self.left.show(a[0])},{self.right.show(a[1])})"
-        parts = []
-        for side, x in a:
-            child = self.left if side == 0 else self.right
-            text = child.show(x)
-            if child.kind == "free_product":
-                text = f"({text})"
-            if self.tagged:
-                text = ("<" if side == 0 else ">") + text
-            parts.append(text)
-        return ".".join(parts)
+        return "e" if a == self.identity else self._show(a)
 
     def key(self, a) -> str:
         """Sort key for the deterministic element order: the printed form."""

@@ -71,6 +71,24 @@ def reduce_word(pairs):
     return tuple(out)
 
 
+def show_free_word(a):
+    """Printed form of a reduced free word: each run of one letter as the
+    lowercase letter and its signed exponent, omitted when it is 1."""
+    if not a:
+        return "e"
+    parts = []
+    i = 0
+    while i < len(a):
+        c = a[i]
+        j = i
+        while j < len(a) and a[j] == c:
+            j += 1
+        exp = (j - i) if c.islower() else -(j - i)
+        parts.append(c.lower() + ("" if exp == 1 else str(exp)))
+        i = j
+    return "".join(parts)
+
+
 def min_cover_size(universe, candidate_sets):
     """Smallest number of candidate sets whose union covers universe.
 

@@ -172,6 +172,15 @@ def test_estimate_delta_deterministic_sampling():
     assert a <= estimate_delta(w)  # sampled scan is a lower bound
 
 
+def test_estimate_delta_refuses_an_empty_sample():
+    # one sampled pair, and it never reaches the geodesic comparison
+    with pytest.raises(ParameterError, match=r"radius-8 window .* pair budget 1 is too small"):
+        estimate_delta(get_window("Z^2", 8), pair_budget=1, seed=1)
+    # a full scan is exact even when no pair compares: Z at radius 1 has one
+    # pair, (1,) and (-1,), at a distance the window cannot see
+    assert estimate_delta(get_window("Z", 1), pair_budget=1) == 0
+
+
 # ---------------------------------------------------------------------------
 # Annulus covers
 

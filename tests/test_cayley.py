@@ -5,6 +5,7 @@ import random
 import pytest
 
 from coarse_ends import (
+    Group,
     OutOfWindowError,
     ParameterError,
     WindowCapError,
@@ -243,3 +244,20 @@ def test_partial_neighbour_table_matches_full():
             assert [list(c[:rows]) for c in part] == [list(c[:rows]) for c in full], (text, r)
             # a later request for every row fills the whole table
             assert [list(c) for c in window.neighbours(steps)] == [list(c) for c in full]
+
+
+@pytest.mark.parametrize("text,per_product", [("Z^2", 1), ("F2", 1), ("(Z x C2)", 3)])
+def test_class_entry_points_see_every_product(monkeypatch, text, per_product):
+    # a tracer counts products by patching Group.mul; a family's kernel, and
+    # a direct product's two nested child products, must all pass through it
+    calls = [0]
+    original = Group.mul
+
+    def counting(self, a, b):
+        calls[0] += 1
+        return original(self, a, b)
+
+    monkeypatch.setattr(Group, "mul", counting)
+    radius = 4
+    window = build_window(get_group(text), get_gens(text), radius)
+    assert calls[0] == per_product * window.offsets[radius] * len(window.steps)

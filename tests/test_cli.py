@@ -376,6 +376,16 @@ def test_exit_refusals(capsys):
         assert "coarse-ends: refusing:" in err
 
 
+def test_asdim_refuses_an_empty_sample(capsys):
+    code, out, err = run_cli(capsys, ["asdim", "--group", "Z^2", "--window", "8",
+                                      "--pair-budget", "1", "--seed", "1"])
+    assert (code, out) == (4, "")
+    assert err == (
+        "coarse-ends: refusing: no sampled pair in the radius-8 window compares"
+        " geodesics; pair budget 1 is too small\n"
+    )
+
+
 # The exit code and stderr label of every deliberate error type. Each
 # class defined by the package must appear here exactly once.
 _EXIT_POLICY = [

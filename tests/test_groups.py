@@ -1,6 +1,7 @@
 """Group arithmetic, printing, parsing, and generator sets."""
 
 import random
+import re
 
 import pytest
 
@@ -176,6 +177,24 @@ def test_validate_rejects_foreign_payloads():
         fp.validate(((0, 1), (0, 1)))  # sides must alternate
     with pytest.raises(MismatchError):
         fp.validate(((1, 0),))  # identity syllable
+
+
+@pytest.mark.parametrize(
+    "text,a,b,message",
+    [
+        ("Z^2", (1, 0), (1, 0, 0), "free abelian payload must be an int tuple of the right rank"),
+        ("Z", (1,), "a", "free abelian payload must be an int tuple of the right rank"),
+        ("C6", 1, "a", "cyclic payload must be an int residue"),
+        ("F2", "a", 1, "free payload must be a letter string"),
+        ("(Z x C2)", ((1,), 0), ((1,), 0, 1), "direct product payload must be a pair"),
+        ("(C2 * C3)", ((0, 1),), "a", "free product payload must be a syllable tuple"),
+    ],
+)
+def test_mul_rejects_foreign_payloads(text, a, b, message):
+    grp = get_group(text)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(MismatchError, match=f"^{re.escape(message)}$"):
+            grp.mul(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from coarse_ends import (
     star,
 )
 from helpers import get_gens, get_group, get_window
-from oracles import reduce_word
+from oracles import reduce_word, show_free_word
 
 WINDOWS = [("Z", 10), ("C6", 8), ("(C2 * C3)", 6), ("Z^2", 4)]
 
@@ -135,3 +135,47 @@ def test_free_reduction_matches_oracle(letters):
     reduced = reduce_word(pairs)
     want = "".join(sym if e == 1 else sym.upper() for sym, e in reduced)
     assert x == want
+
+
+# Free groups whose letters start at a, and one whose letters start at b
+FREE = [("F2", None), ("F3", None), ("(C3 * F2)", "right")]
+
+
+def _free_group(case):
+    text, child = case
+    grp = get_group(text)
+    return getattr(grp, child) if child else grp
+
+
+def _pairs(word):
+    return [(c.lower(), 1 if c.islower() else -1) for c in word]
+
+
+def _reduced(word):
+    return "".join(c if e == 1 else c.upper() for c, e in reduce_word(_pairs(word)))
+
+
+def _reduced_words(case):
+    """Reduced words built from runs of one letter with exponents up to 4."""
+    letters = _free_group(case).letters
+    runs = st.lists(st.tuples(st.sampled_from(letters), st.integers(-4, 4)), max_size=6)
+
+    return runs.map(lambda rs: _reduced("".join(c * e if e > 0 else c.upper() * -e for c, e in rs)))
+
+
+@given(st.sampled_from(FREE).flatmap(lambda c: st.tuples(st.just(c), _reduced_words(c))))
+def test_free_show_matches_reference(data):
+    case, a = data
+    assert _free_group(case).show(a) == show_free_word(a)
+
+
+@given(
+    st.sampled_from(FREE).flatmap(
+        lambda c: st.tuples(st.just(c), _reduced_words(c), _reduced_words(c))
+    )
+)
+def test_free_mul_matches_reduction(data):
+    case, a, b = data
+    grp = _free_group(case)
+    assert grp.mul(a, b) == _reduced(a + b)
+    assert grp.mul(a, grp.mul(grp.inv(a), b)) == b  # cancels all of a at the seam
