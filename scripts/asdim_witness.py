@@ -24,6 +24,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=None, help="directory for witness-<group>.json files")
     args = ap.parse_args()
+    if args.out:
+        pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)
 
     for spec_text, radius, n_list in RUNS:
         group = Group(parse_spec(spec_text))

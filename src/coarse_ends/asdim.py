@@ -14,6 +14,16 @@ grouped by the last point where their canonical geodesic crosses the norm
 scans then confirm the diameter and multiplicity laws that make the
 family of covers witness asdim <= 2*N - 1.
 
+Three scans skip work whose outcome is already known. The greedy cover
+sorts one sphere at a time, outermost first, and only the elements still
+uncovered when their sphere comes up: covered only grows, so it picks the
+centres that one sort of the whole target would. The diameter scan visits
+each distinct cover set once, since a maximum over sets cannot be raised
+by a set met again. The thin-geodesics scan compares same-index points
+from the top index down and stops where the two geodesics meet: canonical
+geodesics are predecessor walks, so they agree at every lower index, where
+the distance is 0.
+
 All greedy choices (net points, cover centers) are ordered by norm then
 printed form, so witnesses are reproducible byte for byte. Ball translates
 are products, not neighbour-table walks: a greedy cover on a free group
@@ -94,20 +104,23 @@ def greedy_ball_cover(window: Window, target: Iterable, s: int) -> list:
         raise ParameterError("covering radius must be nonnegative")
     grp = window.group
     remaining = set(target)
-    order = sorted(remaining, key=lambda g: (-window.knorm(g), grp.key(g)))
+    by_norm: dict = {}
+    for g in remaining:
+        by_norm.setdefault(window.knorm(g), []).append(g)
     ball = window.ball(min(s, window.radius))
     centers = []
     covered = set()
-    for u in order:
-        if u in covered:
-            continue
-        k = window.norms[u]
-        center = window.geodesic(u)[max(k - s, 0)]
-        centers.append(center)
-        for v in ball:
-            y = grp.mul(center, v)
-            if y in remaining:
-                covered.add(y)
+    for k in sorted(by_norm, reverse=True):
+        # covered only grows, so what is covered now would be skipped anyway
+        for u in sorted((g for g in by_norm[k] if g not in covered), key=grp.key):
+            if u in covered:
+                continue
+            center = window.geodesic(u)[max(k - s, 0)]
+            centers.append(center)
+            for v in ball:
+                y = grp.mul(center, v)
+                if y in remaining:
+                    covered.add(y)
     return centers
 
 
@@ -193,7 +206,10 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
         informative += 1
         cg = geo(g)
         ch = geo(h)
-        for i in range(1, top + 1):
+        # both are predecessor walks: once they meet, they agree below
+        for i in range(top, 0, -1):
+            if cg[i] == ch[i]:
+                break
             y = grp.mul(grp.inv(cg[i]), ch[i])
             val = window.norms.get(y, window.radius + 1)
             if val > best:
@@ -320,12 +336,6 @@ def build_annulus_cover(window: Window, n: int, p: int, s: int) -> AnnulusCover:
     )
 
 
-def _pair_distance(window: Window, g, h) -> int:
-    """Distance, or R+1 when the relative element escapes the window."""
-    rel = window.group.mul(window.group.inv(g), h)
-    return window.norms.get(rel, window.radius + 1)
-
-
 def _probe_multiplicity(covers: Sequence[AnnulusCover], radius: int) -> tuple:
     """Most distinct sets, over covers of one window, met by one probe ball.
 
@@ -370,14 +380,17 @@ def verify_cover(cover: AnnulusCover, probe_radius: int, n2delta: int) -> CoverS
     probe radius <= n2delta.
     """
     window = cover.window
+    grp = window.group
     ps = cover.p * cover.s
     if not 1 <= probe_radius <= ps:
         raise ParameterError(f"probe radius must lie in 1..{ps}")
     max_diam = 0
-    for members in cover.sets:
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                d = _pair_distance(window, members[i], members[j])
+    # a maximum over sets: an equal set met again cannot raise it
+    for members in dict.fromkeys(cover.sets):
+        for i, g in enumerate(members):
+            g_inv = grp.inv(g)
+            for h in members[i + 1 :]:
+                d = window.norms.get(grp.mul(g_inv, h), window.radius + 1)
                 if d > max_diam:
                     max_diam = d
     multiplicity = {}

@@ -2,11 +2,15 @@
 
 Everything here is deliberately naive: FIFO queues, full scans, brute
 force subset search. None of it shares code or data structures with the
-package, so agreement between the two is meaningful evidence. The one
-exception is the last section: test hooks that state laws about the
-package's own functions and therefore call them.
+package, so agreement between the two is meaningful evidence. Two
+sections are exceptions. The asdim reference scans read the window's
+norms, balls and canonical geodesics, which define the answers, and keep
+only the scan orders that `asdim` now shortcuts. The last section holds
+test hooks that state laws about the package's own functions and
+therefore call them.
 """
 
+import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -176,6 +180,76 @@ def exact_covering_number(window, S, t, cap=18):
             search(mask | m, used + 1)
 
     search(0, 0)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# asdim reference scans: every element sorted, every set, every index
+
+
+def greedy_ball_cover_reference(window, target, s):
+    """Greedy centres from one sort of the whole target by (-norm, printed form)."""
+    grp = window.group
+    remaining = set(target)
+    order = sorted(remaining, key=lambda g: (-window.knorm(g), grp.key(g)))
+    ball = window.ball(min(s, window.radius))
+    centers = []
+    covered = set()
+    for u in order:
+        if u in covered:
+            continue
+        k = window.norms[u]
+        center = window.geodesic(u)[max(k - s, 0)]
+        centers.append(center)
+        for v in ball:
+            y = grp.mul(center, v)
+            if y in remaining:
+                covered.add(y)
+    return centers
+
+
+def max_diameter_reference(window, sets):
+    """Largest pair distance over all pairs of every set, R+1 when escaped."""
+    grp = window.group
+    best = 0
+    for members in sets:
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                rel = grp.mul(grp.inv(members[i]), members[j])
+                best = max(best, window.norms.get(rel, window.radius + 1))
+    return best
+
+
+def estimate_delta_reference(window, pair_budget=20000, seed=0):
+    """`asdim.estimate_delta` comparing every index from 1 to the top.
+
+    Pairs are chosen as the package chooses them (all, or the same seeded
+    draws), so the two must agree exactly.
+    """
+    grp = window.group
+    els = [g for g in window if window.norms[g] > 0]
+    n = len(els)
+    if n * (n - 1) // 2 <= pair_budget:
+        pairs = [(els[i], els[j]) for i in range(n) for j in range(i + 1, n)]
+    else:
+        rng = random.Random(seed)
+        pairs = []
+        for _ in range(pair_budget):
+            i = rng.randrange(n)
+            j = rng.randrange(n)
+            if i != j:
+                pairs.append((els[i], els[j]))
+    best = 0
+    for g, h in pairs:
+        rel = grp.mul(grp.inv(g), h)
+        if rel not in window.norms:
+            continue
+        top = (window.norms[g] + window.norms[h] - window.norms[rel]) // 2
+        cg = window.geodesic(g)
+        ch = window.geodesic(h)
+        for i in range(1, top + 1):
+            y = grp.mul(grp.inv(cg[i]), ch[i])
+            best = max(best, window.norms.get(y, window.radius + 1))
     return best
 
 

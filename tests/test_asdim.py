@@ -1,5 +1,6 @@
 """Growth tables, covering numbers, and the annulus-cover witness."""
 
+import dataclasses
 import random
 
 import pytest
@@ -17,10 +18,17 @@ from coarse_ends import (
     estimate_delta,
     greedy_ball_cover,
     growth_series,
+    star,
     verify_cover,
 )
-from helpers import get_gens, get_group, get_window
-from oracles import exact_covering_number, min_cover_size
+from helpers import get_gens, get_group, get_window, random_subset
+from oracles import (
+    estimate_delta_reference,
+    exact_covering_number,
+    greedy_ball_cover_reference,
+    max_diameter_reference,
+    min_cover_size,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +92,24 @@ def test_greedy_cover_edge_cases():
     assert len(greedy_ball_cover(w, target, 0)) == len(target)
     with pytest.raises(ParameterError):
         greedy_ball_cover(w, target, -1)
+
+
+def test_greedy_cover_matches_reference():
+    # the sphere-by-sphere sort picks the centres of one sort over the target
+    rng = random.Random("greedy-reference")
+    cases = [
+        ("Z", 12, 1), ("Z^2", 6, 1), ("F2", 5, 1), ("F3", 4, 1), ("(C2 * C3)", 8, 1),
+        ("(C2 * C2)", 10, 1), ("(Z x C2)", 8, 1), ("C6", 8, 1), ("Z^2", 5, 2),
+    ]
+    for text, radius, power in cases:
+        w = get_window(text, radius, power)
+        inner = w.ball(radius - 2)
+        targets = [w.ball(radius), w.ball(radius - 1), random_subset(w, rng, 0.3),
+                   random_subset(w, rng, 0.05), star(rng.sample(inner, 2), w.gens.elements, w)]
+        for target in targets:
+            for s in range(4):
+                want = greedy_ball_cover_reference(w, target, s)
+                assert greedy_ball_cover(w, target, s) == want, (text, power, s)
 
 
 def test_covering_number_frozen():
@@ -162,6 +188,25 @@ def test_estimate_delta_tree_like():
 def test_estimate_delta_grid_grows():
     values = [estimate_delta(get_window("Z^2", r)) for r in (4, 6, 8)]
     assert values == [4, 6, 8]
+
+
+def test_estimate_delta_matches_reference():
+    # stopping where the geodesics meet loses no index with a nonzero distance
+    full = [("Z", 8), ("F2", 5), ("(C2 * C2)", 10), ("(C2 * C3)", 8), ("Z^2", 4), ("Z^2", 8)]
+    for text, radius in full:
+        w = get_window(text, radius)
+        assert estimate_delta(w) == estimate_delta_reference(w), text
+    # small samples, where one pair whose geodesics meet early can set the value
+    sampled = [("Z^2", 8, 300, 3), ("Z^2", 10, 200, 3), ("F2", 6, 2000, 3),
+               ("(C2 * C3)", 10, 1000, 3), ("Z^2", 5, 20, 20), ("(Z x C2)", 6, 20, 20)]
+    values = []
+    for text, radius, budget, seeds in sampled:
+        w = get_window(text, radius)
+        for seed in range(seeds):
+            got = estimate_delta(w, pair_budget=budget, seed=seed)
+            assert got == estimate_delta_reference(w, budget, seed), (text, seed)
+            values.append(got)
+    assert max(values) > 0
 
 
 def test_estimate_delta_deterministic_sampling():
@@ -248,6 +293,21 @@ def test_verify_cover_z():
         verify_cover(cover, 0, 2)
     with pytest.raises(ParameterError):
         verify_cover(cover, 2, 2)
+
+
+def test_max_diameter_matches_reference():
+    # the covers asdim_upper_bound builds for Z, (C2 * C3) and F2 n=2
+    for text, radius, n_list in [("Z", 14, range(2, 7)), ("(C2 * C3)", 16, range(2, 8)),
+                                 ("F2", 9, [2])]:
+        w = get_window(text, radius)
+        for n in n_list:
+            cover = build_annulus_cover(w, n, 1, 1)
+            want = max_diameter_reference(w, cover.sets)
+            assert verify_cover(cover, 1, len(cover.sets)).max_diameter == want, (text, n)
+            # distinct sets that share members are each scanned
+            heads = tuple(members[:1] for members in cover.sets)
+            mixed = dataclasses.replace(cover, sets=heads + cover.sets + heads)
+            assert verify_cover(mixed, 1, len(cover.sets)).max_diameter == want
 
 
 # ---------------------------------------------------------------------------

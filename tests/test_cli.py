@@ -134,6 +134,38 @@ def test_clopen_result_frozen(capsys):
     }
 
 
+def test_asdim_result_frozen(capsys):
+    def result(argv):
+        code, out, _ = run_cli(capsys, ["asdim", *argv, "--pair-budget", "4000", "--seed", "1"])
+        assert code == 0
+        return json.loads(out)["result"]
+
+    def annulus(n, net_size, max_diameter, max_multiplicity):
+        return {"n": n, "net_size": net_size, "sets": net_size,
+                "max_diameter": max_diameter, "max_multiplicity": max_multiplicity}
+
+    common = {"delta_hat": 0, "delta": 2, "p": 1, "s": 1,
+              "probe_radii": [4, 6, 8], "probe_values": [0, 0, 0]}
+    assert result(["--group", "F2", "--window", "9", "--n-list", "2"]) == {
+        **common,
+        "N2delta": 108,
+        "samples": [{"S": 4, "t": 4, "N": 108}, {"S": 5, "t": 4, "N": 108}],
+        "annuli": [annulus(2, 108, 6, 3)],
+        "cross_multiplicity": None,
+        "bound": 215,
+        "n_list": [2],
+    }
+    assert result(["--group", "(C2 * C3)", "--window", "16"]) == {
+        **common,
+        "N2delta": 8,
+        "samples": [{"S": S, "t": 4, "N": 8} for S in range(4, 8)],
+        "annuli": [annulus(n, 3 * 2 ** (n - 1), 5, 1) for n in range(2, 8)],
+        "cross_multiplicity": 2,
+        "bound": 15,
+        "n_list": [2, 3, 4, 5, 6, 7],
+    }
+
+
 def test_tree_dot_format(capsys):
     code, out, _ = run_cli(
         capsys,
