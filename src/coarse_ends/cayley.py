@@ -15,6 +15,15 @@ one, so `Window.at` reads a smaller window off a larger one by slicing
 and gets a larger one by continuing the search from the outer sphere:
 one search per command serves every radius it reads.
 
+The search skips each element's way back. If p was first reached as
+parent*s, then p*s^-1 is parent, which lies in the window already, so that
+product could add nothing and is never formed; every other product is made
+in the same order as before, so the window order is unchanged. Only an
+element's first step is remembered, for the sphere being expanded; the
+identity and the outer sphere of a window being grown have none and try
+every step, and a step whose inverse is not a step (a one-way generator
+set) skips nothing.
+
 perfbench/spans.py wraps `build_window` and `Window.geodesic` by name and
 reads `Window.spheres`, so those names stay.
 """
@@ -151,17 +160,28 @@ class Window:
         # norms was filled in window order, so its first entries are the prefix
         norms = dict(islice(self.norms.items(), end))
         offsets = list(self.offsets[: top + 2])
-        mul, steps, cap = self.group.mul, self.steps, self.cap
+        mul, inv, cap = self.group.mul, self.group.inv, self.cap
+        # tries[k]: the (id, step) pairs to expand an element first reached
+        # by steps[k], which are all but the way back, in step order; the
+        # last entry is every step, for an element whose first step is
+        # unknown. came[i] is that k for the i-th element of the frontier.
+        pairs = tuple(enumerate(self.steps))
+        tries = tuple(tuple((j, s) for j, s in pairs if s != inv(t)) for t in self.steps)
+        tries += (pairs,)
+        came = [len(pairs)] * (offsets[top + 1] - offsets[top])
         for r in range(top + 1, radius + 1):
-            for p in elements[offsets[r - 1] :]:
-                for s in steps:
+            reached = []
+            for p, k in zip(elements[offsets[r - 1] :], came):
+                for j, s in tries[k]:
                     q = mul(p, s)
                     if q not in norms:
                         norms[q] = r
                         elements.append(q)
-                        if len(elements) > cap:
-                            raise WindowCapError(cap, r - 1)
+                        reached.append(j)
+                if len(elements) > cap:
+                    raise WindowCapError(cap, r - 1)
             offsets.append(len(elements))
+            came = reached
         return replace(self, radius=radius, norms=norms, elements=elements, offsets=tuple(offsets))
 
     @cached_property

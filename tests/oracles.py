@@ -42,6 +42,32 @@ def bfs_norms(group, gens, radius):
     return dist
 
 
+def window_order_reference(group, gens, radius):
+    """Window order by textbook breadth-first search: a FIFO queue, every
+    element times every step, steps sorted by printed form.
+
+    Returns (elements, offsets, norms): the elements in the order they were
+    first reached, offsets[r] the number of elements of norm < r for r up
+    to radius + 1, and the norms dict in insertion order.
+    """
+    steps = sorted((g for g in gens.elements if g != group.identity), key=group.show)
+    norms = {group.identity: 0}
+    elements = [group.identity]
+    queue = deque(elements)
+    while queue:
+        x = queue.popleft()
+        if norms[x] == radius:
+            continue
+        for s in steps:
+            y = group.mul(x, s)
+            if y not in norms:
+                norms[y] = norms[x] + 1
+                elements.append(y)
+                queue.append(y)
+    offsets = tuple(sum(1 for n in norms.values() if n < r) for r in range(radius + 2))
+    return elements, offsets, norms
+
+
 def flood_partition(members, neighbors):
     """Partition members under a neighbor function, as a set of frozensets."""
     members = set(members)

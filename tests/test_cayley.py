@@ -5,6 +5,7 @@ import random
 import pytest
 
 from coarse_ends import (
+    GeneratorSet,
     Group,
     OutOfWindowError,
     ParameterError,
@@ -12,7 +13,7 @@ from coarse_ends import (
     build_window,
 )
 from helpers import ZOO, get_gens, get_group, get_window
-from oracles import bfs_norms, distance
+from oracles import bfs_norms, distance, window_order_reference
 
 
 # ---------------------------------------------------------------------------
@@ -26,6 +27,40 @@ def test_norms_match_oracle(text):
     grp = get_group(text)
     want = bfs_norms(grp, get_gens(text), radius)
     assert window.norms == want
+
+
+def _one_way_z():
+    # {e, (1,)}: the inverse of the only step is not a step
+    return GeneratorSet(frozenset({(0,), (1,)}))
+
+
+@pytest.mark.parametrize(
+    "text,radius,gens,grown",
+    [(text, 5, None, False) for text in ZOO]
+    + [(text, 7, None, True) for text in ZOO]
+    + [
+        ("Z^2", 4, 2, False),
+        ("F2", 3, 2, False),
+        ("F2", 4, 2, True),
+        ("Z^5", 4, None, False),
+        ("Z^5", 5, None, True),
+        ("Z", 6, "one-way", False),
+        ("Z", 7, "one-way", True),
+    ],
+)
+def test_window_order_matches_reference(text, radius, gens, grown):
+    # window order itself, not only the norms: the search may skip products
+    # but must reach every element in the order a plain search does
+    grp = get_group(text)
+    gens = _one_way_z() if gens == "one-way" else get_gens(text, gens or 1)
+    if grown:  # continue a smaller window's search, whose outer sphere has no known step
+        window = build_window(grp, gens, 3).at(radius)
+    else:
+        window = build_window(grp, gens, radius)
+    elements, offsets, norms = window_order_reference(grp, gens, radius)
+    assert window.elements == elements
+    assert window.offsets == offsets
+    assert list(window.norms.items()) == list(norms.items())
 
 
 def test_frozen_sphere_sizes():
@@ -260,4 +295,7 @@ def test_class_entry_points_see_every_product(monkeypatch, text, per_product):
     monkeypatch.setattr(Group, "mul", counting)
     radius = 4
     window = build_window(get_group(text), get_gens(text), radius)
-    assert calls[0] == per_product * window.offsets[radius] * len(window.steps)
+    # every element of norm < R is expanded against every step, except that
+    # each one but the identity skips the way back to the element it came from
+    expanded = window.offsets[radius]
+    assert calls[0] == per_product * (expanded * len(window.steps) - (expanded - 1))

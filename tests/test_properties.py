@@ -5,6 +5,8 @@ these are as reproducible as the explicit loops but explore generated
 edge cases (empty sets, full windows, degenerate count sequences).
 """
 
+from operator import add, neg
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -179,3 +181,21 @@ def test_free_mul_matches_reduction(data):
     grp = _free_group(case)
     assert grp.mul(a, b) == _reduced(a + b)
     assert grp.mul(a, grp.mul(grp.inv(a), b)) == b  # cancels all of a at the seam
+
+
+# Free abelian ranks: each small rank, and one far above any in the zoo
+RANKS = [*range(1, 9), 40]
+
+
+def _vectors(rank):
+    coords = st.lists(st.integers(-10**6, 10**6), min_size=rank, max_size=rank).map(tuple)
+    return st.tuples(st.just(rank), coords, coords)
+
+
+@given(st.sampled_from(RANKS).flatmap(_vectors))
+def test_free_abelian_kernels_match_map(data):
+    rank, a, b = data
+    grp = get_group("Z" if rank == 1 else f"Z^{rank}")
+    assert grp.mul(a, b) == tuple(map(add, a, b))
+    assert grp.inv(a) == tuple(map(neg, a))
+    assert type(grp.mul(a, b)) is tuple and type(grp.inv(a)) is tuple
