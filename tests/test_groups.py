@@ -184,12 +184,12 @@ def test_validate_rejects_foreign_payloads():
     [
         ("Z^2", (1, 0), (1, 0, 0), "free abelian payload must be an int tuple of the right rank"),
         ("Z", (1,), "a", "free abelian payload must be an int tuple of the right rank"),
-        ("Z^5", (1, 0, 0, 0, 0), (1, 0, 0, 0), "free abelian payload must be an int tuple of the right rank"),
-        ("Z^5", (1, 0, 0, 0, 0), [1, 0, 0, 0, 0], "free abelian payload must be an int tuple of the right rank"),
         ("C6", 1, "a", "cyclic payload must be an int residue"),
         ("F2", "a", 1, "free payload must be a letter string"),
         ("(Z x C2)", ((1,), 0), ((1,), 0, 1), "direct product payload must be a pair"),
         ("(C2 * C3)", ((0, 1),), "a", "free product payload must be a syllable tuple"),
+        ("Z^5", (1, 0, 0, 0, 0), (1, 0, 0, 0), "free abelian payload must be an int tuple of the right rank"),
+        ("Z^5", (1, 0, 0, 0, 0), [1, 0, 0, 0, 0], "free abelian payload must be an int tuple of the right rank"),
     ],
 )
 def test_mul_rejects_foreign_payloads(text, a, b, message):
