@@ -24,6 +24,13 @@ from the top index down and stops where the two geodesics meet: canonical
 geodesics are predecessor walks, so they agree at every lower index, where
 the distance is 0.
 
+Cover centres and last-exit points come from predecessor walks. Point i
+of g's canonical geodesic is |g| - i predecessor steps back from g, so
+the greedy cover walks min(s, |u|) steps back from u, and the annulus
+cover |g| - 2n steps back from g, instead of building a whole geodesic
+to read one point of it. The thin-geodesics scan keeps whole geodesics,
+since it reads a range of indices.
+
 All greedy choices (net points, cover centers) are ordered by norm then
 printed form, so witnesses are reproducible byte for byte. Ball translates
 are products, not neighbour-table walks: a greedy cover on a free group
@@ -112,10 +119,13 @@ def greedy_ball_cover(window: Window, target: Iterable, s: int) -> list:
     covered = set()
     for k in sorted(by_norm, reverse=True):
         # covered only grows, so what is covered now would be skipped anyway
-        for u in sorted((g for g in by_norm[k] if g not in covered), key=grp.key):
+        for u in sorted((g for g in by_norm[k] if g not in covered), key=grp.show):
             if u in covered:
                 continue
-            center = window.geodesic(u)[max(k - s, 0)]
+            # point max(k - s, 0) of u's canonical geodesic
+            center = u
+            for _ in range(min(s, k)):
+                center = window.predecessor(center)
             centers.append(center)
             for v in ball:
                 y = grp.mul(center, v)
@@ -287,7 +297,7 @@ def build_annulus_cover(window: Window, n: int, p: int, s: int) -> AnnulusCover:
     block_ball = window.ball(sep - 1)
     net_points = []
     blocked = set()
-    for x in sorted(shell, key=grp.key):
+    for x in sorted(shell, key=grp.show):
         if x in blocked:
             continue
         net_points.append(x)
@@ -304,7 +314,10 @@ def build_annulus_cover(window: Window, n: int, p: int, s: int) -> AnnulusCover:
     last_exit = {}
     sets = [[] for _ in net_points]
     for g in annulus:
-        rho = window.geodesic(g)[2 * n]
+        # point 2n of g's canonical geodesic
+        rho = g
+        for _ in range(window.norms[g] - 2 * n):
+            rho = window.predecessor(rho)
         last_exit[g] = rho
         ids = near_cache.get(rho)
         if ids is None:

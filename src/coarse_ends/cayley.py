@@ -133,7 +133,7 @@ class Window:
         # by products, not the neighbour table: geodesics are walked for few
         # elements, and a table costs |K|/2 products per element of the window
         below = [grp.mul(g, grp.inv(s)) for s in self.steps]
-        best = min((p for p in below if self.norms.get(p) == r - 1), key=grp.key)
+        best = min((p for p in below if self.norms.get(p) == r - 1), key=grp.show)
         self._pred[g] = best
         return best
 
@@ -211,15 +211,19 @@ class Window:
         if any(grp.inv(s) not in steps for s in steps):
             raise ParameterError("step set is not closed under inverses")
         elements = self.elements
+        top = self.norm(rows - 1)
+        # no step moves a row further than the longest step's norm; a step
+        # outside the window counts as radius + 1
+        reach = max((self.norms.get(s, self.radius + 1) for s in steps), default=1)
         if rows < len(elements) and "ids" not in self.__dict__:
-            # products of rows of norm <= r have norm <= r+1
-            end = self.offsets[self.norm(rows - 1) + 2]
+            # products of rows of norm <= top have norm <= top + reach
+            end = self.offsets[min(top + reach, self.radius) + 1]
             ids = {g: i for i, g in enumerate(elements[:end])}
         else:
             ids = self.ids
-        # a row of norm r gets its s^-1 entry from an s row of norm <= r+1,
-        # so mirroring leaves the last sphere of a partial table to products
-        last = self.offsets[self.norm(rows - 1)] if rows < len(elements) else rows
+        # a row of norm r gets its s^-1 entry from an s row of norm <= r + reach,
+        # so mirroring leaves the last reach spheres of a partial table to products
+        last = self.offsets[max(top - reach + 1, 0)] if rows < len(elements) else rows
         cols: dict = {}
         for s in steps:
             mirror = cols.get(grp.inv(s))
@@ -261,7 +265,7 @@ def build_window(
     if cap < 1:
         raise ParameterError(f"window element cap must be at least 1, got {cap}")
     steps = tuple(
-        sorted((g for g in gens.elements if g != group.identity), key=group.key)
+        sorted((g for g in gens.elements if g != group.identity), key=group.show)
     )
     seed = Window(group, gens, 0, {group.identity: 0}, [group.identity], (0, 1), steps, cap)
     return seed.at(radius)

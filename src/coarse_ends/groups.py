@@ -229,8 +229,11 @@ def _free_concat(a: str, b: str) -> str:
 
 # Kernels: each family's mul, inv and show (of a non-identity payload),
 # built once per Group so that no product re-dispatches on the family.
-# Nested products go through child.mul and child.show, the class entry
-# points (see Group.mul).
+# mul and inv check their payloads' shape once per call and raise
+# MismatchError on a foreign one. Nested products go through child.mul
+# and child.show, the class entry points (see Group.mul); a free product
+# calls child.mul only at the seam, and child.inv and child.show once per
+# distinct syllable, through per-syllable tables.
 
 
 def _free_abelian_kernels(rank: int):
@@ -238,18 +241,23 @@ def _free_abelian_kernels(rank: int):
     # template once per Group: a displayed tuple of rank sums builds the
     # result in one step, about 4x faster than tuple(map(add, a, b)) on a
     # 3-tuple. The sums are the same ints in the same slots, so every
-    # product is the payload the map would give; the rank check runs first,
-    # as before, so no coordinate is read from a foreign payload.
+    # product is the payload the map would give; the rank check runs first
+    # in both, so no coordinate is read from a foreign payload.
     slots = range(rank)
+    mismatch = (
+        "        raise MismatchError(\n"
+        '            "free abelian payload must be an int tuple of the right rank"\n'
+        "        )\n"
+    )
     source = (
         "def mul(a, b):\n"
         "    if not (isinstance(a, tuple) and isinstance(b, tuple)"
         f" and len(a) == len(b) == {rank}):\n"
-        "        raise MismatchError(\n"
-        '            "free abelian payload must be an int tuple of the right rank"\n'
-        "        )\n"
+        f"{mismatch}"
         f"    return ({''.join(f'a[{i}] + b[{i}], ' for i in slots)})\n"
         "def inv(a):\n"
+        f"    if not (isinstance(a, tuple) and len(a) == {rank}):\n"
+        f"{mismatch}"
         f"    return ({''.join(f'-a[{i}], ' for i in slots)})\n"
     )
     kernels = {"MismatchError": MismatchError}
@@ -262,12 +270,16 @@ def _free_abelian_kernels(rank: int):
 
 
 def _cyclic_kernels(order: int, letter: str):
+    mismatch = "cyclic payload must be an int residue"
+
     def mul(a, b):
         if not (isinstance(a, int) and isinstance(b, int)):
-            raise MismatchError("cyclic payload must be an int residue")
+            raise MismatchError(mismatch)
         return (a + b) % order
 
     def inv(a):
+        if not isinstance(a, int):
+            raise MismatchError(mismatch)
         return (order - a) % order
 
     def show(a):
@@ -276,28 +288,39 @@ def _cyclic_kernels(order: int, letter: str):
     return mul, inv, show
 
 
-class _PrintedRuns(dict):
-    """Printed form of each run of one letter ("aaa" -> "a3", "BB" -> "b-2"),
-    computed on first request."""
+class _Memo(dict):
+    """compute(key) for each key, computed on first request."""
 
-    def __missing__(self, run: str) -> str:
-        exp = len(run) if run[0].islower() else -len(run)
-        text = self[run] = run[0].lower() + ("" if exp == 1 else str(exp))
-        return text
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _printed_run(run: str) -> str:
+    """Printed form of a run of one letter ("aaa" -> "a3", "BB" -> "b-2")."""
+    exp = len(run) if run[0].islower() else -len(run)
+    return run[0].lower() + ("" if exp == 1 else str(exp))
 
 
 def _free_kernels(letters: tuple):
     runs = re.compile("|".join(f"{c}+|{c.upper()}+" for c in letters)).findall
-    printed = _PrintedRuns()
+    printed = _Memo(_printed_run)
+    mismatch = "free payload must be a letter string"
 
     def mul(a, b):
         if not (isinstance(a, str) and isinstance(b, str)):
-            raise MismatchError("free payload must be a letter string")
+            raise MismatchError(mismatch)
         if a and b and a[-1] == b[0].swapcase():
             return _free_concat(a, b)
         return a + b
 
     def inv(a):
+        if not isinstance(a, str):
+            raise MismatchError(mismatch)
         return a[::-1].swapcase()
 
     def show(a):
@@ -307,12 +330,16 @@ def _free_kernels(letters: tuple):
 
 
 def _direct_kernels(left: "Group", right: "Group"):
+    mismatch = "direct product payload must be a pair"
+
     def mul(a, b):
         if not (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b) == 2):
-            raise MismatchError("direct product payload must be a pair")
+            raise MismatchError(mismatch)
         return (left.mul(a[0], b[0]), right.mul(a[1], b[1]))
 
     def inv(a):
+        if not (isinstance(a, tuple) and len(a) == 2):
+            raise MismatchError(mismatch)
         return (left.inv(a[0]), right.inv(a[1]))
 
     def show(a):
@@ -323,40 +350,45 @@ def _direct_kernels(left: "Group", right: "Group"):
 
 def _free_product_kernels(left: "Group", right: "Group", tagged: bool):
     children = (left, right)
+    mismatch = "free product payload must be a syllable tuple"
     # printed syllable = prefix + child.show(x) + suffix, per side
     prefix = tuple(
         ("<>"[side] if tagged else "") + ("(" if child.kind == "free_product" else "")
         for side, child in enumerate(children)
     )
     suffix = tuple(")" if child.kind == "free_product" else "" for child in children)
+    # per-syllable tables: (side, x) -> its inverse syllable, its printed form
+    inverse = _Memo(lambda syl: (syl[0], children[syl[0]].inv(syl[1])))
+    text = _Memo(lambda syl: prefix[syl[0]] + children[syl[0]].show(syl[1]) + suffix[syl[0]])
 
     def mul(a, b):
         if not (isinstance(a, tuple) and isinstance(b, tuple)):
-            raise MismatchError("free product payload must be a syllable tuple")
+            raise MismatchError(mismatch)
         # b's sides alternate, so nothing merges unless the seam shares a side
         if not a or not b or a[-1][0] != b[0][0]:
             return a + b
-        out = list(a)
-        for syl in b:
-            side, x = syl
-            if not out or out[-1][0] != side:
-                out.append(syl)
-                continue
+        # walk the seam: merged syllables that cancel drop out, and the
+        # first that does not, or a change of side, ends the walk; past it
+        # the sides alternate, so the rest of both words stays as it is
+        i, j = len(a), 0
+        while True:
+            side = b[j][0]
             child = children[side]
-            merged = child.mul(out[-1][1], x)
-            if merged == child.identity:
-                out.pop()
-            else:
-                out[-1] = (side, merged)
-        return tuple(out)
+            merged = child.mul(a[i - 1][1], b[j][1])
+            if merged != child.identity:
+                return a[: i - 1] + ((side, merged),) + b[j + 1 :]
+            i -= 1
+            j += 1
+            if not i or j == len(b) or a[i - 1][0] != b[j][0]:
+                return a[:i] + b[j:]
 
     def inv(a):
-        return tuple((side, children[side].inv(x)) for side, x in reversed(a))
+        if not isinstance(a, tuple):
+            raise MismatchError(mismatch)
+        return tuple(map(inverse.__getitem__, reversed(a)))
 
     def show(a):
-        return ".".join(
-            [prefix[side] + children[side].show(x) + suffix[side] for side, x in a]
-        )
+        return ".".join(map(text.__getitem__, a))
 
     return mul, inv, show
 
@@ -365,9 +397,9 @@ class Group:
     """A spec bound to arithmetic, printing, and parsing.
 
     Elements are plain payloads (see module docstring); the Group instance
-    supplies multiplication, inversion, canonical printing via show(), the
-    inverse parse(), and the lexicographic sort key used for every
-    deterministic tie-break downstream.
+    supplies multiplication, inversion, canonical printing via show(), whose
+    string is the sort key of every deterministic tie-break downstream, and
+    the inverse parse().
     """
 
     def __init__(self, spec: GroupSpec, _cursor: list[int] | None = None):
@@ -487,10 +519,6 @@ class Group:
     def show(self, a) -> str:
         """Canonical printed form; the identity of any group prints "e"."""
         return "e" if a == self.identity else self._show(a)
-
-    def key(self, a) -> str:
-        """Sort key for the deterministic element order: the printed form."""
-        return self.show(a)
 
     # -- parsing ----------------------------------------------------------
 

@@ -11,12 +11,17 @@ therefore call them.
 """
 
 import random
+import string
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 from coarse_ends import (
     CoreRadiusError,
+    Cyclic,
+    DirectProduct,
+    FreeAbelian,
+    FreeProduct,
     ParameterError,
     components,
     interface,
@@ -119,6 +124,98 @@ def show_free_word(a):
     return "".join(parts)
 
 
+class SyllableGroup:
+    """Arithmetic and printing on the package's payloads for free abelian
+    and cyclic groups and their direct and free products, written apart
+    from its kernels: a free-product product or inverse reduces the whole
+    syllable word on a stack, and printing follows the documented forms.
+    Letters are assigned depth first, as the package assigns them.
+    """
+
+    def __init__(self, spec, cursor=None):
+        cursor = [0] if cursor is None else cursor
+        self.spec = spec
+        if isinstance(spec, FreeAbelian):
+            self.identity = (0,) * spec.rank
+        elif isinstance(spec, Cyclic):
+            self.letter = string.ascii_lowercase[cursor[0]]
+            cursor[0] += 1
+            self.identity = 0
+        elif isinstance(spec, (DirectProduct, FreeProduct)):
+            self.children = (SyllableGroup(spec.left, cursor), SyllableGroup(spec.right, cursor))
+            pair = tuple(c.identity for c in self.children)
+            self.identity = () if isinstance(spec, FreeProduct) else pair
+        else:
+            raise ValueError(f"no syllable oracle for {spec!r}")
+
+    def reduce(self, syllables):
+        """Reduced payload of a free-product word of (side, x) syllables."""
+        out = []
+        for side, x in syllables:
+            child = self.children[side]
+            if out and out[-1][0] == side:
+                x = child.mul(out.pop()[1], x)
+            if x != child.identity:
+                out.append((side, x))
+        return tuple(out)
+
+    def mul(self, a, b):
+        spec = self.spec
+        if isinstance(spec, FreeAbelian):
+            return tuple(x + y for x, y in zip(a, b))
+        if isinstance(spec, Cyclic):
+            return (a + b) % spec.order
+        if isinstance(spec, DirectProduct):
+            return tuple(c.mul(x, y) for c, x, y in zip(self.children, a, b))
+        return self.reduce(a + b)
+
+    def inv(self, a):
+        spec = self.spec
+        if isinstance(spec, FreeAbelian):
+            return tuple(-x for x in a)
+        if isinstance(spec, Cyclic):
+            return -a % spec.order
+        if isinstance(spec, DirectProduct):
+            return tuple(c.inv(x) for c, x in zip(self.children, a))
+        return self.reduce((side, self.children[side].inv(x)) for side, x in reversed(a))
+
+    def show(self, a):
+        spec = self.spec
+        if a == self.identity:
+            return "e"
+        if isinstance(spec, FreeAbelian):
+            return "(" + ",".join(str(x) for x in a) + ")"
+        if isinstance(spec, Cyclic):
+            return self.letter + ("" if a == 1 else str(a))
+        if isinstance(spec, DirectProduct):
+            return "(" + ",".join(c.show(x) for c, x in zip(self.children, a)) + ")"
+        # syllables carry a side mark unless both factors print letter first
+        tagged = not all(isinstance(c.spec, Cyclic) for c in self.children)
+        parts = []
+        for side, x in a:
+            child = self.children[side]
+            text = child.show(x)
+            if isinstance(child.spec, FreeProduct):
+                text = "(" + text + ")"
+            parts.append(("<>"[side] if tagged else "") + text)
+        return ".".join(parts)
+
+    def sample(self, rng, syllables=4):
+        """A random element; free products reduce a random syllable word."""
+        spec = self.spec
+        if isinstance(spec, FreeAbelian):
+            return tuple(rng.randint(-2, 2) for _ in range(spec.rank))
+        if isinstance(spec, Cyclic):
+            return rng.randrange(spec.order)
+        if isinstance(spec, DirectProduct):
+            return tuple(c.sample(rng, syllables) for c in self.children)
+        word = []
+        for _ in range(rng.randrange(syllables + 1)):
+            side = rng.randrange(2)
+            word.append((side, self.children[side].sample(rng, 2)))
+        return self.reduce(word)
+
+
 def min_cover_size(universe, candidate_sets):
     """Smallest number of candidate sets whose union covers universe.
 
@@ -217,7 +314,7 @@ def greedy_ball_cover_reference(window, target, s):
     """Greedy centres from one sort of the whole target by (-norm, printed form)."""
     grp = window.group
     remaining = set(target)
-    order = sorted(remaining, key=lambda g: (-window.knorm(g), grp.key(g)))
+    order = sorted(remaining, key=lambda g: (-window.knorm(g), grp.show(g)))
     ball = window.ball(min(s, window.radius))
     centers = []
     covered = set()

@@ -268,9 +268,14 @@ def test_at_shares_no_lazy_state():
 
 
 def test_partial_neighbour_table_matches_full():
-    for text, radius, power in [("Z^2", 6, 1), ("F2", 4, 1), ("(C2 * C3)", 6, 1),
-                                ("C6", 6, 1), ("Z^2", 5, 2)]:
-        steps = get_gens(text, power).elements
+    # (spec, radius, power of the window's generators, power of the steps):
+    # steps longer than the window's generators move a row more than one sphere
+    for text, radius, power, step_power in [
+        ("Z^2", 6, 1, 1), ("F2", 4, 1, 1), ("(C2 * C3)", 6, 1, 1), ("C6", 6, 1, 1),
+        ("Z^2", 5, 2, 2), ("Z^2", 3, 1, 2), ("Z^2", 1, 1, 2), ("F2", 4, 1, 2),
+        ("(C2 * C3)", 6, 1, 3),
+    ]:
+        steps = get_gens(text, step_power).elements
         full = get_window(text, radius, power).neighbours(steps)
         for r in range(radius + 1):
             window = build_window(get_group(text), get_gens(text, power), radius)
