@@ -59,9 +59,7 @@ __all__ = [
     "growth_series",
     "greedy_ball_cover",
     "covering_number",
-    "bounded_geometry_check",
     "estimate_delta",
-    "SeparatedNet",
     "AnnulusCover",
     "CoverStats",
     "AsdimWitness",
@@ -148,16 +146,6 @@ def covering_number(window: Window, S: int, t: int) -> int:
     return len(greedy_ball_cover(window, target, S))
 
 
-def bounded_geometry_check(window: Window) -> int:
-    """Greedy count of generator-set translates covering the product set K*K.
-
-    K holds the identity, so K*K is the window ball B(2) as a set.
-    """
-    if window.radius < 3:
-        raise ParameterError("window radius must be at least 3")
-    return covering_number(window, 1, 1)
-
-
 # ---------------------------------------------------------------------------
 # Thin-geodesics diagnostic
 
@@ -240,22 +228,14 @@ PROBE_RADII = (4, 6, 8)  # windows whose delta_hat must not strictly increase
 
 
 @dataclass(frozen=True)
-class SeparatedNet:
-    separation: int  # = 2ps
-    points: tuple
-
-
-@dataclass(frozen=True)
 class AnnulusCover:
     n: int
     p: int
     s: int
     window: Window
-    net: SeparatedNet
-    annulus: tuple
+    net: tuple  # the 2ps-separated net points on the norm-2n sphere
     sets: tuple  # sets[i] = elements assigned to net point i, window order
-    assignment: dict  # element -> sorted tuple of set indices
-    last_exit: dict  # element -> geodesic point at norm 2n
+    assignment: dict  # annulus element -> sorted tuple of set indices
 
 
 @dataclass(frozen=True)
@@ -305,20 +285,16 @@ def build_annulus_cover(window: Window, n: int, p: int, s: int) -> AnnulusCover:
             y = grp.mul(x, u)
             if y in shell_set:
                 blocked.add(y)
-    net = SeparatedNet(separation=sep, points=tuple(net_points))
     net_index = {x: i for i, x in enumerate(net_points)}
     assign_ball = window.ball(sep)
-    annulus = tuple(window.annulus(2 * n, 2 * n + sep))
     near_cache = {}
     assignment = {}
-    last_exit = {}
     sets = [[] for _ in net_points]
-    for g in annulus:
+    for g in window.annulus(2 * n, 2 * n + sep):
         # point 2n of g's canonical geodesic
         rho = g
         for _ in range(window.norms[g] - 2 * n):
             rho = window.predecessor(rho)
-        last_exit[g] = rho
         ids = near_cache.get(rho)
         if ids is None:
             hits = set()
@@ -341,11 +317,9 @@ def build_annulus_cover(window: Window, n: int, p: int, s: int) -> AnnulusCover:
         p=p,
         s=s,
         window=window,
-        net=net,
-        annulus=annulus,
+        net=tuple(net_points),
         sets=tuple(tuple(v) for v in sets),
         assignment=assignment,
-        last_exit=last_exit,
     )
 
 
@@ -418,7 +392,7 @@ def verify_cover(cover: AnnulusCover, probe_radius: int, n2delta: int) -> CoverS
         worst_center = "diameter law"
     return CoverStats(
         n=cover.n,
-        net_size=len(cover.net.points),
+        net_size=len(cover.net),
         set_count=len(cover.sets),
         max_diameter=max_diam,
         diameter_bound=8 * ps,

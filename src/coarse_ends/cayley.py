@@ -38,7 +38,7 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from .errors import OutOfWindowError, ParameterError, WindowCapError
-from .groups import GeneratorSet, Group
+from .groups import Group
 
 __all__ = ["Window", "build_window"]
 
@@ -59,7 +59,7 @@ class Window:
     """
 
     group: Group
-    gens: GeneratorSet
+    gens: frozenset
     radius: int
     # element -> norm. The values are small cached ints; an id map in its
     # place would add one int object per element to every window.
@@ -253,7 +253,7 @@ class Window:
 
 def build_window(
     group: Group,
-    gens: GeneratorSet,
+    gens: frozenset,
     radius: int,
     cap: int = DEFAULT_CAP,
 ) -> Window:
@@ -265,7 +265,7 @@ def build_window(
     if cap < 1:
         raise ParameterError(f"window element cap must be at least 1, got {cap}")
     steps = tuple(
-        sorted((g for g in gens.elements if g != group.identity), key=group.show)
+        sorted((g for g in gens if g != group.identity), key=group.show)
     )
     seed = Window(group, gens, 0, {group.identity: 0}, [group.identity], (0, 1), steps, cap)
     return seed.at(radius)

@@ -21,7 +21,6 @@ from . import __version__
 from .asdim import (
     CoveringSample,
     asdim_upper_bound,
-    bounded_geometry_check,
     covering_number,
     growth_series,
 )
@@ -308,7 +307,8 @@ def cmd_growth(args) -> Report:
             samples.append(CoveringSample(base=S, offset=t, count=covering_number(window, S, t)))
     bg = None
     if radius >= 3:
-        bg = bounded_geometry_check(window)
+        # K holds the identity, so K*K is the ball B(2)
+        bg = covering_number(window, 1, 1)
     else:
         warnings.append("window too small for the bounded-geometry count")
     config = _base_config(args, radius)

@@ -158,7 +158,7 @@ def interface(A: Iterable, B: Iterable, window: Window, core_radius: int) -> Int
         reach = offsets[core_radius + k]
         # the rows below reach have neighbours of norm <= core_radius + k
         inside = bytearray(g in A for g in window.elements[: offsets[core_radius + k + 1]])
-        cols = window.neighbours(window.gens.elements, core_radius + k - 1)
+        cols = window.neighbours(window.gens, core_radius + k - 1)
         seen = bytearray(reach)
         frontier = []
         for i in range(reach):
@@ -210,11 +210,12 @@ def clopen_scale_test(
         raise ParameterError("t_max must be at least 1")
     grp = window.group
     gens = window.gens
-    step_mn = window.maxnorm_of(gens.elements)
-    scales = {}
+    step_mn = window.maxnorm_of(gens)
+    scales = {}  # t -> (K^t, its core radius)
     for t in range(1, t_max + 1):
-        scales[t] = power_generators(grp, gens, t).elements
-        core = _core_bound(window, window.maxnorm_of(scales[t]))
+        B = power_generators(grp, gens, t)
+        core = _core_bound(window, window.maxnorm_of(B))
+        scales[t] = B, core
         if core < 0:
             raise CoreRadiusError(
                 f"window radius {window.radius} cannot host a core at scale t={t}"
@@ -228,8 +229,7 @@ def clopen_scale_test(
     rho1 = None
     affine_ok = True
     for t in range(1, t_max + 1):
-        B = scales[t]
-        core = _core_bound(window, window.maxnorm_of(B))
+        B, core = scales[t]
         rep = interface(A_small, B, window, core)
         rep_big = interface(A_big, B, big, core)
         stable = set(rep.interface) == set(rep_big.interface)

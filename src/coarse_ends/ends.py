@@ -24,7 +24,7 @@ from .asdim import greedy_ball_cover
 from .cayley import DEFAULT_CAP, ENLARGE_BY, Window, build_window
 from .covers import star
 from .errors import CoverVerificationError, ParameterError
-from .groups import GeneratorSet, Group, power_generators
+from .groups import Group, power_generators
 
 __all__ = [
     "Component",
@@ -53,17 +53,11 @@ class Component:
 
 @dataclass(frozen=True)
 class ComponentDecomposition:
-    base_radius: int
-    window_radius: int
     components: tuple
 
     @property
     def outer_count(self) -> int:
         return sum(1 for c in self.components if c.outer)
-
-    @property
-    def inner_count(self) -> int:
-        return sum(1 for c in self.components if not c.outer)
 
 
 class _UnionFind:
@@ -79,8 +73,8 @@ class _UnionFind:
     those reaching the outer sphere.
     """
 
-    def __init__(self, window: Window, steps: Optional[GeneratorSet] = None):
-        self.cols = window.neighbours((window.gens if steps is None else steps).elements)
+    def __init__(self, window: Window, steps: Optional[frozenset] = None):
+        self.cols = window.neighbours(window.gens if steps is None else steps)
         n = len(window)
         self.boundary = window.offsets[window.radius]
         self.parent = list(range(n))
@@ -137,7 +131,7 @@ def _classes(labels: list, lo: int, ranks) -> list:
     return sorted(groups.values(), key=lambda ids: min(ranks[i] for i in ids))
 
 
-def components(window: Window, r: int, steps: Optional[GeneratorSet] = None) -> ComponentDecomposition:
+def components(window: Window, r: int, steps: Optional[frozenset] = None) -> ComponentDecomposition:
     """Decompose {g in window : |g| >= r} into components of the step adjacency.
 
     Components are indexed by their least printed element; each lists its
@@ -164,9 +158,7 @@ def components(window: Window, r: int, steps: Optional[GeneratorSet] = None) -> 
                 least=window.group.show(elements[least]),
             )
         )
-    return ComponentDecomposition(
-        base_radius=r, window_radius=window.radius, components=tuple(comps)
-    )
+    return ComponentDecomposition(components=tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +389,7 @@ def _count_rows(window: Window, r_max: int):
 
 def end_count(
     group: Group,
-    gens: GeneratorSet,
+    gens: frozenset,
     r_max: int,
     stab_span: int = 3,
     growth_span: int = 3,
@@ -485,7 +477,7 @@ def k4_component_bound(window: Window, L: Iterable):
     observed = uf.outer
     if not L_set:
         return observed, 0
-    centers = greedy_ball_cover(window, star(L_set, gens.elements, window), 1)
+    centers = greedy_ball_cover(window, star(L_set, gens, window), 1)
     m = len(centers)
     if observed > m:
         raise CoverVerificationError(

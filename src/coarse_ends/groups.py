@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import (
     ElementSyntaxError,
@@ -41,7 +41,6 @@ __all__ = [
     "parse_spec",
     "spec_to_string",
     "Group",
-    "GeneratorSet",
     "standard_generators",
     "power_generators",
 ]
@@ -229,11 +228,14 @@ def _free_concat(a: str, b: str) -> str:
 
 # Kernels: each family's mul, inv and show (of a non-identity payload),
 # built once per Group so that no product re-dispatches on the family.
-# mul and inv check their payloads' shape once per call and raise
-# MismatchError on a foreign one. Nested products go through child.mul
-# and child.show, the class entry points (see Group.mul); a free product
-# calls child.mul only at the seam, and child.inv and child.show once per
-# distinct syllable, through per-syllable tables.
+# mul and inv check only a payload's outer shape (type, a pair's arity, a
+# free abelian rank), once per call, and raise MismatchError on a wrong
+# one; a payload malformed inside can give a non-payload or another error.
+# Payloads from parse are well formed; tests/oracles.validate checks deeply.
+# Nested products go through child.mul and child.show, the class entry
+# points (see Group.mul); a free product calls child.mul only at the seam,
+# and child.inv and child.show once per distinct syllable, through
+# per-syllable tables.
 
 
 def _free_abelian_kernels(rank: int):
@@ -472,48 +474,6 @@ class Group:
         """Inverse of a in canonical form."""
         return self._inv(a)
 
-    def validate(self, a) -> None:
-        """Deep structural check; raises MismatchError on foreign payloads."""
-        kind = self.kind
-        if kind == "free_abelian":
-            if not (isinstance(a, tuple) and len(a) == self.spec.rank and all(isinstance(x, int) for x in a)):
-                raise MismatchError(f"bad free abelian payload {a!r}")
-            return
-        if kind == "cyclic":
-            if not (isinstance(a, int) and 0 <= a < self.spec.order):
-                raise MismatchError(f"bad cyclic payload {a!r}")
-            return
-        if kind == "free":
-            if not isinstance(a, str):
-                raise MismatchError(f"bad free payload {a!r}")
-            allowed = set(self.letters) | {c.upper() for c in self.letters}
-            for i, c in enumerate(a):
-                if c not in allowed:
-                    raise MismatchError(f"letter {c!r} not in this free group")
-                if i + 1 < len(a) and a[i + 1] == c.swapcase():
-                    raise MismatchError(f"payload {a!r} is not reduced")
-            return
-        if kind == "direct":
-            if not (isinstance(a, tuple) and len(a) == 2):
-                raise MismatchError(f"bad direct product payload {a!r}")
-            self.left.validate(a[0])
-            self.right.validate(a[1])
-            return
-        if not isinstance(a, tuple):
-            raise MismatchError(f"bad free product payload {a!r}")
-        prev = None
-        for entry in a:
-            if not (isinstance(entry, tuple) and len(entry) == 2 and entry[0] in (0, 1)):
-                raise MismatchError(f"bad syllable {entry!r}")
-            side, x = entry
-            if side == prev:
-                raise MismatchError("syllable sides must alternate")
-            child = self.left if side == 0 else self.right
-            child.validate(x)
-            if x == child.identity:
-                raise MismatchError("identity syllable in free product payload")
-            prev = side
-
     # -- printing ---------------------------------------------------------
 
     def show(self, a) -> str:
@@ -633,27 +593,7 @@ class Group:
 # Generator sets
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """A finite symmetric generating set containing the identity.
-
-    power records how many standard-set factors the set is a product of.
-    """
-
-    elements: frozenset
-    power: int = 1
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.elements)
-
-    def __contains__(self, g) -> bool:
-        return g in self.elements
-
-
-def standard_generators(group: Group) -> GeneratorSet:
+def standard_generators(group: Group) -> frozenset:
     """The standard symmetric generator set of the family, identity included."""
     kind = group.kind
     els = {group.identity}
@@ -673,26 +613,26 @@ def standard_generators(group: Group) -> GeneratorSet:
             els.add(1 % n)
             els.add((n - 1) % n)
     elif kind == "direct":
-        for u in standard_generators(group.left).elements:
+        for u in standard_generators(group.left):
             els.add((u, group.right.identity))
-        for v in standard_generators(group.right).elements:
+        for v in standard_generators(group.right):
             els.add((group.left.identity, v))
     else:
-        for x in standard_generators(group.left).elements:
+        for x in standard_generators(group.left):
             if x != group.left.identity:
                 els.add(((0, x),))
-        for y in standard_generators(group.right).elements:
+        for y in standard_generators(group.right):
             if y != group.right.identity:
                 els.add(((1, y),))
-    return GeneratorSet(frozenset(els), power=1)
+    return frozenset(els)
 
 
-def power_generators(group: Group, gens: GeneratorSet, t: int) -> GeneratorSet:
+def power_generators(group: Group, gens: frozenset, t: int) -> frozenset:
     """All products of up to t factors from gens (gens contains the identity,
     so the t-fold product set is exactly the union of shorter products)."""
     if t < 1:
         raise ValueError("power must be at least 1")
-    current = set(gens.elements)
+    current = set(gens)
     for _ in range(t - 1):
-        current = {group.mul(a, b) for a in current for b in gens.elements}
-    return GeneratorSet(frozenset(current), power=gens.power * t)
+        current = {group.mul(a, b) for a in current for b in gens}
+    return frozenset(current)

@@ -35,7 +35,7 @@ def get_window(spec_text: str, radius: int, power: int = 1):
 
 def random_element(group: Group, rng, max_len: int = 6):
     """Random product of at most max_len standard generators."""
-    gens = sorted(standard_generators(group).elements, key=group.show)
+    gens = sorted(standard_generators(group), key=group.show)
     x = group.identity
     for _ in range(rng.randrange(max_len + 1)):
         x = group.mul(x, rng.choice(gens))

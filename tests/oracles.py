@@ -22,6 +22,7 @@ from coarse_ends import (
     DirectProduct,
     FreeAbelian,
     FreeProduct,
+    MismatchError,
     ParameterError,
     components,
     interface,
@@ -34,7 +35,7 @@ def bfs_norms(group, gens, radius):
     """Word-metric norms by textbook breadth-first search."""
     dist = {group.identity: 0}
     queue = deque([group.identity])
-    steps = [g for g in gens.elements if g != group.identity]
+    steps = [g for g in gens if g != group.identity]
     while queue:
         x = queue.popleft()
         if dist[x] == radius:
@@ -55,7 +56,7 @@ def window_order_reference(group, gens, radius):
     first reached, offsets[r] the number of elements of norm < r for r up
     to radius + 1, and the norms dict in insertion order.
     """
-    steps = sorted((g for g in gens.elements if g != group.identity), key=group.show)
+    steps = sorted((g for g in gens if g != group.identity), key=group.show)
     norms = {group.identity: 0}
     elements = [group.identity]
     queue = deque(elements)
@@ -122,6 +123,50 @@ def show_free_word(a):
         parts.append(c.lower() + ("" if exp == 1 else str(exp)))
         i = j
     return "".join(parts)
+
+
+def validate(group, a):
+    """Deep structural check of a payload of group; raises MismatchError
+    on a foreign one. The package's mul and inv check only the outer shape."""
+    kind = group.kind
+    if kind == "free_abelian":
+        if not (isinstance(a, tuple) and len(a) == group.spec.rank and all(isinstance(x, int) for x in a)):
+            raise MismatchError(f"bad free abelian payload {a!r}")
+        return
+    if kind == "cyclic":
+        if not (isinstance(a, int) and 0 <= a < group.spec.order):
+            raise MismatchError(f"bad cyclic payload {a!r}")
+        return
+    if kind == "free":
+        if not isinstance(a, str):
+            raise MismatchError(f"bad free payload {a!r}")
+        allowed = set(group.letters) | {c.upper() for c in group.letters}
+        for i, c in enumerate(a):
+            if c not in allowed:
+                raise MismatchError(f"letter {c!r} not in this free group")
+            if i + 1 < len(a) and a[i + 1] == c.swapcase():
+                raise MismatchError(f"payload {a!r} is not reduced")
+        return
+    if kind == "direct":
+        if not (isinstance(a, tuple) and len(a) == 2):
+            raise MismatchError(f"bad direct product payload {a!r}")
+        validate(group.left, a[0])
+        validate(group.right, a[1])
+        return
+    if not isinstance(a, tuple):
+        raise MismatchError(f"bad free product payload {a!r}")
+    prev = None
+    for entry in a:
+        if not (isinstance(entry, tuple) and len(entry) == 2 and entry[0] in (0, 1)):
+            raise MismatchError(f"bad syllable {entry!r}")
+        side, x = entry
+        if side == prev:
+            raise MismatchError("syllable sides must alternate")
+        child = group.left if side == 0 else group.right
+        validate(child, x)
+        if x == child.identity:
+            raise MismatchError("identity syllable in free product payload")
+        prev = side
 
 
 class SyllableGroup:
@@ -448,7 +493,7 @@ def union_component_clopen_check(decomposition, selection, window, scale_t=1):
         if not 0 <= i < len(decomposition.components):
             raise ParameterError(f"component index {i} out of range")
         union.update(decomposition.components[i].elements)
-    B = power_generators(window.group, window.gens, scale_t).elements
+    B = power_generators(window.group, window.gens, scale_t)
     core = window.radius - 2 * window.maxnorm_of(B)
     if core < 0:
         raise ParameterError("window too small for the requested scale")

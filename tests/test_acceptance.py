@@ -151,7 +151,7 @@ def test_acceptance_04_clopen_algebra(capsys):
         for text, radius in [("Z", 10), ("Z^2", 5), ("F2", 4), ("(C2 * C3)", 5)]:
             window = get_window(text, radius)
             grp = window.group
-            B = set(get_gens(text).elements)
+            B = set(get_gens(text))
             core = window.radius - 2 * window.maxnorm_of(B)
             core_ball = set(window.ball(core))
             rng = random.Random(f"acceptance-4:{text}")

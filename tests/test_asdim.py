@@ -11,7 +11,6 @@ from coarse_ends import (
     ParameterError,
     WindowCapError,
     asdim_upper_bound,
-    bounded_geometry_check,
     build_annulus_cover,
     build_window,
     covering_number,
@@ -105,7 +104,7 @@ def test_greedy_cover_matches_reference():
         w = get_window(text, radius, power)
         inner = w.ball(radius - 2)
         targets = [w.ball(radius), w.ball(radius - 1), random_subset(w, rng, 0.3),
-                   random_subset(w, rng, 0.05), star(rng.sample(inner, 2), w.gens.elements, w)]
+                   random_subset(w, rng, 0.05), star(rng.sample(inner, 2), w.gens, w)]
         for target in targets:
             for s in range(4):
                 want = greedy_ball_cover_reference(w, target, s)
@@ -168,11 +167,10 @@ def test_exact_covering_number_cap():
 
 
 def test_bounded_geometry_values():
+    # the growth command's count: translates of K covering K*K = B(2)
     expected = {"Z": 2, "C2": 1, "F2": 4, "(C2 * C3)": 3}
     for text, want in expected.items():
-        assert bounded_geometry_check(get_window(text, 4)) == want, text
-    with pytest.raises(ParameterError):
-        bounded_geometry_check(get_window("Z", 2))
+        assert covering_number(get_window(text, 4), 1, 1) == want, text
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +231,10 @@ def test_estimate_delta_refuses_an_empty_sample():
 def test_build_annulus_cover_z():
     w = get_window("Z", 14)
     cover = build_annulus_cover(w, 2, 1, 1)
-    assert cover.net.points == ((-4,), (4,))
-    assert cover.net.separation == 2
+    assert cover.net == ((-4,), (4,))
     assert sorted(len(s) for s in cover.sets) == [2, 2]
-    assert set(cover.annulus) == {(-6,), (-5,), (5,), (6,)}
-    assert cover.last_exit[(5,)] == (4,)
+    assert set(cover.assignment) == set(w.annulus(4, 6)) == {(-6,), (-5,), (5,), (6,)}
+    assert w.geodesic((5,))[4] == (4,)
     assert cover.assignment[(5,)] == (1,)
 
 
@@ -249,16 +246,16 @@ def test_annulus_cover_laws():
         covered = set()
         for s in cover.sets:
             covered.update(s)
-        assert covered == set(cover.annulus)  # bucket union is the annulus
+        assert covered == set(w.annulus(2 * n, 2 * n + 2))  # bucket union is the annulus
         for g, ids in cover.assignment.items():
             assert ids  # maximality of the net
-            exit_pt = cover.last_exit[g]
+            exit_pt = w.geodesic(g)[2 * n]
             assert w.knorm(exit_pt) == 2 * n
             for i in ids:
-                rel = grp.mul(grp.inv(cover.net.points[i]), exit_pt)
+                rel = grp.mul(grp.inv(cover.net[i]), exit_pt)
                 assert w.norms[rel] <= 2  # within the separation of a net point
         # net points pairwise at distance >= 2ps
-        pts = cover.net.points
+        pts = cover.net
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 rel = grp.mul(grp.inv(pts[i]), pts[j])

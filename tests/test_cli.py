@@ -575,3 +575,17 @@ def test_subprocess_asdim_seeded():
     assert a.returncode == 0
     assert a.stdout == b.stdout
     assert b"# seed=7" in a.stdout
+
+
+# ---------------------------------------------------------------------------
+# Package surface
+
+
+def test_public_names_resolve():
+    # a deleted name must leave no export behind
+    import coarse_ends
+    from coarse_ends import asdim, cayley, covers, ends, groups
+
+    for module in (coarse_ends, groups, cayley, ends, covers, asdim):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)

@@ -20,7 +20,7 @@ from oracles import clopen_intersection_law, coarsely_identical, star_preserves_
 
 
 def _gen_set(text):
-    return set(get_gens(text).elements)
+    return set(get_gens(text))
 
 
 def _naive_difference(grp, B):
@@ -87,7 +87,7 @@ def test_half_space_interface_rho_is_2t():
     grp = window.group
     A = {g for g in window if g[0] >= 1}
     for t in range(1, 5):
-        B = set(get_gens("Z", t).elements)
+        B = set(get_gens("Z", t))
         core = 20 - 2 * t
         rep = interface(A, B, window, core)
         assert rep.rho == 2 * t
@@ -108,7 +108,7 @@ def test_interface_empty_and_full():
 
 
 def _scale(window, t):
-    return set(power_generators(window.group, window.gens, t).elements)
+    return set(power_generators(window.group, window.gens, t))
 
 
 def test_interface_matches_naive():

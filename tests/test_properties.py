@@ -37,7 +37,7 @@ def _case():
 def test_star_monotone_and_additive(data):
     (text, radius), A, B = data
     w = get_window(text, radius)
-    gens = set(get_gens(text).elements)
+    gens = set(get_gens(text))
     sa = star(A, gens, w)
     sb = star(B, gens, w)
     assert star(A & B, gens, w) <= sa & sb
@@ -51,7 +51,7 @@ def test_star_monotone_and_additive(data):
 def test_interface_symmetric_in_complement(data):
     (text, radius), A = data
     w = get_window(text, radius)
-    gens = set(get_gens(text).elements)
+    gens = set(get_gens(text))
     core = w.radius - 2 * w.maxnorm_of(gens)
     comp = set(w) - A
     left = interface(A, gens, w, core)
