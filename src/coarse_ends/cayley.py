@@ -15,7 +15,7 @@ one, so `Window.at` reads a smaller window off a larger one by slicing
 and gets a larger one by continuing the search from the outer sphere:
 one search per command serves every radius it reads.
 
-The search skips each element's way back. If p was first reached as
+A plain search skips each element's way back. If p was first reached as
 parent*s, then p*s^-1 is parent, which lies in the window already, so that
 product could add nothing and is never formed; every other product is made
 in the same order as before, so the window order is unchanged. Only an
@@ -23,6 +23,22 @@ element's first step is remembered, for the sphere being expanded; the
 identity and the outer sphere of a window being grown have none and try
 every step, and a step whose inverse is not a step (a one-way generator
 set) skips nothing.
+
+A table window, build_window(..., table=True), writes the generator table
+during its search instead: an id map and one array('i') column per step,
+in step order. An element is expanded only by the steps whose entry is
+still unknown, and each product p*s = q writes its entry and the mirrored
+one, q*s^-1 = p; so every edge with an endpoint of norm < R is formed
+once, and the way back is one such mirrored entry. The outer sphere then
+forms products for the first step of each inverse pair where the entry
+is still unknown, mirroring those that land on the sphere; an entry left
+unknown after that leads outside the window. A skipped product would only
+have reached an element already in the window, so window order, norms
+and the cap check are those of a plain search, and every product still
+goes through Group.mul. Growing a table window copies its table and id
+map and re-expands only the old outer sphere's entries that lead out.
+Only the commands that sweep the table (ends, tree, clopen) ask for one;
+a plain window builds no id map unless a caller reads it.
 
 perfbench/spans.py wraps `build_window` and `Window.geodesic` by name and
 reads `Window.spheres`, so those names stay.
@@ -54,8 +70,9 @@ class Window:
     the ids offsets[r] up to offsets[r + 1]. The id map, neighbour tables,
     printed-form ranks and canonical predecessors are computed on first
     request and kept, so a caller that needs none of them pays only for the
-    breadth-first search. cap bounds the element count of this window and
-    of every window grown from it by `at`.
+    breadth-first search. A table window's search has already written its
+    id map and the table of its generators (see `at`). cap bounds the
+    element count of this window and of every window grown from it by `at`.
     """
 
     group: Group
@@ -68,6 +85,7 @@ class Window:
     offsets: tuple  # radius + 2 entries; offsets[-1] == len(elements)
     steps: tuple  # non-identity generators, sorted by printed form
     cap: int
+    table: bool = False  # the search writes the generator table (see at)
     _pred: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -146,11 +164,18 @@ class Window:
         return tuple(reversed(points))
 
     def at(self, radius: int) -> Window:
-        """build_window(group, gens, radius, cap) from this window's search.
+        """build_window(group, gens, radius, cap, table=...) from this
+        window's search.
 
         A smaller radius is a prefix; a larger one continues the search from
         the outer sphere under the same cap. This window is left unchanged,
         and no id map, table, rank or predecessor is shared with it.
+
+        A table window gives a table window. A prefix copies the rows of its
+        radius and cuts the entries that leave it; a larger window copies the
+        rows and the id map, continues the search by the entries still
+        unknown (at first, the old outer sphere's entries that lead out), and
+        then fills its own outer sphere's rows.
         """
         if radius < 0:
             raise ValueError("window radius must be nonnegative")
@@ -160,6 +185,19 @@ class Window:
         # norms was filled in window order, so its first entries are the prefix
         norms = dict(islice(self.norms.items(), end))
         offsets = list(self.offsets[: top + 2])
+        if self.table:
+            ids, cols = self._search_table(elements, norms, offsets, radius)
+        else:
+            self._search(elements, norms, offsets, radius)
+        window = replace(self, radius=radius, norms=norms, elements=elements, offsets=tuple(offsets))
+        if self.table:
+            window.__dict__["ids"] = ids  # where cached_property keeps it
+            window._tables[frozenset(self.steps)] = cols
+        return window
+
+    def _search(self, elements: list, norms: dict, offsets: list, radius: int) -> None:
+        """Continue a plain search from the outer sphere out to radius."""
+        top = len(offsets) - 2
         mul, inv, cap = self.group.mul, self.group.inv, self.cap
         # tries[k]: the (id, step) pairs to expand an element first reached
         # by steps[k], which are all but the way back, in step order; the
@@ -182,7 +220,75 @@ class Window:
                     raise WindowCapError(cap, r - 1)
             offsets.append(len(elements))
             came = reached
-        return replace(self, radius=radius, norms=norms, elements=elements, offsets=tuple(offsets))
+
+    def _search_table(self, elements: list, norms: dict, offsets: list, radius: int) -> tuple:
+        """Continue a table search from the outer sphere out to radius, and
+        return the id map and the generator table it wrote.
+
+        The table starts as this window's rows for the prefix searched so
+        far, which are complete: -1 marks a product outside the prefix. An
+        element is expanded only by the steps whose entry is -1, and each
+        product p*s = q writes both its entry and the mirrored one,
+        q*s^-1 = p.
+        """
+        top = len(offsets) - 2
+        end = len(elements)
+        # ids, like norms, was filled in window order
+        ids = dict(islice(self.ids.items(), end))
+        cols = [col[:end] for col in self._tables[frozenset(self.steps)]]
+        if end < len(self.elements):  # a prefix's outer sphere forgets the next sphere
+            for col in cols:
+                for i in range(offsets[top], end):
+                    if col[i] >= end:
+                        col[i] = -1
+        grp, cap = self.group, self.cap
+        mul, put = grp.mul, ids.setdefault
+        index = {s: j for j, s in enumerate(self.steps)}
+        back = [index[grp.inv(s)] for s in self.steps]
+        # (column of s, s, column of s^-1) for every step, in step order
+        moves = tuple(zip(cols, self.steps, [cols[k] for k in back]))
+        # the columns grow by doubling, padded with -1, and are cut to n at the end
+        n = rows = len(elements)
+        for r in range(top + 1, radius + 1):
+            for i in range(offsets[r - 1], offsets[r]):
+                p = elements[i]
+                for col, s, mirror in moves:
+                    if col[i] < 0:
+                        q = mul(p, s)
+                        y = put(q, n)
+                        if y == n:
+                            norms[q] = r
+                            elements.append(q)
+                            n += 1
+                            if n > rows:
+                                pad = array("i", [-1]) * rows
+                                for c in cols:
+                                    c.extend(pad)
+                                rows *= 2
+                        col[i] = y
+                        mirror[y] = i
+                if n > cap:
+                    raise WindowCapError(cap, r - 1)
+            offsets.append(n)
+        for c in cols:
+            del c[n:]
+        if radius == top:
+            return ids, tuple(cols)
+        # The outer sphere's entries that the search left at -1 lead outside
+        # the window or along the sphere. One step of each inverse pair
+        # finds both: an entry of s^-1 still at -1 after every s product of
+        # the sphere has been mirrored leads outside.
+        pairs = tuple(move for j, move in enumerate(moves) if j <= back[j])
+        get = ids.get
+        for i in range(offsets[radius], n):
+            p = elements[i]
+            for col, s, mirror in pairs:
+                if col[i] < 0:
+                    y = get(mul(p, s), -1)
+                    if y >= 0:
+                        col[i] = y
+                        mirror[y] = i
+        return ids, tuple(cols)
 
     @cached_property
     def ids(self) -> dict:
@@ -197,7 +303,8 @@ class Window:
         column of s^-1 is the inverse of the column of s, so each inverse
         pair costs one product per element. With radius given, the columns
         may hold only the rows of norm <= radius; a later request for more
-        rows fills the table again.
+        rows fills the table again. A table window returns the columns its
+        search wrote for its own generators, in step order, with no product.
         """
         rows = len(self.elements) if radius is None else self.offsets[radius + 1]
         key = frozenset(steps) - {self.group.identity}
@@ -256,16 +363,26 @@ def build_window(
     gens: frozenset,
     radius: int,
     cap: int = DEFAULT_CAP,
+    *,
+    table: bool = False,
 ) -> Window:
     """Enumerate the ball of the given radius by breadth-first search.
 
     Raises WindowCapError as soon as the element count would exceed cap,
-    reporting the last fully enumerated radius.
+    reporting the last fully enumerated radius. With table set, the search
+    also writes the id map and the generator table that neighbours(gens)
+    returns, forming each table entry's product at most once (see at); a
+    generator set that is not closed under inverses gets a plain window.
     """
     if cap < 1:
         raise ParameterError(f"window element cap must be at least 1, got {cap}")
     steps = tuple(
         sorted((g for g in gens if g != group.identity), key=group.show)
     )
-    seed = Window(group, gens, 0, {group.identity: 0}, [group.identity], (0, 1), steps, cap)
+    # a step set that is not closed under inverses has no table to write,
+    # and neighbours rejects it
+    table = table and all(group.inv(s) in gens for s in steps)
+    seed = Window(group, gens, 0, {group.identity: 0}, [group.identity], (0, 1), steps, cap, table)
+    if table:
+        seed._tables[frozenset(steps)] = tuple(array("i", [-1]) for _ in steps)
     return seed.at(radius)

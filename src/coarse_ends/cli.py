@@ -163,7 +163,7 @@ def cmd_tree(args) -> Report:
     _at_least("--rmax", args.rmax, args.rmin)
     group, gens = _bind(args)
     radius = args.window if args.window is not None else 2 * args.rmax + 4
-    window = build_window(group, gens, radius, cap=args.cap)
+    window = build_window(group, gens, radius, cap=args.cap, table=True)
     tree = component_tree(window, args.rmin, args.rmax)
     config = _base_config(args, radius)
     config.update(rmin=args.rmin, rmax=args.rmax)
@@ -250,7 +250,7 @@ def cmd_clopen(args) -> Report:
     _at_least("--tmax", args.tmax, 1)
     group, gens = _bind(args)
     radius = args.window if args.window is not None else 4 * args.tmax + 4
-    window = build_window(group, gens, radius, cap=args.cap)
+    window = build_window(group, gens, radius, cap=args.cap, table=True)
     if args.select is not None:
         chosen_set = _parse_selector(args.select)
         chosen = f"select={args.select}"
@@ -322,10 +322,10 @@ def cmd_growth(args) -> Report:
     lines.extend(f"{r.r} {r.sphere} {r.ball}" for r in rows)
     lines.append("covering numbers (cover K^(S+t) by translates of K^S):")
     lines.extend(f"S={c.base} t={c.offset} N={c.count}" for c in samples)
-    lines.append(f"bounded geometry count: {bg}")
     csv_rows = [("sphere", r.r, r.sphere, r.ball) for r in rows]
     csv_rows.extend(("covering", c.base, c.offset, c.count) for c in samples)
     if bg is not None:
+        lines.append(f"bounded geometry count: {bg}")
         csv_rows.append(("bounded_geometry", bg, "", ""))
     csv = _csv_lines(config, "kind,a,b,c", csv_rows)
     return Report(

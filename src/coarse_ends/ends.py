@@ -403,7 +403,7 @@ def end_count(
     radius = window_radius if window_radius is not None else 2 * r_max + 4
     if r_max >= radius:
         raise ParameterError(f"r_max {r_max} must be smaller than the window radius {radius}")
-    window = build_window(group, gens, radius, cap=cap)
+    window = build_window(group, gens, radius, cap=cap, table=True)
     rows, exhausted_at = _count_rows(window, r_max)
     outer = [c.outer for c in rows]
     candidate, anomaly, growth_flag = classify_counts(

@@ -74,6 +74,36 @@ def window_order_reference(group, gens, radius):
     return elements, offsets, norms
 
 
+def table_search_products(window):
+    """Products a table search forms to write window's generator table.
+
+    One per edge with an endpoint of norm < R: the search forms an edge
+    from whichever end it expands first and mirrors the other entry. Then
+    one per outer-sphere entry that no mirror filled, for the first step
+    (in step order) of each inverse pair: every such entry that leads
+    outside the window, and every edge along the sphere, which the first
+    of its ends to be scanned forms when the step is its own inverse.
+    """
+    group, steps = window.group, window.steps
+    cols = window.neighbours(window.gens)
+    lo = window.offsets[window.radius]
+    inner = sum(1 for col in cols for i, y in enumerate(col) if y >= 0 and min(i, y) < lo)
+    outer = 0
+    for j, (s, col) in enumerate(zip(steps, cols)):
+        back = steps.index(group.inv(s))
+        if back < j:
+            continue
+        for i in range(lo, len(col)):
+            y = col[i]
+            outer += y < 0 or (y >= lo and (back != j or i < y))
+    return inner // 2 + outer
+
+
+def table_edges(window):
+    """Edges of the window's generator table: two entries each."""
+    return sum(1 for col in window.neighbours(window.gens) for y in col if y >= 0) // 2
+
+
 def flood_partition(members, neighbors):
     """Partition members under a neighbor function, as a set of frozensets."""
     members = set(members)

@@ -6,7 +6,6 @@ survives into piped pytest output. Tolerances are zero throughout; the
 timed criteria assert their wall-clock budgets.
 """
 
-import json
 import random
 import subprocess
 import sys

@@ -12,7 +12,13 @@ from coarse_ends import (
     build_window,
 )
 from helpers import ZOO, get_gens, get_group, get_window
-from oracles import bfs_norms, distance, window_order_reference
+from oracles import (
+    bfs_norms,
+    distance,
+    table_edges,
+    table_search_products,
+    window_order_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +231,10 @@ def test_window_cap():
     assert (grown.value.cap, grown.value.radius_reached) == (1000, 5)
     assert small.radius == 3 and len(small) == len(small.norms) == 53
     assert len(build_window(grp, gens, 5, cap=485).at(2)) == 17
+    # a table search checks the cap at the same points
+    with pytest.raises(WindowCapError) as tab:
+        build_window(grp, gens, 3, cap=1000, table=True).at(10)
+    assert (tab.value.cap, tab.value.radius_reached) == (1000, 5)
     # below 1 not even the identity fits, so no radius was built
     for cap in (0, -1):
         with pytest.raises(ParameterError):
@@ -283,6 +293,75 @@ def test_partial_neighbour_table_matches_full():
             assert [list(c[:rows]) for c in part] == [list(c[:rows]) for c in full], (text, r)
             # a later request for every row fills the whole table
             assert [list(c) for c in window.neighbours(steps)] == [list(c) for c in full]
+
+
+@pytest.mark.parametrize("text,power", [(text, 1) for text in ZOO] + [(text, 2) for text in ZOO])
+def test_table_window_matches_plain_search_and_fill(text, power):
+    # at gen-power 2 the growth is 2, not 4: F2 at radius 6 has a million elements
+    grp, gens = get_group(text), get_gens(text, power)
+    radius, grow = (5, 4) if power == 1 else (2, 2)
+    source = build_window(grp, gens, radius, table=True)
+    for w, r in [
+        (source, radius),
+        (source.at(radius + grow), radius + grow),
+        (source.at(radius - 2), radius - 2),
+        (source.at(radius + grow).at(radius - 1).at(radius + 1), radius + 1),
+    ]:
+        plain = build_window(grp, gens, r)
+        assert w.table and not plain.table
+        assert w.elements == plain.elements, (text, r)
+        assert w.offsets == plain.offsets, (text, r)
+        assert list(w.norms.items()) == list(plain.norms.items()), (text, r)
+        assert list(w.ids.items()) == list(plain.ids.items())
+        key = frozenset(plain.steps)
+        want = dict(zip(key, plain._fill(key, len(plain))))
+        got = w.neighbours(gens)
+        assert len(got) == len(w.steps)
+        for s, col in zip(w.steps, got):
+            assert list(col) == list(want[s]), (text, r, grp.show(s))
+
+
+def test_one_way_table_window_is_plain():
+    w = build_window(get_group("Z"), _one_way_z(), 4, table=True)
+    assert not w.table and "ids" not in vars(w)
+    with pytest.raises(ParameterError):
+        w.neighbours(w.gens)
+
+
+def test_grown_table_window_shares_no_table():
+    grp, gens = get_group("(C2 * C3)"), get_gens("(C2 * C3)")
+    source = build_window(grp, gens, 6, table=True)
+    cols = source.neighbours(gens)
+    before = ([list(c) for c in cols], list(source.ids.items()), list(source.norms.items()))
+    for r in (3, 6, 8):
+        w = source.at(r)
+        assert w.ids is not source.ids and w.norms is not source.norms
+        assert w.elements is not source.elements and w._tables is not source._tables
+        assert not any(c is d for c in w.neighbours(gens) for d in cols)
+    assert source.neighbours(gens) is cols
+    assert ([list(c) for c in cols], list(source.ids.items()), list(source.norms.items())) == before
+
+
+@pytest.mark.parametrize("text", ["Z^2", "F2", "(Z x C2)", "(C2 * C2)", "(C2 * C3)", "C6"])
+def test_table_search_forms_each_entry_once(monkeypatch, text):
+    # products of the window's group only: a product's own child products
+    # are the kernel's business
+    grp, gens = get_group(text), get_gens(text)
+    calls = [0]
+    original = Group.mul
+
+    def counting(self, a, b):
+        calls[0] += self is grp
+        return original(self, a, b)
+
+    monkeypatch.setattr(Group, "mul", counting)
+    window = build_window(grp, gens, 4, table=True)
+    assert calls[0] == table_search_products(window)
+    # a grown window forms again only the old outer sphere's entries leading out
+    source = build_window(grp, gens, 2, table=True)
+    calls[0] = 0
+    grown = source.at(5)
+    assert calls[0] == table_search_products(grown) - table_edges(source)
 
 
 @pytest.mark.parametrize("text,per_product", [("Z^2", 1), ("F2", 1), ("(Z x C2)", 3)])

@@ -218,6 +218,20 @@ def test_growth_small_window_warning(capsys):
     assert any("bounded-geometry" in w for w in doc["warnings"])
 
 
+def test_growth_small_window_text_has_no_count(capsys):
+    # the text report drops the count line, as the csv drops its row
+    argv = ["growth", "--group", "Z", "--window", "2"]
+    code, text, _ = run_cli(capsys, argv + ["--format", "text"])
+    assert code == 0
+    assert text == "group: Z\nr sphere ball\n0 1 1\n1 2 3\n2 2 5\n" + (
+        "covering numbers (cover K^(S+t) by translates of K^S):\nS=1 t=1 N=2\n"
+    )
+    code, csv, _ = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == 0 and "bounded_geometry" not in csv
+    code, text, _ = run_cli(capsys, ["growth", "--group", "Z", "--window", "3", "--format", "text"])
+    assert code == 0 and text.endswith("bounded geometry count: 2\n")
+
+
 def test_asdim_report(capsys):
     code, out, _ = run_cli(capsys, ["asdim", "--group", "Z"])
     assert code == 0
@@ -374,7 +388,7 @@ def test_one_search_per_command(capsys, monkeypatch, argv, key, value):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(kwargs)
         return build_window(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -383,6 +397,8 @@ def test_one_search_per_command(capsys, monkeypatch, argv, key, value):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert len(calls) == 1
+    # only the commands that sweep the generator table have the search write it
+    assert calls[0].get("table", False) == (argv[0] in ("ends", "tree", "clopen"))
     if key is not None:  # the command did read a second radius
         assert json.loads(out)["result"][key] == value
 

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from coarse_ends import (
-    CoverVerificationError,
     ParameterError,
     classify_counts,
     component_tree,
@@ -15,7 +14,7 @@ from coarse_ends import (
     power_generators,
     star,
 )
-from helpers import ZOO, get_gens, get_group, get_window
+from helpers import get_gens, get_group, get_window
 from oracles import bounded_mass_report, flood_partition, union_component_clopen_check
 
 
