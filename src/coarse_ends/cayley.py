@@ -36,9 +36,10 @@ unknown after that leads outside the window. A skipped product would only
 have reached an element already in the window, so window order, norms
 and the cap check are those of a plain search, and every product still
 goes through Group.mul. Growing a table window copies its table and id
-map and re-expands only the old outer sphere's entries that lead out.
-Only the commands that sweep the table (ends, tree, clopen) ask for one;
-a plain window builds no id map unless a caller reads it.
+map and re-expands only the old outer sphere's entries that lead out; a
+prefix of a table window is a plain window. Only the commands that sweep
+the whole table (ends, tree, clopen with a selector) ask for one; a plain
+window builds no id map unless a caller reads it.
 
 perfbench/spans.py wraps `build_window` and `Window.geodesic` by name and
 reads `Window.spheres`, so those names stay.
@@ -171,11 +172,11 @@ class Window:
         the outer sphere under the same cap. This window is left unchanged,
         and no id map, table, rank or predecessor is shared with it.
 
-        A table window gives a table window. A prefix copies the rows of its
-        radius and cuts the entries that leave it; a larger window copies the
-        rows and the id map, continues the search by the entries still
-        unknown (at first, the old outer sphere's entries that lead out), and
-        then fills its own outer sphere's rows.
+        A table window gives a table window at its own radius or a larger
+        one: it copies the rows and the id map, continues the search by the
+        entries still unknown (at first, the old outer sphere's entries that
+        lead out), and then fills its own outer sphere's rows. A prefix of a
+        table window is a plain window.
         """
         if radius < 0:
             raise ValueError("window radius must be nonnegative")
@@ -185,12 +186,15 @@ class Window:
         # norms was filled in window order, so its first entries are the prefix
         norms = dict(islice(self.norms.items(), end))
         offsets = list(self.offsets[: top + 2])
-        if self.table:
+        table = self.table and radius >= self.radius
+        if table:
             ids, cols = self._search_table(elements, norms, offsets, radius)
         else:
             self._search(elements, norms, offsets, radius)
-        window = replace(self, radius=radius, norms=norms, elements=elements, offsets=tuple(offsets))
-        if self.table:
+        window = replace(
+            self, radius=radius, norms=norms, elements=elements, offsets=tuple(offsets), table=table
+        )
+        if table:
             window.__dict__["ids"] = ids  # where cached_property keeps it
             window._tables[frozenset(self.steps)] = cols
         return window
@@ -225,22 +229,14 @@ class Window:
         """Continue a table search from the outer sphere out to radius, and
         return the id map and the generator table it wrote.
 
-        The table starts as this window's rows for the prefix searched so
-        far, which are complete: -1 marks a product outside the prefix. An
-        element is expanded only by the steps whose entry is -1, and each
-        product p*s = q writes both its entry and the mirrored one,
-        q*s^-1 = p.
+        The table starts as a copy of this window's rows, which are
+        complete: -1 marks a product outside this window. An element is
+        expanded only by the steps whose entry is -1, and each product
+        p*s = q writes both its entry and the mirrored one, q*s^-1 = p.
         """
         top = len(offsets) - 2
-        end = len(elements)
-        # ids, like norms, was filled in window order
-        ids = dict(islice(self.ids.items(), end))
-        cols = [col[:end] for col in self._tables[frozenset(self.steps)]]
-        if end < len(self.elements):  # a prefix's outer sphere forgets the next sphere
-            for col in cols:
-                for i in range(offsets[top], end):
-                    if col[i] >= end:
-                        col[i] = -1
+        ids = dict(self.ids)
+        cols = [array("i", col) for col in self._tables[frozenset(self.steps)]]
         grp, cap = self.group, self.cap
         mul, put = grp.mul, ids.setdefault
         index = {s: j for j, s in enumerate(self.steps)}

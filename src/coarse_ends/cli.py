@@ -250,7 +250,9 @@ def cmd_clopen(args) -> Report:
     _at_least("--tmax", args.tmax, 1)
     group, gens = _bind(args)
     radius = args.window if args.window is not None else 4 * args.tmax + 4
-    window = build_window(group, gens, radius, cap=args.cap, table=True)
+    # a selector sweeps the whole table; an elements file reads only the
+    # rows near the core, which neighbours fills on demand
+    window = build_window(group, gens, radius, cap=args.cap, table=args.select is not None)
     if args.select is not None:
         chosen_set = _parse_selector(args.select)
         chosen = f"select={args.select}"

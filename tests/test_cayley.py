@@ -301,11 +301,15 @@ def test_table_window_matches_plain_search_and_fill(text, power):
     grp, gens = get_group(text), get_gens(text, power)
     radius, grow = (5, 4) if power == 1 else (2, 2)
     source = build_window(grp, gens, radius, table=True)
+    # a prefix of a table window is a plain window, whose table neighbours fills
+    prefix = source.at(radius - 2)
+    assert not prefix.table and "ids" not in vars(prefix) and not prefix._tables
+    assert prefix.elements == build_window(grp, gens, radius - 2).elements
     for w, r in [
         (source, radius),
+        (source.at(radius), radius),
         (source.at(radius + grow), radius + grow),
-        (source.at(radius - 2), radius - 2),
-        (source.at(radius + grow).at(radius - 1).at(radius + 1), radius + 1),
+        (source.at(radius + 1).at(radius + grow), radius + grow),
     ]:
         plain = build_window(grp, gens, r)
         assert w.table and not plain.table

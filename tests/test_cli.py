@@ -378,13 +378,18 @@ def test_exit_cap(capsys):
         (["tree", "--group", "Z^2", "--rmax", "3"], None, None),
         (["clopen", "--group", "Z^2", "--window", "12", "--tmax", "2",
           "--select", "component:r=1:index=0"], "enlarged_radius", 16),
+        (["clopen", "--group", "Z", "--window", "12", "--tmax", "2",
+          "--elements-file", "{set}"], "enlarged_radius", 16),
         (["growth", "--group", "Z^2", "--window", "6"], None, None),
         (["asdim", "--group", "F2", "--window", "9", "--n-list", "2",
           "--pair-budget", "400"], "probe_radii", [4, 6, 8]),
     ],
-    ids=["ends", "tree", "clopen", "growth", "asdim"],
+    ids=["ends", "tree", "clopen", "clopen-file", "growth", "asdim"],
 )
-def test_one_search_per_command(capsys, monkeypatch, argv, key, value):
+def test_one_search_per_command(capsys, monkeypatch, tmp_path, argv, key, value):
+    path = tmp_path / "set.txt"
+    path.write_text("(1)\n(2)\n", encoding="utf-8")
+    argv = [a.replace("{set}", str(path)) for a in argv]
     calls = []
 
     def counted(*args, **kwargs):
@@ -397,8 +402,10 @@ def test_one_search_per_command(capsys, monkeypatch, argv, key, value):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert len(calls) == 1
-    # only the commands that sweep the generator table have the search write it
-    assert calls[0].get("table", False) == (argv[0] in ("ends", "tree", "clopen"))
+    # only the commands that sweep the whole generator table have the search
+    # write it; an elements file reads only the rows near the core
+    sweeps = argv[0] in ("ends", "tree") or "--select" in argv
+    assert calls[0].get("table", False) == sweeps
     if key is not None:  # the command did read a second radius
         assert json.loads(out)["result"][key] == value
 
