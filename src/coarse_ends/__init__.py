@@ -2,132 +2,20 @@
 finite Cayley-graph windows: end counts, end-approximation trees, coarsely
 clopen certificates, growth and covering data, and an asymptotic-dimension
 upper-bound witness for window-hyperbolic inputs.
+
+Each module's __all__ is its public surface; the package re-exports them.
 """
 
-from .asdim import (
-    AnnulusCover,
-    AsdimWitness,
-    CoverStats,
-    CoveringSample,
-    GrowthRow,
-    asdim_upper_bound,
-    build_annulus_cover,
-    covering_number,
-    estimate_delta,
-    greedy_ball_cover,
-    growth_series,
-    verify_cover,
-)
-from .cayley import DEFAULT_CAP, Window, build_window
-from .covers import (
-    ClopenCertificate,
-    InterfaceReport,
-    ScaleEntry,
-    clopen_scale_test,
-    interface,
-    star,
-)
-from .ends import (
-    Component,
-    ComponentDecomposition,
-    EndEvidence,
-    EndTree,
-    EndVerdict,
-    RadiusCount,
-    TreeLevel,
-    TreeNode,
-    classify_counts,
-    component_tree,
-    components,
-    end_count,
-    k4_component_bound,
-)
-from .errors import (
-    CoarseEndsError,
-    CoreRadiusError,
-    CoverVerificationError,
-    ElementSyntaxError,
-    EmptyShellError,
-    MismatchError,
-    NonHyperbolicError,
-    OutOfWindowError,
-    ParameterError,
-    SelectorError,
-    SpecSyntaxError,
-    UnsupportedSpecError,
-    WindowCapError,
-)
-from .groups import (
-    Cyclic,
-    DirectProduct,
-    Free,
-    FreeAbelian,
-    FreeProduct,
-    Group,
-    parse_spec,
-    power_generators,
-    spec_to_string,
-    standard_generators,
-)
+from . import asdim, cayley, covers, ends, errors, groups
+from .asdim import *
+from .cayley import *
+from .covers import *
+from .ends import *
+from .errors import *
+from .groups import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnulusCover",
-    "AsdimWitness",
-    "ClopenCertificate",
-    "CoarseEndsError",
-    "Component",
-    "ComponentDecomposition",
-    "CoreRadiusError",
-    "CoverStats",
-    "CoverVerificationError",
-    "CoveringSample",
-    "Cyclic",
-    "DEFAULT_CAP",
-    "DirectProduct",
-    "ElementSyntaxError",
-    "EmptyShellError",
-    "EndEvidence",
-    "EndTree",
-    "EndVerdict",
-    "Free",
-    "FreeAbelian",
-    "FreeProduct",
-    "Group",
-    "GrowthRow",
-    "InterfaceReport",
-    "MismatchError",
-    "NonHyperbolicError",
-    "OutOfWindowError",
-    "ParameterError",
-    "RadiusCount",
-    "ScaleEntry",
-    "SelectorError",
-    "SpecSyntaxError",
-    "TreeLevel",
-    "TreeNode",
-    "UnsupportedSpecError",
-    "Window",
-    "WindowCapError",
-    "asdim_upper_bound",
-    "build_annulus_cover",
-    "build_window",
-    "classify_counts",
-    "clopen_scale_test",
-    "component_tree",
-    "components",
-    "covering_number",
-    "end_count",
-    "estimate_delta",
-    "greedy_ball_cover",
-    "growth_series",
-    "interface",
-    "k4_component_bound",
-    "parse_spec",
-    "power_generators",
-    "spec_to_string",
-    "standard_generators",
-    "star",
-    "verify_cover",
-]
+__all__ = sorted(
+    name for module in (asdim, cayley, covers, ends, errors, groups) for name in module.__all__
+)

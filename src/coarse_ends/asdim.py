@@ -245,7 +245,7 @@ class CoverStats:
     set_count: int
     max_diameter: int
     diameter_bound: int  # 8ps
-    multiplicity: dict  # probe radius -> max set count met by one ball
+    multiplicity: int  # most sets met by one probe ball
     worst_center: Optional[str]
     passed: bool
 
@@ -360,11 +360,13 @@ def _probe_multiplicity(covers: Sequence[AnnulusCover], radius: int) -> tuple:
 def verify_cover(cover: AnnulusCover, probe_radius: int, n2delta: int) -> CoverStats:
     """Exact diameter and multiplicity scan for one annulus cover.
 
-    Probe balls of each radius up to probe_radius are centered on every
-    window element whose norm allows the ball to meet the annulus; the
-    multiplicity at a center is how many distinct cover sets the ball
-    meets. Passing means max diameter <= 8ps and multiplicity at the top
-    probe radius <= n2delta.
+    Probe balls of radius probe_radius are centered on every window element
+    whose norm allows the ball to meet the annulus; the multiplicity at a
+    center is how many distinct cover sets the ball meets. A smaller probe
+    ball has no more centers and meets no more sets, so that one scan
+    gives the largest multiplicity over probe radii up to probe_radius.
+    Passing means max diameter <= 8ps and multiplicity <= n2delta; a failing
+    multiplicity names the first center reaching it.
     """
     window = cover.window
     grp = window.group
@@ -380,15 +382,11 @@ def verify_cover(cover: AnnulusCover, probe_radius: int, n2delta: int) -> CoverS
                 d = window.norms.get(grp.mul(g_inv, h), window.radius + 1)
                 if d > max_diam:
                     max_diam = d
-    multiplicity = {}
+    multiplicity, center = _probe_multiplicity((cover,), probe_radius)
     worst_center = None
-    for pr in range(1, probe_radius + 1):
-        best, best_center = _probe_multiplicity((cover,), pr)
-        multiplicity[pr] = best
-        if best > n2delta and worst_center is None:
-            worst_center = window.group.show(best_center)
-    passed = max_diam <= 8 * ps and multiplicity[probe_radius] <= n2delta
-    if max_diam > 8 * ps and worst_center is None:
+    if multiplicity > n2delta:
+        worst_center = grp.show(center)
+    elif max_diam > 8 * ps:
         worst_center = "diameter law"
     return CoverStats(
         n=cover.n,
@@ -398,7 +396,7 @@ def verify_cover(cover: AnnulusCover, probe_radius: int, n2delta: int) -> CoverS
         diameter_bound=8 * ps,
         multiplicity=multiplicity,
         worst_center=worst_center,
-        passed=passed,
+        passed=max_diam <= 8 * ps and multiplicity <= n2delta,
     )
 
 
@@ -431,7 +429,7 @@ class AsdimWitness:
                     "net_size": st.net_size,
                     "sets": st.set_count,
                     "max_diameter": st.max_diameter,
-                    "max_multiplicity": st.multiplicity[max(st.multiplicity)],
+                    "max_multiplicity": st.multiplicity,
                 }
                 for st in self.annuli
             ],

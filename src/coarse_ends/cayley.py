@@ -57,7 +57,7 @@ from typing import Iterator, Optional
 from .errors import OutOfWindowError, ParameterError, WindowCapError
 from .groups import Group
 
-__all__ = ["Window", "build_window"]
+__all__ = ["DEFAULT_CAP", "Window", "build_window"]
 
 DEFAULT_CAP = 5_000_000
 ENLARGE_BY = 4  # radius added to a window to recheck a verdict read off it

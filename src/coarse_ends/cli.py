@@ -376,7 +376,7 @@ def cmd_asdim(args) -> Report:
         lines.append(
             f"annulus n={st.n}: net={st.net_size} sets={st.set_count} "
             f"max_diameter={st.max_diameter} (bound {st.diameter_bound}) "
-            f"multiplicity={st.multiplicity[max(st.multiplicity)]}"
+            f"multiplicity={st.multiplicity}"
         )
     lines.append(f"cross multiplicity: {witness.cross_multiplicity}")
     lines.append(f"asdim bound: {witness.bound}")
@@ -386,7 +386,7 @@ def cmd_asdim(args) -> Report:
         "n,net_size,sets,max_diameter,max_multiplicity",
         [
             (st.n, st.net_size, st.set_count, st.max_diameter,
-             st.multiplicity[max(st.multiplicity)])
+             st.multiplicity)
             for st in witness.annuli
         ],
     )

@@ -1,24 +1,26 @@
 """Stars, interfaces, and coarsely-clopen certificates on a window.
 
-A scale is a finite symmetric set B containing the identity (typically a
-power of the generator set); it stands for the cover of the group by the
-translates g*B. The star of A at that scale is A*B^(-1)*B. A set is
+A scale is a radius t: the cover of the group by the translates g*B(t)
+of the ball B(t) = K^t, which the window holds as a prefix of its
+elements. K is symmetric and contains the identity, so
+B(t)^(-1)*B(t) = B(2t) and the star of A at scale t is A*B(2t). A set is
 coarsely clopen when, at every scale, its star and the star of its
 complement overlap only in a bounded region; on a window we measure that
 overlap inside a core ball chosen small enough that the answer agrees
 with the computation in the full group.
 
-Core discipline: with core radius c <= R - 2*maxnorm(B), deciding whether
-a core element lies in a star only consults elements of norm at most
-c + 2*maxnorm(B) <= R, so interfaces restricted to the core are exact,
-not boundary artifacts.
+Core discipline: let m be the largest norm in B(t), which is t unless a
+finite group is exhausted sooner. With core radius c <= R - 2m, deciding
+whether a core element lies in a star only consults elements of norm at
+most c + 2m <= R, so interfaces restricted to the core are exact, not
+boundary artifacts. A ball of radius above R is read only off a window
+that has exhausted a finite group, where it is the whole window.
 
-Interfaces are computed on the window graph, not by products: the scale
-must be a window ball B(m), as every power of the generator set is, so
-B^(-1)*B is the window ball B(k) with k <= 2m, and the interface is the
-set of core elements within k-1 steps of an edge between A and its
-complement. One breadth-first search from those edges finds it;
-`interface` states why that is exact.
+Interfaces are computed on the window graph, not by products: the
+interface is the set of core elements within k-1 steps of an edge
+between A and its complement, where B(k) = B(2m) in the window. One
+breadth-first search from those edges finds it; `interface` states why
+that is exact.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .cayley import ENLARGE_BY, Window
-from .errors import CoreRadiusError, ParameterError
-from .groups import power_generators
+from .errors import CoreRadiusError, OutOfWindowError, ParameterError
 
 __all__ = [
     "InterfaceReport",
@@ -81,47 +82,52 @@ class ClopenCertificate:
     enlarged_radius: int
 
 
-def scale_difference_set(group, B) -> set:
-    """B^(-1)*B; symmetric, contains the identity, reaches 2*maxnorm(B)."""
-    out = set()
-    for b in B:
-        ib = group.inv(b)
-        for c in B:
-            out.add(group.mul(ib, c))
-    return out
+def _maxnorm(window: Window, r: int) -> int:
+    """The largest norm in the ball B(r), read off the window's offsets.
+
+    A radius above R is read only off a window that has exhausted a finite
+    group (its outer sphere is empty, or it has no step), where B(r) is the
+    whole window; on any other window B(r) reaches past it.
+    """
+    R = window.radius
+    if r < 0:
+        raise ParameterError("scale radius must be nonnegative")
+    if r > R and window.steps and window.offsets[R] < len(window):
+        raise OutOfWindowError(f"ball B({r}) reaches past the radius-{R} window")
+    return window.norm(window.offsets[min(r, R) + 1] - 1)
 
 
-def star(A: Iterable, B: Iterable, window: Window) -> set:
-    """(A * B^(-1) * B) truncated to the window.
+def star(A: Iterable, t: int, window: Window) -> set:
+    """A*B(t)^(-1)*B(t) = A*B(2t) at scale radius t, truncated to the window.
 
-    Exact inside B(R - 2*maxnorm(B)); beyond that, products falling
-    outside the window are dropped rather than reported.
+    B(2t) is read off the window, so 2t may pass R only on an exhausted
+    window. The identity B(t)^(-1)*B(t) = B(2t) needs a symmetric generator
+    set: steps that are not closed under inverses raise ParameterError.
+    Exact inside B(R - 2t); beyond that, products falling outside the
+    window are dropped rather than reported.
     """
     grp = window.group
-    diff = scale_difference_set(grp, B)
+    if any(grp.inv(s) not in window.gens for s in window.steps):
+        raise ParameterError("step set is not closed under inverses")
+    ball = window.elements[: window.offsets[_maxnorm(window, 2 * t) + 1]]
     out = set()
     for a in A:
-        for u in diff:
+        for u in ball:
             x = grp.mul(a, u)
             if x in window:
                 out.add(x)
     return out
 
 
-def _core_bound(window: Window, scale_maxnorm: int) -> int:
-    return window.radius - 2 * scale_maxnorm
+def interface(A: Iterable, t: int, window: Window, core_radius: int) -> InterfaceReport:
+    """Interface of A versus its window complement at scale radius t,
+    restricted to B(core_radius).
 
-
-def interface(A: Iterable, B: Iterable, window: Window, core_radius: int) -> InterfaceReport:
-    """Interface of A versus its window complement, restricted to B(core_radius).
-
-    A is intersected with the window W first; C is W minus A. The scale B
-    must be the window ball B(m) with m = maxnorm(B); every power K^t of
-    the generator set is one, and any other scale raises ParameterError.
-    Then B^(-1)*B is B(2m), which lies in W, and equals the window ball
-    B(k) with k its largest nonempty sphere (k < 2m once a finite group is
-    exhausted). A core element x lies in both stars iff it is within k
-    steps of A and within k steps of C.
+    A is intersected with the window W first; C is W minus A. With m the
+    largest norm in B(t), B(t)^(-1)*B(t) is B(2m), which lies in W, and
+    equals the window ball B(k) with k its largest nonempty sphere (k < 2m
+    once a finite group is exhausted). A core element x lies in both stars
+    iff it is within k steps of A and within k steps of C.
 
     One breadth-first search on the window graph answers that for the
     whole core. It starts at the endpoints of the edges between A and C,
@@ -136,21 +142,16 @@ def interface(A: Iterable, B: Iterable, window: Window, core_radius: int) -> Int
     the search starts and steps only there, and reads no neighbour rows
     beyond that sphere.
     """
-    B = set(B)
-    if not B:
-        raise ParameterError("scale B is empty")
-    mn = window.maxnorm_of(B)
+    mn = _maxnorm(window, t)
     if core_radius < 0:
         raise ParameterError("core radius must be nonnegative")
-    limit = _core_bound(window, mn)
+    limit = window.radius - 2 * mn
     if core_radius > limit:
         raise CoreRadiusError(
-            f"core radius {core_radius} exceeds {limit} = R - 2*maxnorm(B); "
+            f"core radius {core_radius} exceeds {limit} = R - 2*maxnorm(B({t})); "
             "star answers there would be boundary artifacts"
         )
     offsets = window.offsets
-    if len(B) != offsets[mn + 1]:
-        raise ParameterError(f"scale B is not the window ball of radius {mn}")
     k = window.norm(offsets[2 * mn + 1] - 1)
     found = []
     if k > 0:
@@ -197,26 +198,23 @@ def clopen_scale_test(
     set_fn: Callable[[Window], Iterable],
     t_max: int,
 ) -> ClopenCertificate:
-    """Interface sizes for scales K^t, t = 1..t_max, with a stability re-run.
+    """Interface sizes at scale radii t = 1..t_max, with a stability re-run.
 
-    set_fn resolves the candidate set on a given window, so selectors that
-    depend on the window (components, half-spaces) re-resolve on the
-    enlarged window; a plain set may be passed and is used as-is on both.
-    Each scale is re-measured on window.at(R + ENLARGE_BY), grown under
-    the window's cap, at the SAME core radius; stable means the two
-    interface sets agree.
+    Scale t is the ball B(t) = K^t; its core radius is R - 2m, with m the
+    largest norm in B(t). set_fn resolves the candidate set on a given
+    window, so selectors that depend on the window (components,
+    half-spaces) re-resolve on the enlarged window; a plain set may be
+    passed and is used as-is on both. Each scale is re-measured on
+    window.at(R + ENLARGE_BY), grown under the window's cap, at the SAME
+    core radius; stable means the two interface sets agree.
     """
     if t_max < 1:
         raise ParameterError("t_max must be at least 1")
-    grp = window.group
-    gens = window.gens
-    step_mn = window.maxnorm_of(gens)
-    scales = {}  # t -> (K^t, its core radius)
+    step_mn = window.maxnorm_of(window.gens)
+    cores = {}
     for t in range(1, t_max + 1):
-        B = power_generators(grp, gens, t)
-        core = _core_bound(window, window.maxnorm_of(B))
-        scales[t] = B, core
-        if core < 0:
+        cores[t] = window.radius - 2 * _maxnorm(window, t)
+        if cores[t] < 0:
             raise CoreRadiusError(
                 f"window radius {window.radius} cannot host a core at scale t={t}"
             )
@@ -228,10 +226,9 @@ def clopen_scale_test(
     entries = []
     rho1 = None
     affine_ok = True
-    for t in range(1, t_max + 1):
-        B, core = scales[t]
-        rep = interface(A_small, B, window, core)
-        rep_big = interface(A_big, B, big, core)
+    for t, core in cores.items():
+        rep = interface(A_small, t, window, core)
+        rep_big = interface(A_big, t, big, core)
         stable = set(rep.interface) == set(rep_big.interface)
         if t == 1:
             rho1 = rep.rho

@@ -34,6 +34,7 @@ __all__ = [
     "EndTree",
     "EndEvidence",
     "EndVerdict",
+    "RadiusCount",
     "components",
     "component_tree",
     "classify_counts",
@@ -463,9 +464,8 @@ def k4_component_bound(window: Window, L: Iterable):
     the complement is the whole window in one piece, so no comparison is
     made.
     """
-    gens = window.gens
     L_set = set(L)
-    k4 = power_generators(window.group, gens, 4)
+    k4 = power_generators(window.group, window.gens, 4)
     if L_set:
         reach = window.maxnorm_of(L_set) + 2
         if reach > window.radius:
@@ -477,7 +477,7 @@ def k4_component_bound(window: Window, L: Iterable):
     observed = uf.outer
     if not L_set:
         return observed, 0
-    centers = greedy_ball_cover(window, star(L_set, gens, window), 1)
+    centers = greedy_ball_cover(window, star(L_set, 1, window), 1)
     m = len(centers)
     if observed > m:
         raise CoverVerificationError(

@@ -2,6 +2,22 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CoarseEndsError",
+    "SpecSyntaxError",
+    "ElementSyntaxError",
+    "MismatchError",
+    "UnsupportedSpecError",
+    "OutOfWindowError",
+    "WindowCapError",
+    "CoreRadiusError",
+    "ParameterError",
+    "EmptyShellError",
+    "NonHyperbolicError",
+    "CoverVerificationError",
+    "SelectorError",
+]
+
 
 class CoarseEndsError(Exception):
     """Base class for every error this package raises deliberately."""

@@ -37,7 +37,6 @@ __all__ = [
     "Cyclic",
     "DirectProduct",
     "FreeProduct",
-    "GroupSpec",
     "parse_spec",
     "spec_to_string",
     "Group",

@@ -461,17 +461,18 @@ def coarsely_identical(A, C, window):
     return window.maxnorm_of(diff) if diff else -1
 
 
-def clopen_intersection_law(A1, A2, B, window, core_radius):
-    """Whether interface(A1 meet A2) lies inside interface(A1) union interface(A2).
+def clopen_intersection_law(A1, A2, t, window, core_radius):
+    """Whether interface(A1 meet A2) lies inside interface(A1) union interface(A2)
+    at scale radius t.
 
     This inclusion is a theorem of the star algebra, so it should never
     return False on correct inputs.
     """
     s1 = set(A1)
     s2 = set(A2)
-    i_meet = interface(s1 & s2, B, window, core_radius).interface
-    i1 = set(interface(s1, B, window, core_radius).interface)
-    i2 = set(interface(s2, B, window, core_radius).interface)
+    i_meet = interface(s1 & s2, t, window, core_radius).interface
+    i1 = set(interface(s1, t, window, core_radius).interface)
+    i2 = set(interface(s2, t, window, core_radius).interface)
     return all(x in i1 or x in i2 for x in i_meet)
 
 
@@ -480,19 +481,16 @@ def distance(window, g, h):
     return window.knorm(window.group.mul(window.group.inv(g), h))
 
 
-def star_preserves_clopen(A, B, V, window, core_radius):
-    """Interface report of star(A, B) at scale V.
+def star_preserves_clopen(A, b, v, window, core_radius):
+    """Interface report of star(A, b) at scale radius v, on an infinite group.
 
-    V must be a window ball, as `interface` requires. For the star to be
-    exact wherever the interface test consults it, the core must retreat
-    by both scales: core <= R - 2*maxnorm(V) - 2*maxnorm(B).
+    For the star to be exact wherever the interface test consults it, the
+    core must retreat by both scales: core <= R - 2*v - 2*b.
     """
-    limit = window.radius - 2 * window.maxnorm_of(V) - 2 * window.maxnorm_of(B)
+    limit = window.radius - 2 * v - 2 * b
     if core_radius > limit:
-        raise CoreRadiusError(
-            f"core radius {core_radius} exceeds {limit} = R - 2*maxnorm(V) - 2*maxnorm(B)"
-        )
-    return interface(star(A, B, window), V, window, core_radius)
+        raise CoreRadiusError(f"core radius {core_radius} exceeds {limit} = R - 2*v - 2*b")
+    return interface(star(A, b, window), v, window, core_radius)
 
 
 @dataclass(frozen=True)
@@ -527,4 +525,4 @@ def union_component_clopen_check(decomposition, selection, window, scale_t=1):
     core = window.radius - 2 * window.maxnorm_of(B)
     if core < 0:
         raise ParameterError("window too small for the requested scale")
-    return interface(union, B, window, core)
+    return interface(union, scale_t, window, core)

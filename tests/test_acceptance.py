@@ -157,9 +157,9 @@ def test_acceptance_04_clopen_algebra(capsys):
             for _ in range(1000):
                 A1 = random_subset(window, rng)
                 A2 = random_subset(window, rng)
-                s1 = star(A1, B, window)
-                s2 = star(A2, B, window)
-                s12 = star(A1 & A2, B, window)
+                s1 = star(A1, 1, window)
+                s2 = star(A2, 1, window)
+                s12 = star(A1 & A2, 1, window)
                 assert s12 <= s1 & s2  # intersection law
                 # sandwich: exact product identity inside the core
                 assert A1 & core_ball <= s1
@@ -200,7 +200,7 @@ def test_acceptance_06_asdim_witness(capsys):
             ps = witness.p * witness.s
             for st in witness.annuli:
                 assert st.max_diameter <= 8 * ps  # diameter law
-                assert st.multiplicity[ps] <= witness.n2delta  # ps-ball law
+                assert st.multiplicity <= witness.n2delta  # ps-ball law
                 assert st.passed
             assert witness.cross_multiplicity <= 2 * witness.n2delta
         # independent diameter re-scan of one Z annulus

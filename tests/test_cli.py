@@ -134,6 +134,38 @@ def test_clopen_result_frozen(capsys):
     }
 
 
+def test_clopen_scales_past_an_exhausted_window(capsys):
+    # C6 has spheres 1, 2, 2, 1, so its radius-8 window is the group: every
+    # scale from t = 3 on is the whole window, with core 8 - 2*3
+    code, out, _ = run_cli(
+        capsys,
+        ["clopen", "--group", "C6", "--window", "8", "--tmax", "10",
+         "--select", "component:r=1:index=0"],
+    )
+    assert code == 0
+    entries = [
+        {"scale_t": t, "rho": rho, "core_radius": core, "stable": True, "verdict": rho < core}
+        for t, rho, core in [(1, 2, 6), (2, 3, 4)] + [(t, 2, 2) for t in range(3, 11)]
+    ]
+    assert json.loads(out)["result"] == {
+        "verdict": False,
+        "affine_ok": True,
+        "window_radius": 8,
+        "enlarged_radius": 12,
+        "entries": entries,
+    }
+
+
+def test_clopen_refuses_a_scale_past_the_window(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["clopen", "--group", "Z", "--window", "0", "--tmax", "1",
+         "--select", "component:r=1:index=0"],
+    )
+    assert (code, out) == (4, "")
+    assert err == "coarse-ends: refusing: element (1) lies outside the radius-0 window\n"
+
+
 def test_asdim_result_frozen(capsys):
     def result(argv):
         code, out, _ = run_cli(capsys, ["asdim", *argv, "--pair-budget", "4000", "--seed", "1"])
@@ -163,6 +195,27 @@ def test_asdim_result_frozen(capsys):
         "cross_multiplicity": 2,
         "bound": 15,
         "n_list": [2, 3, 4, 5, 6, 7],
+    }
+
+
+def test_asdim_p2_result_frozen(capsys):
+    # p = 2 probes each annulus cover with balls of radius 2
+    code, out, _ = run_cli(capsys, ["asdim", "--group", "Z", "--p", "2"])
+    assert code == 0
+    annulus = {"net_size": 2, "sets": 2, "max_diameter": 3, "max_multiplicity": 1}
+    assert json.loads(out)["result"] == {
+        "delta_hat": 0,
+        "delta": 2,
+        "N2delta": 2,
+        "samples": [{"S": S, "t": 4, "N": 2} for S in range(4, 8)],
+        "annuli": [{"n": 3, **annulus}, {"n": 5, **annulus}],
+        "cross_multiplicity": 2,
+        "bound": 3,
+        "p": 2,
+        "s": 1,
+        "n_list": [3, 5],
+        "probe_radii": [4, 6, 8],
+        "probe_values": [0, 0, 0],
     }
 
 
@@ -607,8 +660,24 @@ def test_subprocess_asdim_seeded():
 def test_public_names_resolve():
     # a deleted name must leave no export behind
     import coarse_ends
-    from coarse_ends import asdim, cayley, covers, ends, groups
+    from coarse_ends import asdim, cayley, covers, ends, errors, groups
 
-    for module in (coarse_ends, groups, cayley, ends, covers, asdim):
+    for module in (coarse_ends, groups, cayley, ends, covers, asdim, errors):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+    assert set(coarse_ends.__all__) == {
+        "AnnulusCover", "AsdimWitness", "ClopenCertificate", "CoarseEndsError", "Component",
+        "ComponentDecomposition", "CoreRadiusError", "CoverStats", "CoverVerificationError",
+        "CoveringSample", "Cyclic", "DEFAULT_CAP", "DirectProduct", "ElementSyntaxError",
+        "EmptyShellError", "EndEvidence", "EndTree", "EndVerdict", "Free", "FreeAbelian",
+        "FreeProduct", "Group", "GrowthRow", "InterfaceReport", "MismatchError",
+        "NonHyperbolicError", "OutOfWindowError", "ParameterError", "RadiusCount",
+        "ScaleEntry", "SelectorError", "SpecSyntaxError", "TreeLevel", "TreeNode",
+        "UnsupportedSpecError", "Window", "WindowCapError", "asdim_upper_bound",
+        "build_annulus_cover", "build_window", "classify_counts", "clopen_scale_test",
+        "component_tree", "components", "covering_number", "end_count", "estimate_delta",
+        "greedy_ball_cover", "growth_series", "interface", "k4_component_bound",
+        "parse_spec", "power_generators", "spec_to_string", "standard_generators", "star",
+        "verify_cover",
+    }
+    assert len(coarse_ends.__all__) == 57

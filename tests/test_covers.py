@@ -6,6 +6,7 @@ import pytest
 
 from coarse_ends import (
     CoreRadiusError,
+    OutOfWindowError,
     ParameterError,
     WindowCapError,
     build_window,
@@ -14,7 +15,6 @@ from coarse_ends import (
     power_generators,
     star,
 )
-from coarse_ends.covers import scale_difference_set
 from helpers import get_gens, get_group, get_window, random_subset
 from oracles import clopen_intersection_law, coarsely_identical, star_preserves_clopen
 
@@ -50,12 +50,6 @@ def _naive_interface(grp, A, B, window, core):
 # Stars
 
 
-def test_scale_difference_set_frozen():
-    grp = get_group("Z")
-    D = scale_difference_set(grp, _gen_set("Z"))
-    assert D == {(-2,), (-1,), (0,), (1,), (2,)}
-
-
 def test_star_matches_identity_formula():
     for text, radius in [("Z", 10), ("F2", 4), ("(C2 * C3)", 6)]:
         window = get_window(text, radius)
@@ -64,7 +58,7 @@ def test_star_matches_identity_formula():
         rng = random.Random(f"star:{text}")
         for _ in range(200):
             A = random_subset(window, rng)
-            got = star(A, B, window)
+            got = star(A, 1, window)
             assert got == _naive_star(grp, A, B, window)
             # sandwich: one-step fattening sits inside the star
             one = {grp.mul(a, b) for a in A for b in B}
@@ -74,8 +68,43 @@ def test_star_matches_identity_formula():
 def test_star_of_ball_frozen():
     w = get_window("Z", 10)
     A = set(w.ball(2))
-    got = star(A, _gen_set("Z"), w)
+    got = star(A, 1, w)
     assert got == {(n,) for n in range(-4, 5)}
+
+
+def test_star_refuses_one_way_steps():
+    # B(t)^(-1)*B(t) = B(2t) needs a symmetric generator set
+    grp = get_group("Z")
+    window = build_window(grp, frozenset({(0,), (1,)}), 6)
+    with pytest.raises(ParameterError, match="inverses"):
+        star({(0,)}, 1, window)
+
+
+def test_scale_radius_past_the_window():
+    # B(t) past R is read only off a window that has exhausted a finite group
+    wz = get_window("Z", 6)
+    with pytest.raises(OutOfWindowError):
+        interface({(1,)}, 7, wz, 0)
+    with pytest.raises(OutOfWindowError):
+        star({(0,)}, 4, wz)  # B(8) reaches past R = 6
+    assert star({(0,)}, 3, wz) == set(wz)
+    with pytest.raises(ParameterError):
+        star({(0,)}, -1, wz)
+    # C6 has spheres 1, 2, 2, 1: at R = 8 every ball B(t), t >= 3, is the group
+    w6 = get_window("C6", 8)
+    grp = w6.group
+    A = {0, 1}
+    whole = set(w6)
+    assert star(A, 5, w6) == whole == _naive_star(grp, A, _scale(w6, 5), w6)
+    for t in (3, 9, 40):
+        rep = interface(A, t, w6, 2)
+        assert rep.scale_maxnorm == 3
+        assert set(rep.interface) == _naive_interface(grp, A, _scale(w6, t), w6, 2)
+    with pytest.raises(CoreRadiusError):
+        interface(A, 9, w6, 3)
+    # a window whose outer sphere is not empty refuses, even for a finite group
+    with pytest.raises(OutOfWindowError):
+        interface(A, 4, get_window("C6", 3), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +116,8 @@ def test_half_space_interface_rho_is_2t():
     grp = window.group
     A = {g for g in window if g[0] >= 1}
     for t in range(1, 5):
-        B = set(get_gens("Z", t))
         core = 20 - 2 * t
-        rep = interface(A, B, window, core)
+        rep = interface(A, t, window, core)
         assert rep.rho == 2 * t
         assert rep.verdict is True
         assert rep.core_radius == core
@@ -100,10 +128,9 @@ def test_half_space_interface_rho_is_2t():
 
 def test_interface_empty_and_full():
     window = get_window("Z", 10)
-    B = _gen_set("Z")
-    rep = interface(set(), B, window, 8)
+    rep = interface(set(), 1, window, 8)
     assert rep.rho == -1 and rep.verdict is True and rep.interface == ()
-    rep = interface(set(window.elements), B, window, 8)
+    rep = interface(set(window.elements), 1, window, 8)
     assert rep.rho == -1 and rep.verdict is True
 
 
@@ -132,15 +159,15 @@ def test_interface_matches_naive():
             core = radius - 2 * window.maxnorm_of(B)
             for _ in range(200 if (t, power) == (1, 1) else 25):
                 A = random_subset(window, rng)
-                rep = interface(A, B, window, core)
+                rep = interface(A, t, window, core)
                 want = _naive_interface(grp, A, B, window, core)
                 assert set(rep.interface) == want, (text, power, t)
                 assert list(rep.interface) == [g for g in window if g in want]
                 assert rep.rho == (max(map(window.knorm, want)) if want else -1)
                 assert rep.verdict == (rep.rho < core)
-        # B = {e}: each star is its own set, so the interface is empty
+        # B(0) = {e}: each star is its own set, so the interface is empty
         A = random_subset(window, rng)
-        rep = interface(A, {grp.identity}, window, radius)
+        rep = interface(A, 0, window, radius)
         assert _naive_interface(grp, A, {grp.identity}, window, radius) == set()
         assert rep.interface == () and rep.rho == -1 and rep.verdict is True
 
@@ -150,42 +177,20 @@ def test_interface_ignores_elements_outside_the_window():
     outer = get_window("Z^2", 10)
     rng = random.Random("iface:outside")
     for t in (1, 2):
-        B = _scale(window, t)
         core = 6 - 2 * t
         for _ in range(50):
             A = random_subset(outer, rng)
             inside = {a for a in A if a in window}
             assert A != inside
-            assert interface(A, B, window, core) == interface(inside, B, window, core)
-
-
-def test_interface_scale_must_be_a_window_ball():
-    window = get_window("Z^2", 8)
-    grp = window.group
-    A = {g for g in window if g[0] >= 1}
-    for B in ({grp.identity, (1, 0)}, {grp.identity, (1, 0), (-1, 0)}):
-        with pytest.raises(ParameterError):
-            interface(A, B, window, 4)
-    # the same half-space at the ball scale K is accepted
-    K = _scale(window, 1)
-    want = _naive_interface(grp, A, K, window, 4)
-    assert set(interface(A, K, window, 4).interface) == want != set()
-    # a scale that is no ball is refused even when its B^(-1)*B is one
-    wz = get_window("Z", 10)
-    half = {(0,), (1,)}
-    assert _naive_difference(wz.group, half) == set(wz.ball(1))
-    with pytest.raises(ParameterError):
-        interface({g for g in wz if g[0] >= 2}, half, wz, 8)
-    with pytest.raises(ParameterError, match="empty"):
-        interface(A, set(), window, 4)
+            assert interface(A, t, window, core) == interface(inside, t, window, core)
 
 
 def test_interface_core_bound():
     window = get_window("Z", 10)
     with pytest.raises(CoreRadiusError):
-        interface({(0,)}, _gen_set("Z"), window, 9)
+        interface({(0,)}, 1, window, 9)
     # core 8 = R - 2*maxnorm(K) is the largest legal core
-    interface({(0,)}, _gen_set("Z"), window, 8)
+    interface({(0,)}, 1, window, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +200,15 @@ def test_interface_core_bound():
 def test_intersection_law():
     for text, radius in [("Z", 10), ("Z^2", 5), ("F2", 4), ("(C2 * C3)", 5)]:
         window = get_window(text, radius)
-        grp = window.group
-        B = _gen_set(text)
         core = radius - 2
         rng = random.Random(f"law23:{text}")
         for _ in range(200):
             a1 = random_subset(window, rng)
             a2 = random_subset(window, rng)
-            assert clopen_intersection_law(a1, a2, B, window, core)
-            both = interface(a1 & a2, B, window, core)
-            union = set(interface(a1, B, window, core).interface) | set(
-                interface(a2, B, window, core).interface
+            assert clopen_intersection_law(a1, a2, 1, window, core)
+            both = interface(a1 & a2, 1, window, core)
+            union = set(interface(a1, 1, window, core).interface) | set(
+                interface(a2, 1, window, core).interface
             )
             assert set(both.interface) <= union
 
@@ -213,8 +216,7 @@ def test_intersection_law():
 def test_star_preserves_clopen_frozen_z():
     window = get_window("Z", 20)
     A = {g for g in window if g[0] >= 1}
-    B = set(window.ball(1))
-    rep = star_preserves_clopen(A, B, B, window, 14)
+    rep = star_preserves_clopen(A, 1, 1, window, 14)
     assert rep.rho == 3  # the bound 2*maxnorm(V) + 2*maxnorm(B) = 4 holds
     assert rep.verdict is True
     assert set(rep.interface) == {(n,) for n in range(-3, 1)}
@@ -225,14 +227,13 @@ def test_star_preserves_clopen_growth_law():
     # witness stays measurable inside the window
     for text, radius in [("Z", 12), ("F2", 4), ("(C2 * C3)", 6)]:
         window = get_window(text, radius)
-        K = _gen_set(text)
         core_v = radius - 2
         core_sb = radius - 4
         rng = random.Random(f"spl:{text}")
         for _ in range(200):
             A = random_subset(window, rng, density=0.5)
-            rep_a = interface(A, K, window, core_v)
-            rep_s = star_preserves_clopen(A, K, K, window, core_sb)
+            rep_a = interface(A, 1, window, core_v)
+            rep_s = star_preserves_clopen(A, 1, 1, window, core_sb)
             if rep_a.rho >= 0 and rep_s.rho >= 0 and rep_s.rho + 4 <= core_v:
                 assert rep_s.rho <= rep_a.rho + 4
 

@@ -297,7 +297,7 @@ def test_union_component_clopen_check():
     # all components: union is the complement of B(r-1); interface sits
     # inside the star of that ball
     rep_all = union_component_clopen_check(dec, range(len(dec.components)), w)
-    ball_star = star(set(w.ball(0)), set(get_gens("Z")), w)
+    ball_star = star(set(w.ball(0)), 1, w)
     assert set(rep_all.interface) <= ball_star
     with pytest.raises(ParameterError):
         union_component_clopen_check(dec, [7], w)
