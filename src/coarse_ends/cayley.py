@@ -32,7 +32,11 @@ one, q*s^-1 = p; so every edge with an endpoint of norm < R is formed
 once, and the way back is one such mirrored entry. The outer sphere then
 forms products for the first step of each inverse pair where the entry
 is still unknown, mirroring those that land on the sphere; an entry left
-unknown after that leads outside the window. A skipped product would only
+unknown after that leads outside the window. When every step has
+exponent-sum parity 1 (Group.parity), as the standard steps of free, free
+abelian and even-order cyclic groups and their products do, the parity
+of x is |x| mod 2, no edge joins two elements of one sphere, and the
+outer sphere forms no product at all. A skipped product would only
 have reached an element already in the window, so window order, norms
 and the cap check are those of a plain search, and every product still
 goes through Group.mul. Growing a table window copies its table and id
@@ -268,12 +272,14 @@ class Window:
             offsets.append(n)
         for c in cols:
             del c[n:]
-        if radius == top:
-            return ids, tuple(cols)
         # The outer sphere's entries that the search left at -1 lead outside
-        # the window or along the sphere. One step of each inverse pair
-        # finds both: an entry of s^-1 still at -1 after every s product of
-        # the sphere has been mirrored leads outside.
+        # the window or along the sphere. When every step has parity 1, the
+        # parity of x is |x| mod 2, so no edge stays on a sphere and they all
+        # lead outside. Otherwise one step of each inverse pair finds both:
+        # an entry of s^-1 still at -1 after every s product of the sphere
+        # has been mirrored leads outside.
+        if radius == top or all(map(grp.parity, self.steps)):
+            return ids, tuple(cols)
         pairs = tuple(move for j, move in enumerate(moves) if j <= back[j])
         get = ids.get
         for i in range(offsets[radius], n):

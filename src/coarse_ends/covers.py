@@ -210,7 +210,8 @@ def clopen_scale_test(
     """
     if t_max < 1:
         raise ParameterError("t_max must be at least 1")
-    step_mn = window.maxnorm_of(window.gens)
+    # K contains the identity, so K = B(1)
+    step_mn = _maxnorm(window, 1)
     cores = {}
     for t in range(1, t_max + 1):
         cores[t] = window.radius - 2 * _maxnorm(window, t)

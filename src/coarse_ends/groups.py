@@ -473,6 +473,27 @@ class Group:
         """Inverse of a in canonical form."""
         return self._inv(a)
 
+    def parity(self, a) -> int:
+        """Exponent-sum parity of a: a homomorphism onto Z/2.
+
+        The coordinate sum of a free abelian payload, the length of a free
+        word, and the residue of an even-order cyclic one, all mod 2; an
+        odd-order cyclic group has no such map but the zero one. Products
+        add their parts. It walks the payload, so callers read it on
+        generators, never once per product.
+        """
+        kind = self.kind
+        if kind == "free_abelian":
+            return sum(a) % 2
+        if kind == "free":
+            return len(a) % 2
+        if kind == "cyclic":
+            return a % 2 if self.spec.order % 2 == 0 else 0
+        if kind == "direct":
+            return (self.left.parity(a[0]) + self.right.parity(a[1])) % 2
+        children = (self.left, self.right)
+        return sum(children[side].parity(x) for side, x in a) % 2
+
     # -- printing ---------------------------------------------------------
 
     def show(self, a) -> str:

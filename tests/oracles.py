@@ -78,16 +78,19 @@ def table_search_products(window):
     """Products a table search forms to write window's generator table.
 
     One per edge with an endpoint of norm < R: the search forms an edge
-    from whichever end it expands first and mirrors the other entry. Then
-    one per outer-sphere entry that no mirror filled, for the first step
-    (in step order) of each inverse pair: every such entry that leads
-    outside the window, and every edge along the sphere, which the first
-    of its ends to be scanned forms when the step is its own inverse.
+    from whichever end it expands first and mirrors the other entry. Then,
+    unless every step has parity 1, one per outer-sphere entry that no
+    mirror filled, for the first step (in step order) of each inverse
+    pair: every such entry that leads outside the window, and every edge
+    along the sphere, which the first of its ends to be scanned forms when
+    the step is its own inverse.
     """
     group, steps = window.group, window.steps
     cols = window.neighbours(window.gens)
     lo = window.offsets[window.radius]
     inner = sum(1 for col in cols for i, y in enumerate(col) if y >= 0 and min(i, y) < lo)
+    if all(group.parity(s) for s in steps):
+        return inner // 2
     outer = 0
     for j, (s, col) in enumerate(zip(steps, cols)):
         back = steps.index(group.inv(s))

@@ -11,6 +11,7 @@ from coarse_ends import (
     WindowCapError,
     build_window,
 )
+from coarse_ends.cayley import ENLARGE_BY
 from helpers import ZOO, get_gens, get_group, get_window
 from oracles import (
     bfs_norms,
@@ -323,6 +324,28 @@ def test_table_window_matches_plain_search_and_fill(text, power):
         assert len(got) == len(w.steps)
         for s, col in zip(w.steps, got):
             assert list(col) == list(want[s]), (text, r, grp.show(s))
+
+
+@pytest.mark.parametrize("text,power", [(text, 1) for text in ZOO] + [(text, 2) for text in ZOO])
+def test_table_columns_match_fill_at_every_radius(text, power):
+    # every radius whose growth by ENLARGE_BY fits the cap (F2 at gen-power 2:
+    # radius 0 only), and at most 8 for the groups that grow slowly or not at all
+    grp, gens = get_group(text), get_gens(text, power)
+    for radius in range(9):
+        try:
+            source = build_window(grp, gens, radius, cap=20_000, table=True)
+            grown = source.at(radius + ENLARGE_BY)
+        except WindowCapError:
+            break
+        for w in (source, grown):
+            plain = build_window(grp, gens, w.radius)
+            key = frozenset(plain.steps)
+            want = dict(zip(key, plain._fill(key, len(plain))))
+            got = dict(zip(w.steps, w.neighbours(gens)))
+            assert {s: list(c) for s, c in got.items()} == {
+                s: list(c) for s, c in want.items()
+            }, (text, power, w.radius)
+    assert radius > 0  # radius 0 at least was checked
 
 
 def test_one_way_table_window_is_plain():

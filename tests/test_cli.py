@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -163,7 +164,7 @@ def test_clopen_refuses_a_scale_past_the_window(capsys):
          "--select", "component:r=1:index=0"],
     )
     assert (code, out) == (4, "")
-    assert err == "coarse-ends: refusing: element (1) lies outside the radius-0 window\n"
+    assert err == "coarse-ends: refusing: ball B(1) reaches past the radius-0 window\n"
 
 
 def test_asdim_result_frozen(capsys):
@@ -625,11 +626,12 @@ def test_any_argv_maps_to_an_exit_code(argv):
 # Determinism across processes
 
 
-def _spawn(argv):
+def _spawn(argv, **env):
     return subprocess.run(
         [sys.executable, "-m", "coarse_ends"] + argv,
         capture_output=True,
         timeout=120,
+        env={**os.environ, **env},
     )
 
 
@@ -651,6 +653,19 @@ def test_subprocess_asdim_seeded():
     assert a.returncode == 0
     assert a.stdout == b.stdout
     assert b"# seed=7" in a.stdout
+
+
+@pytest.mark.parametrize("group", ["F2", "(C2 * C3)"])
+def test_subprocess_refusal_ignores_hash_seed(group):
+    # a radius-0 window holds no generator; the refusal must not name one
+    # picked by set order, which for string payloads follows the hash seed
+    # (seeds 0 and 2 put different F2 generators first)
+    argv = ["clopen", "--group", group, "--window", "0", "--tmax", "1",
+            "--select", "component:r=1:index=0"]
+    runs = [_spawn(argv, PYTHONHASHSEED=seed) for seed in ("0", "1", "2")]
+    assert {(r.returncode, r.stdout, r.stderr) for r in runs} == {
+        (4, b"", b"coarse-ends: refusing: ball B(1) reaches past the radius-0 window\n")
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from coarse_ends import (
     spec_to_string,
     standard_generators,
 )
-from helpers import ZOO, get_group, random_element
+from helpers import ZOO, get_group, get_window, random_element
 from oracles import SyllableGroup, reduce_word, validate
 
 
@@ -264,6 +264,29 @@ def test_group_axioms(text):
         assert grp.inv(grp.mul(a, b)) == grp.mul(grp.inv(b), grp.inv(a))
         assert grp.parse(grp.show(a)) == a
         validate(grp, a)
+
+
+@pytest.mark.parametrize("text,power", [(text, 1) for text in ZOO] + [(text, 2) for text in ZOO])
+def test_parity_is_a_homomorphism(text, power):
+    # on every pair of a window (F2 at gen-power 2: 161 elements)
+    grp = get_group(text)
+    window = get_window(text, 2 if power == 2 else 3, power)
+    parity = {x: grp.parity(x) for x in window}
+    assert parity[grp.identity] == 0
+    for a in window:
+        for b in window:
+            assert grp.parity(grp.mul(a, b)) == (parity[a] + parity[b]) % 2, (a, b)
+
+
+def test_parity_of_standard_steps():
+    # odd on every standard step but those of an odd-order cyclic factor
+    for text, want in [
+        ("Z^3", {1}), ("F2", {1}), ("C6", {1}), ("C5", {0}), ("(Z x C2)", {1}),
+        ("(C2 * C2)", {1}), ("(C2 * C3)", {0, 1}), ("((Z x C3) * F2)", {0, 1}),
+    ]:
+        grp = get_group(text)
+        steps = standard_generators(grp) - {grp.identity}
+        assert {grp.parity(s) for s in steps} == want, text
 
 
 def test_free_reduction_matches_oracle():
