@@ -41,9 +41,9 @@ have reached an element already in the window, so window order, norms
 and the cap check are those of a plain search, and every product still
 goes through Group.mul. Growing a table window copies its table and id
 map and re-expands only the old outer sphere's entries that lead out; a
-prefix of a table window is a plain window. Only the commands that sweep
-the whole table (ends, tree, clopen with a selector) ask for one; a plain
-window builds no id map unless a caller reads it.
+prefix of a table window is a plain window. Every command that reads a
+neighbour (ends, tree, clopen) asks for one; a plain window builds no id
+map unless a caller reads it, and fills its table on the first request.
 
 perfbench/spans.py wraps `build_window` and `Window.geodesic` by name and
 reads `Window.spheres`, so those names stay.
@@ -56,7 +56,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import OutOfWindowError, ParameterError, WindowCapError
 from .groups import Group
@@ -72,7 +72,7 @@ class Window:
     """A radius-R ball: elements in window order, sphere offsets and norms.
 
     The id of an element is its position in window order, so sphere r holds
-    the ids offsets[r] up to offsets[r + 1]. The id map, neighbour tables,
+    the ids offsets[r] up to offsets[r + 1]. The id map, neighbour table,
     printed-form ranks and canonical predecessors are computed on first
     request and kept, so a caller that needs none of them pays only for the
     breadth-first search. A table window's search has already written its
@@ -92,7 +92,6 @@ class Window:
     cap: int
     table: bool = False  # the search writes the generator table (see at)
     _pred: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __contains__(self, g) -> bool:
         return g in self.norms
@@ -199,8 +198,8 @@ class Window:
             self, radius=radius, norms=norms, elements=elements, offsets=tuple(offsets), table=table
         )
         if table:
-            window.__dict__["ids"] = ids  # where cached_property keeps it
-            window._tables[frozenset(self.steps)] = cols
+            # where cached_property keeps them
+            window.__dict__.update(ids=ids, _cols=cols)
         return window
 
     def _search(self, elements: list, norms: dict, offsets: list, radius: int) -> None:
@@ -240,7 +239,7 @@ class Window:
         """
         top = len(offsets) - 2
         ids = dict(self.ids)
-        cols = [array("i", col) for col in self._tables[frozenset(self.steps)]]
+        cols = [array("i", col) for col in self.neighbours()]
         grp, cap = self.group, self.cap
         mul, put = grp.mul, ids.setdefault
         index = {s: j for j, s in enumerate(self.steps)}
@@ -297,54 +296,33 @@ class Window:
         """The id of every window element."""
         return {g: i for i, g in enumerate(self.elements)}
 
-    def neighbours(self, steps, radius: Optional[int] = None) -> tuple:
-        """Right-neighbour columns for a step set closed under inverses.
+    def neighbours(self) -> tuple:
+        """The generator table: right-neighbour columns, in step order.
 
-        One array('i') per non-identity step s: entry i is the id of
-        elements[i]*s, or -1 when that product lies outside the window. The
-        column of s^-1 is the inverse of the column of s, so each inverse
-        pair costs one product per element. With radius given, the columns
-        may hold only the rows of norm <= radius; a later request for more
-        rows fills the table again. A table window returns the columns its
-        search wrote for its own generators, in step order, with no product.
+        One array('i') per step s: entry i is the id of elements[i]*s, or -1
+        when that product lies outside the window. A table window returns
+        the columns its search wrote, with no product; a plain window fills
+        them on the first request, one product per element for each inverse
+        pair, since the column of s^-1 is the inverse of the column of s.
         """
-        rows = len(self.elements) if radius is None else self.offsets[radius + 1]
-        key = frozenset(steps) - {self.group.identity}
-        cols = self._tables.get(key)
-        if cols is None or (cols and len(cols[0]) < rows):
-            cols = self._tables[key] = self._fill(key, rows)
-        return cols
+        return self._cols
 
-    def _fill(self, steps: frozenset, rows: int) -> tuple:
-        grp = self.group
-        if any(grp.inv(s) not in steps for s in steps):
+    @cached_property
+    def _cols(self) -> tuple:
+        grp, steps = self.group, self.steps
+        if any(grp.inv(s) not in self.gens for s in steps):
             raise ParameterError("step set is not closed under inverses")
-        elements = self.elements
-        top = self.norm(rows - 1)
-        # no step moves a row further than the longest step's norm; a step
-        # outside the window counts as radius + 1
-        reach = max((self.norms.get(s, self.radius + 1) for s in steps), default=1)
-        if rows < len(elements) and "ids" not in self.__dict__:
-            # products of rows of norm <= top have norm <= top + reach
-            end = self.offsets[min(top + reach, self.radius) + 1]
-            ids = {g: i for i, g in enumerate(elements[:end])}
-        else:
-            ids = self.ids
-        # a row of norm r gets its s^-1 entry from an s row of norm <= r + reach,
-        # so mirroring leaves the last reach spheres of a partial table to products
-        last = self.offsets[max(top - reach + 1, 0)] if rows < len(elements) else rows
+        ids, n = self.ids, len(self.elements)
         cols: dict = {}
         for s in steps:
             mirror = cols.get(grp.inv(s))
             if mirror is None:
-                col = array("i", [ids.get(grp.mul(x, s), -1) for x in elements[:rows]])
+                col = array("i", [ids.get(grp.mul(x, s), -1) for x in self.elements])
             else:
-                col = array("i", [-1]) * rows
+                col = array("i", [-1]) * n
                 for i, y in enumerate(mirror):
-                    if 0 <= y < last:
+                    if y >= 0:
                         col[y] = i
-                for y in range(last, rows):
-                    col[y] = ids.get(grp.mul(elements[y], s), -1)
             cols[s] = col
         return tuple(cols.values())
 
@@ -372,7 +350,7 @@ def build_window(
 
     Raises WindowCapError as soon as the element count would exceed cap,
     reporting the last fully enumerated radius. With table set, the search
-    also writes the id map and the generator table that neighbours(gens)
+    also writes the id map and the generator table that neighbours()
     returns, forming each table entry's product at most once (see at); a
     generator set that is not closed under inverses gets a plain window.
     """
@@ -386,5 +364,5 @@ def build_window(
     table = table and all(group.inv(s) in gens for s in steps)
     seed = Window(group, gens, 0, {group.identity: 0}, [group.identity], (0, 1), steps, cap, table)
     if table:
-        seed._tables[frozenset(steps)] = tuple(array("i", [-1]) for _ in steps)
+        seed.__dict__["_cols"] = tuple(array("i", [-1]) for _ in steps)
     return seed.at(radius)

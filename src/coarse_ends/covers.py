@@ -159,7 +159,7 @@ def interface(A: Iterable, t: int, window: Window, core_radius: int) -> Interfac
         reach = offsets[core_radius + k]
         # the rows below reach have neighbours of norm <= core_radius + k
         inside = bytearray(g in A for g in window.elements[: offsets[core_radius + k + 1]])
-        cols = window.neighbours(window.gens, core_radius + k - 1)
+        cols = window.neighbours()
         seen = bytearray(reach)
         frontier = []
         for i in range(reach):
@@ -201,12 +201,20 @@ def clopen_scale_test(
     """Interface sizes at scale radii t = 1..t_max, with a stability re-run.
 
     Scale t is the ball B(t) = K^t; its core radius is R - 2m, with m the
-    largest norm in B(t). set_fn resolves the candidate set on a given
-    window, so selectors that depend on the window (components,
-    half-spaces) re-resolve on the enlarged window; a plain set may be
-    passed and is used as-is on both. Each scale is re-measured on
-    window.at(R + ENLARGE_BY), grown under the window's cap, at the SAME
-    core radius; stable means the two interface sets agree.
+    largest norm in B(t). Stable means that the interface at the SAME core
+    radius is unchanged on window.at(R + ENLARGE_BY). set_fn is either the
+    set itself or a function that resolves it on a given window, as the
+    selectors that depend on the window (components, half-spaces) do.
+
+    The grown interface differs only where the set does inside B(R). An
+    interface at core radius c reads the set on elements of norm at most
+    c + k <= R and the table rows of norm at most R - 1, whose neighbours
+    lie in B(R) (see `interface`). The grown window holds B(R) as its
+    prefix, id for id, and so the same rows there. A plain set is
+    therefore stable at every scale and builds no grown window. A set_fn
+    is re-resolved on the grown window, built under the window's cap, and
+    the grown interfaces are computed only when the two sets differ
+    inside B(R).
     """
     if t_max < 1:
         raise ParameterError("t_max must be at least 1")
@@ -219,18 +227,21 @@ def clopen_scale_test(
             raise CoreRadiusError(
                 f"window radius {window.radius} cannot host a core at scale t={t}"
             )
-    resolver = set_fn if callable(set_fn) else (lambda w, _frozen=set(set_fn): _frozen)
-    big = window.at(window.radius + ENLARGE_BY)
-    A_small = set(resolver(window))
-    A_big = set(resolver(big))
+    recheck = False
+    if callable(set_fn):
+        big = window.at(window.radius + ENLARGE_BY)
+        A = set(set_fn(window))
+        A_big = set(set_fn(big))
+        recheck = {g for g in A if g in window} != {g for g in A_big if g in window}
+    else:
+        A = set(set_fn)
 
     entries = []
     rho1 = None
     affine_ok = True
     for t, core in cores.items():
-        rep = interface(A_small, t, window, core)
-        rep_big = interface(A_big, t, big, core)
-        stable = set(rep.interface) == set(rep_big.interface)
+        rep = interface(A, t, window, core)
+        stable = not recheck or set(rep.interface) == set(interface(A_big, t, big, core).interface)
         if t == 1:
             rho1 = rep.rho
         if rep.rho > max(rho1, 0) + 2 * (t - 1) * step_mn:
@@ -250,5 +261,5 @@ def clopen_scale_test(
         verdict=verdict,
         affine_ok=affine_ok,
         window_radius=window.radius,
-        enlarged_radius=big.radius,
+        enlarged_radius=window.radius + ENLARGE_BY,
     )

@@ -1,11 +1,11 @@
 """Component decompositions of ball complements and end-count verdicts.
 
 Removing the elements of norm below r from the window leaves the set
-{|g| >= r}, which splits into components under one-step adjacency by a
-symmetric step set (the generators by default). Components that reach
-the outer sphere of the window are the finite-scale stand-ins for
-unbounded pieces; tracking how they nest as r grows yields a tree whose
-branches approximate the ends of the group.
+{|g| >= r}, which splits into components under one-step adjacency by the
+generators, a symmetric step set. Components that reach the outer sphere
+of the window are the finite-scale stand-ins for unbounded pieces;
+tracking how they nest as r grows yields a tree whose branches
+approximate the ends of the group.
 
 Verdicts are conservative. One and Two require the outer count to sit
 still across a span of radii, to survive growing the window 4 larger,
@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
-from .asdim import greedy_ball_cover
 from .cayley import DEFAULT_CAP, ENLARGE_BY, Window, build_window
-from .covers import star
-from .errors import CoverVerificationError, ParameterError
-from .groups import Group, power_generators
+from .errors import ParameterError
+from .groups import Group
 
 __all__ = [
     "Component",
@@ -39,7 +37,6 @@ __all__ = [
     "component_tree",
     "classify_counts",
     "end_count",
-    "k4_component_bound",
 ]
 
 
@@ -64,18 +61,19 @@ class ComponentDecomposition:
 class _UnionFind:
     """Components of a growing member set of window ids.
 
-    Adding an id joins it to every member among its step neighbours, read
-    off the window's neighbour table. The table holds right neighbours
-    only, so an edge is seen from whichever end is added second; that is
-    the whole adjacency because the step set is closed under inverses.
+    Adding an id joins it to every member among its generator neighbours,
+    read off the window's generator table. The table holds right
+    neighbours only, so an edge is seen from whichever end is added second;
+    that is the whole adjacency because the generators are closed under
+    inverses.
     Adding the spheres R, R-1, ..., r in turn yields the decomposition of
     {|g| >= r} after each one (offline incremental connectivity, as in
     Tarjan 1975). count and outer track the number of components and of
     those reaching the outer sphere.
     """
 
-    def __init__(self, window: Window, steps: Optional[frozenset] = None):
-        self.cols = window.neighbours(window.gens if steps is None else steps)
+    def __init__(self, window: Window):
+        self.cols = window.neighbours()
         n = len(window)
         self.boundary = window.offsets[window.radius]
         self.parent = list(range(n))
@@ -132,17 +130,18 @@ def _classes(labels: list, lo: int, ranks) -> list:
     return sorted(groups.values(), key=lambda ids: min(ranks[i] for i in ids))
 
 
-def components(window: Window, r: int, steps: Optional[frozenset] = None) -> ComponentDecomposition:
-    """Decompose {g in window : |g| >= r} into components of the step adjacency.
+def components(window: Window, r: int) -> ComponentDecomposition:
+    """Decompose {g in window : |g| >= r} into components of the generator
+    adjacency.
 
     Components are indexed by their least printed element; each lists its
-    elements by norm, then printed form. The step set must be closed under
-    inverses.
+    elements by norm, then printed form. The generators must be closed
+    under inverses.
     """
     if not 0 <= r < window.radius:
         raise ParameterError(f"base radius {r} must satisfy 0 <= r < window radius {window.radius}")
     lo = window.offsets[r]
-    uf = _UnionFind(window, steps)
+    uf = _UnionFind(window)
     uf.add(range(lo, len(window)))
     ranks = window.ranks
     elements = window.elements
@@ -452,35 +451,3 @@ def end_count(
         anomaly=anomaly,
     )
     return EndVerdict(verdict=verdict, note=note, evidence=evidence)
-
-
-def k4_component_bound(window: Window, L: Iterable):
-    """Observed K^4-component count of window \\ L against the covering bound.
-
-    The bound m is the greedy number of translates g*K needed to cover
-    st(L, U_K) = L*K*K; only components reaching the window boundary are
-    counted. For nonempty L the observed count must not exceed m and a
-    violation raises; for empty L there is nothing to cover (m = 0) and
-    the complement is the whole window in one piece, so no comparison is
-    made.
-    """
-    L_set = set(L)
-    k4 = power_generators(window.group, window.gens, 4)
-    if L_set:
-        reach = window.maxnorm_of(L_set) + 2
-        if reach > window.radius:
-            raise ParameterError(
-                f"L reaches norm {window.maxnorm_of(L_set)}; need R >= that + 2"
-            )
-    uf = _UnionFind(window, k4)
-    uf.add(i for i, g in enumerate(window) if g not in L_set)
-    observed = uf.outer
-    if not L_set:
-        return observed, 0
-    centers = greedy_ball_cover(window, star(L_set, 1, window), 1)
-    m = len(centers)
-    if observed > m:
-        raise CoverVerificationError(
-            f"observed {observed} components exceed the covering bound {m}"
-        )
-    return observed, m

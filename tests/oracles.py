@@ -18,6 +18,7 @@ from itertools import combinations
 
 from coarse_ends import (
     CoreRadiusError,
+    CoverVerificationError,
     Cyclic,
     DirectProduct,
     FreeAbelian,
@@ -25,6 +26,7 @@ from coarse_ends import (
     MismatchError,
     ParameterError,
     components,
+    greedy_ball_cover,
     interface,
     power_generators,
     star,
@@ -86,7 +88,7 @@ def table_search_products(window):
     the step is its own inverse.
     """
     group, steps = window.group, window.steps
-    cols = window.neighbours(window.gens)
+    cols = window.neighbours()
     lo = window.offsets[window.radius]
     inner = sum(1 for col in cols for i, y in enumerate(col) if y >= 0 and min(i, y) < lo)
     if all(group.parity(s) for s in steps):
@@ -104,7 +106,7 @@ def table_search_products(window):
 
 def table_edges(window):
     """Edges of the window's generator table: two entries each."""
-    return sum(1 for col in window.neighbours(window.gens) for y in col if y >= 0) // 2
+    return sum(1 for col in window.neighbours() for y in col if y >= 0) // 2
 
 
 def flood_partition(members, neighbors):
@@ -503,9 +505,9 @@ class BoundedMassReport:
     max_norm: int  # -1 when no inner component exists
 
 
-def bounded_mass_report(window, r, steps=None):
+def bounded_mass_report(window, r):
     """Aggregate size of components that fail to reach the window boundary."""
-    inner = [c for c in components(window, r, steps).components if not c.outer]
+    inner = [c for c in components(window, r).components if not c.outer]
     return BoundedMassReport(
         count=len(inner),
         total_size=sum(c.size for c in inner),
@@ -529,3 +531,33 @@ def union_component_clopen_check(decomposition, selection, window, scale_t=1):
     if core < 0:
         raise ParameterError("window too small for the requested scale")
     return interface(union, scale_t, window, core)
+
+
+def k4_component_bound(window, L):
+    """Observed K^4-component count of window minus L against the covering bound.
+
+    The components come from a flood over products x*s, s in K^4, that
+    stay in the window; only those reaching the outer sphere are counted.
+    The bound m is the greedy number of translates g*K needed to cover
+    st(L, U_K) = L*K*K. For nonempty L the observed count must not exceed
+    m and a violation raises; for empty L there is nothing to cover
+    (m = 0) and the complement is the whole window in one piece, so no
+    comparison is made.
+    """
+    L = set(L)
+    if L and window.maxnorm_of(L) + 2 > window.radius:
+        raise ParameterError(f"L reaches norm {window.maxnorm_of(L)}; need R >= that + 2")
+    grp = window.group
+    k4 = [s for s in power_generators(grp, window.gens, 4) if s != grp.identity]
+    parts = flood_partition(
+        (g for g in window if g not in L), lambda x: [grp.mul(x, s) for s in k4]
+    )
+    observed = sum(1 for part in parts if any(window.knorm(x) == window.radius for x in part))
+    if not L:
+        return observed, 0
+    m = len(greedy_ball_cover(window, star(L, 1, window), 1))
+    if observed > m:
+        raise CoverVerificationError(
+            f"observed {observed} components exceed the covering bound {m}"
+        )
+    return observed, m

@@ -23,13 +23,12 @@ from coarse_ends import (
     covering_number,
     end_count,
     estimate_delta,
-    k4_component_bound,
     star,
     verify_cover,
 )
 from coarse_ends.cli import main as cli_main
 from helpers import ZOO, get_gens, get_group, get_window, random_subset
-from oracles import exact_covering_number, flood_partition, min_cover_size
+from oracles import exact_covering_number, flood_partition, k4_component_bound, min_cover_size
 
 
 @contextmanager

@@ -1,5 +1,6 @@
 """Command-line behavior: envelopes, formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from coarse_ends import (
     SelectorError,
     SpecSyntaxError,
     UnsupportedSpecError,
+    Window,
     WindowCapError,
     __version__,
     build_window,
@@ -133,6 +135,39 @@ def test_clopen_result_frozen(capsys):
             {"scale_t": 2, "rho": 4, "core_radius": 8, "stable": True, "verdict": True},
         ],
     }
+
+
+def test_clopen_unstable_selector_frozen(capsys):
+    # the index-0 component at r = 2 is labelled by its least printed element,
+    # which the R + 4 window moves to another branch: the re-resolved set
+    # differs inside B(6), and so does the interface measured on it
+    code, out, _ = run_cli(
+        capsys,
+        ["clopen", "--group", "F2", "--window", "6", "--tmax", "1",
+         "--select", "component:r=2:index=0"],
+    )
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "verdict": False,
+        "affine_ok": True,
+        "window_radius": 6,
+        "enlarged_radius": 10,
+        "entries": [
+            {"scale_t": 1, "rho": 3, "core_radius": 4, "stable": False, "verdict": True},
+        ],
+    }
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "500d1d0a50d092dd23c5c5f353f26818386061b0fa1dc6a16a8820b5e39f14b8"
+    )
+    code, out, _ = run_cli(
+        capsys,
+        ["clopen", "--group", "F2", "--window", "6", "--tmax", "1",
+         "--select", "component:r=2:index=0", "--format", "text"],
+    )
+    assert out.splitlines()[2:] == [
+        "verdict: not clopen",
+        "t=1 rho=3 core=4 stable=false verdict=true",
+    ]
 
 
 def test_clopen_scales_past_an_exhausted_window(capsys):
@@ -444,22 +479,29 @@ def test_one_search_per_command(capsys, monkeypatch, tmp_path, argv, key, value)
     path = tmp_path / "set.txt"
     path.write_text("(1)\n(2)\n", encoding="utf-8")
     argv = [a.replace("{set}", str(path)) for a in argv]
-    calls = []
+    calls, grown = [], []
+    at = Window.at
 
     def counted(*args, **kwargs):
         calls.append(kwargs)
         return build_window(*args, **kwargs)
 
+    def counted_at(self, radius):
+        grown.append((self.radius, radius))
+        return at(self, radius)
+
     for name, module in list(sys.modules.items()):
         if name.startswith("coarse_ends") and getattr(module, "build_window", None) is build_window:
             monkeypatch.setattr(module, "build_window", counted)
+    monkeypatch.setattr(Window, "at", counted_at)
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert len(calls) == 1
-    # only the commands that sweep the whole generator table have the search
-    # write it; an elements file reads only the rows near the core
-    sweeps = argv[0] in ("ends", "tree") or "--select" in argv
-    assert calls[0].get("table", False) == sweeps
+    # every command that reads a neighbour has the search write the table
+    assert calls[0].get("table", False) == (argv[0] in ("ends", "tree", "clopen"))
+    if "--elements-file" in argv:
+        # a fixed set grows no window past the one build_window seeds
+        assert grown == [(0, 12)]
     if key is not None:  # the command did read a second radius
         assert json.loads(out)["result"][key] == value
 
@@ -691,8 +733,7 @@ def test_public_names_resolve():
         "UnsupportedSpecError", "Window", "WindowCapError", "asdim_upper_bound",
         "build_annulus_cover", "build_window", "classify_counts", "clopen_scale_test",
         "component_tree", "components", "covering_number", "end_count", "estimate_delta",
-        "greedy_ball_cover", "growth_series", "interface", "k4_component_bound",
-        "parse_spec", "power_generators", "spec_to_string", "standard_generators", "star",
-        "verify_cover",
+        "greedy_ball_cover", "growth_series", "interface", "parse_spec", "power_generators",
+        "spec_to_string", "standard_generators", "star", "verify_cover",
     }
-    assert len(coarse_ends.__all__) == 57
+    assert len(coarse_ends.__all__) == 56

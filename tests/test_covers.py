@@ -311,6 +311,53 @@ def test_recheck_obeys_the_window_cap():
     # |B(8)| = 145 fits the cap of 200, but the recheck window B(12) does not
     window = build_window(get_group("Z^2"), get_gens("Z^2"), 8, cap=200)
     with pytest.raises(WindowCapError) as exc:
-        clopen_scale_test(window, {(1, 0)}, 1)
+        clopen_scale_test(window, lambda w: {(1, 0)}, 1)
     assert exc.value.cap == 200
     assert exc.value.radius_reached == 9  # |B(9)| = 181, |B(10)| = 221
+    # a fixed set grows no window, so only B(8) has to fit
+    cert = clopen_scale_test(window, {(1, 0)}, 1)
+    assert (cert.enlarged_radius, cert.verdict) == (12, True)
+    assert [(e.rho, e.core_radius, e.stable) for e in cert.entries] == [(3, 6, True)]
+
+
+@pytest.mark.parametrize(
+    "text,radius,power",
+    [("Z", 10, 1), ("Z^2", 6, 1), ("F2", 4, 1), ("C6", 8, 1), ("(Z x C2)", 6, 1),
+     ("(C2 * C2)", 8, 1), ("(C2 * C3)", 6, 1), ("Z", 6, 2), ("Z^2", 3, 2), ("(C2 * C3)", 4, 2)],
+)
+def test_interface_is_the_same_on_a_grown_window(text, radius, power):
+    # the law that lets a fixed set skip the recheck window: an interface
+    # reads only B(R) and the rows of norm <= R - 1, which a grown window
+    # shares id for id
+    window = build_window(get_group(text), get_gens(text, power), radius, table=True)
+    grown = window.at(radius + 4)
+    rng = random.Random(f"grown:{text}:{power}")
+    for _ in range(20):
+        t = rng.randint(1, 3)
+        limit = radius - 2 * window.maxnorm_of(window.ball(min(t, radius)))
+        if limit < 0:
+            continue
+        core = rng.randint(0, limit)
+        A = random_subset(window, rng, rng.choice((0.05, 0.4, 0.9)))
+        assert interface(A, t, window, core) == interface(A, t, grown, core), (t, core)
+
+
+def test_grown_interfaces_run_only_where_the_sets_differ(monkeypatch):
+    import coarse_ends.covers as covers
+
+    radii = []
+
+    def recorded(A, t, window, core_radius):
+        radii.append(window.radius)
+        return interface(A, t, window, core_radius)
+
+    monkeypatch.setattr(covers, "interface", recorded)
+    window = get_window("Z", 20)
+    half = clopen_scale_test(window, lambda w: {g for g in w if g[0] >= 1}, 2)
+    assert radii == [20, 20] and all(e.stable for e in half.entries)
+    # a set that moves with the window differs inside B(20), so the grown
+    # window is measured too, and the interfaces there differ
+    radii.clear()
+    moving = clopen_scale_test(window, lambda w: {g for g in w if g[0] >= w.radius - 10}, 2)
+    assert radii == [20, 24, 20, 24]
+    assert [e.stable for e in moving.entries] == [False, False] and moving.verdict is False
