@@ -72,12 +72,13 @@ class Window:
     """A radius-R ball: elements in window order, sphere offsets and norms.
 
     The id of an element is its position in window order, so sphere r holds
-    the ids offsets[r] up to offsets[r + 1]. The id map, neighbour table,
-    printed-form ranks and canonical predecessors are computed on first
-    request and kept, so a caller that needs none of them pays only for the
-    breadth-first search. A table window's search has already written its
-    id map and the table of its generators (see `at`). cap bounds the
-    element count of this window and of every window grown from it by `at`.
+    the ids offsets[r] up to offsets[r + 1]; window order is the one order
+    on the window. The id map, neighbour table and canonical predecessors
+    are computed on first request and kept, so a caller that needs none of
+    them pays only for the breadth-first search. A table window's search
+    has already written its id map and the table of its generators (see
+    `at`). cap bounds the element count of this window and of every window
+    grown from it by `at`.
     """
 
     group: Group
@@ -173,7 +174,7 @@ class Window:
 
         A smaller radius is a prefix; a larger one continues the search from
         the outer sphere under the same cap. This window is left unchanged,
-        and no id map, table, rank or predecessor is shared with it.
+        and no id map, table or predecessor is shared with it.
 
         A table window gives a table window at its own radius or a larger
         one: it copies the rows and the id map, continues the search by the
@@ -325,17 +326,6 @@ class Window:
                         col[y] = i
             cols[s] = col
         return tuple(cols.values())
-
-    @cached_property
-    def ranks(self) -> array:
-        """ranks[i] is the position of elements[i] in printed-form order."""
-        show = self.group.show
-        elements = self.elements
-        order = sorted(range(len(elements)), key=lambda i: show(elements[i]))
-        ranks = array("i", [0]) * len(elements)
-        for pos, i in enumerate(order):
-            ranks[i] = pos
-        return ranks
 
 
 def build_window(

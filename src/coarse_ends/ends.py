@@ -5,7 +5,9 @@ Removing the elements of norm below r from the window leaves the set
 generators, a symmetric step set. Components that reach the outer sphere
 of the window are the finite-scale stand-ins for unbounded pieces;
 tracking how they nest as r grows yields a tree whose branches
-approximate the ends of the group.
+approximate the ends of the group. Every component meets sphere r, and
+is labelled by the least printed element there, so its label does not
+change when the window grows.
 
 Verdicts are conservative. One and Two require the outer count to sit
 still across a span of radii, to survive growing the window 4 larger,
@@ -46,7 +48,7 @@ class Component:
     outer: bool
     size: int
     max_norm: int
-    least: str  # printed form of the least element, the label anchor
+    least: str  # printed form of the least element on sphere r, the label anchor
 
 
 @dataclass(frozen=True)
@@ -122,40 +124,44 @@ class _UnionFind:
         return [find(i) for i in range(lo, len(self.parent))]
 
 
-def _classes(labels: list, lo: int, ranks) -> list:
-    """Ids lo, lo+1, ... grouped by root label, ordered by least printed element."""
+def _classes(labels: list, window: Window, r: int) -> list:
+    """Ids of {|g| >= r} grouped by root label, in window order, as (anchor,
+    ids) pairs sorted by anchor: the least printed element of the group's
+    part of sphere r. Every group meets sphere r, as a canonical geodesic
+    keeps norm >= r down to sphere r by generator steps.
+    """
+    lo, hi = window.offsets[r], window.offsets[r + 1]
     groups: dict = {}
     for i, root in enumerate(labels, start=lo):
         groups.setdefault(root, []).append(i)
-    return sorted(groups.values(), key=lambda ids: min(ranks[i] for i in ids))
+    shown = list(map(window.group.show, window.elements[lo:hi]))
+    return sorted((min(shown[i - lo] for i in ids if i < hi), ids) for ids in groups.values())
 
 
 def components(window: Window, r: int) -> ComponentDecomposition:
     """Decompose {g in window : |g| >= r} into components of the generator
     adjacency.
 
-    Components are indexed by their least printed element; each lists its
-    elements by norm, then printed form. The generators must be closed
-    under inverses.
+    Components are indexed by their anchor, the least printed element of
+    their part of sphere r, which a larger window changes only when two
+    components merge; each lists its elements in window order. The
+    generators must be closed under inverses.
     """
     if not 0 <= r < window.radius:
         raise ParameterError(f"base radius {r} must satisfy 0 <= r < window radius {window.radius}")
     lo = window.offsets[r]
     uf = _UnionFind(window)
     uf.add(range(lo, len(window)))
-    ranks = window.ranks
     elements = window.elements
     comps = []
-    for ids in _classes(uf.labels(lo), lo, ranks):
-        least = min(ids, key=ranks.__getitem__)
-        ids.sort(key=lambda i: (window.norm(i), ranks[i]))
+    for least, ids in _classes(uf.labels(lo), window, r):
         comps.append(
             Component(
                 elements=tuple(elements[i] for i in ids),
                 outer=ids[-1] >= uf.boundary,
                 size=len(ids),
                 max_norm=window.norm(ids[-1]),
-                least=window.group.show(elements[least]),
+                least=least,
             )
         )
     return ComponentDecomposition(components=tuple(comps))
@@ -241,14 +247,13 @@ def component_tree(window: Window, r_min: int, r_max: int, margin: int = 4) -> E
         uf.add(range(offsets[r], offsets[r + 1]))
         if r <= r_max:
             labels[r] = uf.labels(offsets[r])
-    ranks = window.ranks
     levels = []
     outer_counts = []
     exhausted = False
     owner = None  # root label at the previous radius -> node id
     for r in range(r_min, r_max + 1):
         lo = offsets[r]
-        classes = _classes(labels[r], lo, ranks)
+        classes = [ids for _, ids in _classes(labels[r], window, r)]
         nodes = []
         for idx, ids in enumerate(classes):
             parent = None

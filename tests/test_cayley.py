@@ -263,15 +263,13 @@ def test_at_equals_a_fresh_build(text, radius, power):
 def test_at_shares_no_lazy_state():
     grp, gens = get_group("(C2 * C3)"), get_gens("(C2 * C3)")
     source = build_window(grp, gens, 6)
-    # fill the id map, ranks, predecessors and the neighbour table
-    source.ids, source.ranks, source.geodesic(source.elements[-1])
+    # fill the id map, predecessors and the neighbour table
+    source.ids, source.geodesic(source.elements[-1])
     source.neighbours()
     for r in (3, 6, 8):
         w = source.at(r)
         assert w.elements is not source.elements and w.norms is not source.norms
-        assert "ids" not in vars(w) and "ranks" not in vars(w)
-        assert "_cols" not in vars(w) and w._pred == {}
-        assert list(w.ranks) == list(build_window(grp, gens, r).ranks)
+        assert "ids" not in vars(w) and "_cols" not in vars(w) and w._pred == {}
     assert len(source.ids) == len(source) and "_cols" in vars(source) and source._pred
     with pytest.raises(ValueError):
         source.at(-1)

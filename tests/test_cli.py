@@ -137,27 +137,28 @@ def test_clopen_result_frozen(capsys):
     }
 
 
-def test_clopen_unstable_selector_frozen(capsys):
-    # the index-0 component at r = 2 is labelled by its least printed element,
-    # which the R + 4 window moves to another branch: the re-resolved set
-    # differs inside B(6), and so does the interface measured on it
+def test_clopen_selector_stable_on_a_grown_window(capsys):
+    # a component is labelled by the least printed element of its sphere-r
+    # part, so the R + 4 window re-resolves each index to the same branch:
+    # every branch of F2 is coarsely clopen, and the recheck agrees
     code, out, _ = run_cli(
         capsys,
         ["clopen", "--group", "F2", "--window", "6", "--tmax", "1",
          "--select", "component:r=2:index=0"],
     )
     assert code == 0
-    assert json.loads(out)["result"] == {
-        "verdict": False,
+    result = {
+        "verdict": True,
         "affine_ok": True,
         "window_radius": 6,
         "enlarged_radius": 10,
         "entries": [
-            {"scale_t": 1, "rho": 3, "core_radius": 4, "stable": False, "verdict": True},
+            {"scale_t": 1, "rho": 3, "core_radius": 4, "stable": True, "verdict": True},
         ],
     }
+    assert json.loads(out)["result"] == result
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "500d1d0a50d092dd23c5c5f353f26818386061b0fa1dc6a16a8820b5e39f14b8"
+        "ab1005c301565d095f4b79ee74cca93e52620fdda00d45ed7c7eb0d2f4502ff1"
     )
     code, out, _ = run_cli(
         capsys,
@@ -165,9 +166,17 @@ def test_clopen_unstable_selector_frozen(capsys):
          "--select", "component:r=2:index=0", "--format", "text"],
     )
     assert out.splitlines()[2:] == [
-        "verdict: not clopen",
-        "t=1 rho=3 core=4 stable=false verdict=true",
+        "verdict: clopen-consistent",
+        "t=1 rho=3 core=4 stable=true verdict=true",
     ]
+    # the indexes whose label the old whole-component anchor moved
+    for index in (1, 2, 6):
+        code, out, _ = run_cli(
+            capsys,
+            ["clopen", "--group", "F2", "--window", "6", "--tmax", "1",
+             "--select", f"component:r=2:index={index}"],
+        )
+        assert code == 0 and json.loads(out)["result"] == result
 
 
 def test_clopen_scales_past_an_exhausted_window(capsys):

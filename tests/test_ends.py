@@ -6,6 +6,7 @@ import pytest
 
 from coarse_ends import (
     ParameterError,
+    WindowCapError,
     build_window,
     classify_counts,
     component_tree,
@@ -13,7 +14,8 @@ from coarse_ends import (
     end_count,
     star,
 )
-from helpers import get_gens, get_group, get_window
+from coarse_ends.cayley import ENLARGE_BY
+from helpers import ZOO, get_gens, get_group, get_window
 from oracles import (
     bounded_mass_report,
     flood_partition,
@@ -32,9 +34,9 @@ def test_z_components_frozen():
     assert dec.outer_count == 2 and all(c.outer for c in dec.components)
     assert sorted(c.size for c in dec.components) == [9, 9]
     assert all(c.outer for c in dec.components)
-    # deterministic indexing by least printed element (string order)
-    assert dec.components[0].least == "(-10)"
-    assert dec.components[1].least == "(10)"
+    # deterministic indexing by the least printed element of sphere 2
+    assert dec.components[0].least == "(-2)"
+    assert dec.components[1].least == "(2)"
 
 
 def test_f2_components_frozen():
@@ -149,6 +151,43 @@ def test_step_set_must_be_closed_under_inverses():
     w = build_window(get_group("Z"), frozenset({(0,), (1,)}), 6)
     with pytest.raises(ParameterError, match="inverses"):
         components(w, 1)
+
+
+LABEL_SPECS = ZOO + ["(Z * C2)", "(C2 * C4)"]
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_labels_survive_window_growth(power):
+    # every radius R up to 12 whose growth by ENLARGE_BY fits the cap: where
+    # the R and R + 4 windows count as many components at r, each index names
+    # the same set on both, once the grown set is cut to B(R). Only C6 at
+    # R = 2, r = 1 counts differently there: its two components merge.
+    cases, merged = 0, []
+    for text in LABEL_SPECS:
+        grp, gens = get_group(text), get_gens(text, power)
+        for radius in range(1, 13):
+            try:
+                window = build_window(grp, gens, radius, cap=10_000, table=True)
+                grown = window.at(radius + ENLARGE_BY)
+            except WindowCapError:
+                break
+            for r in range(radius):
+                dec, big = components(window, r), components(grown, r)
+                sphere = {grp.show(g): g for g in window.sphere(r)}
+                anchors = [c.least for c in dec.components]
+                assert len(set(anchors)) == len(anchors)
+                for c in dec.components:
+                    assert sphere[c.least] in c.elements
+                if len(big.components) != len(dec.components):
+                    merged.append((text, radius, r))
+                    continue
+                for c, d in zip(dec.components, big.components):
+                    assert set(c.elements) == {g for g in d.elements if g in window}, (
+                        text, radius, r, c.least
+                    )
+                cases += 1
+    assert merged == ([("C6", 2, 1)] if power == 1 else [])
+    assert cases > 400
 
 
 # ---------------------------------------------------------------------------
