@@ -15,14 +15,17 @@ one, so `Window.at` reads a smaller window off a larger one by slicing
 and gets a larger one by continuing the search from the outer sphere:
 one search per command serves every radius it reads.
 
-A plain search skips each element's way back. If p was first reached as
-parent*s, then p*s^-1 is parent, which lies in the window already, so that
-product could add nothing and is never formed; every other product is made
-in the same order as before, so the window order is unchanged. Only an
-element's first step is remembered, for the sphere being expanded; the
-identity and the outer sphere of a window being grown have none and try
-every step, and a step whose inverse is not a step (a one-way generator
-set) skips nothing.
+A plain search tries only the steps that can extend a shortlex-least word.
+Window order is the shortlex order of least words, letters in step order,
+so each element is first reached from the prefix of its least geodesic
+word by that word's last letter. If p was first reached by step t, p*s is
+new only if t*s is neither the identity nor a step (else |p*s| <= |p|) and
+(t, s) is the least pair of steps with product t*s (else an earlier pair
+spells p*s by a smaller word). The search forms the |K|^2 products t*s
+once and skips every other pair, the way back t*s = e among them, so the
+window order is that of a search that tries every step. Only an element's
+first step is remembered, for the sphere being expanded; the identity and
+the outer sphere of a window being grown have none and try every step.
 
 A table window, build_window(..., table=True), writes the generator table
 during its search instead: an id map and one array('i') column per step,
@@ -206,14 +209,21 @@ class Window:
     def _search(self, elements: list, norms: dict, offsets: list, radius: int) -> None:
         """Continue a plain search from the outer sphere out to radius."""
         top = len(offsets) - 2
-        mul, inv, cap = self.group.mul, self.group.inv, self.cap
-        # tries[k]: the (id, step) pairs to expand an element first reached
-        # by steps[k], which are all but the way back, in step order; the
-        # last entry is every step, for an element whose first step is
-        # unknown. came[i] is that k for the i-th element of the frontier.
+        mul, cap = self.group.mul, self.cap
+        # tries[k]: the (id, step) pairs that can extend the least word of an
+        # element first reached by steps[k], in step order; the last entry is
+        # every step, for an element whose first step is unknown. came[i] is
+        # that k for the i-th element of the frontier.
         pairs = tuple(enumerate(self.steps))
-        tries = tuple(tuple((j, s) for j, s in pairs if s != inv(t)) for t in self.steps)
-        tries += (pairs,)
+        # least[c]: the least pair (k, j) with steps[k]*steps[j] = c, or None
+        # when c is the identity or a step
+        least = dict.fromkeys((self.group.identity, *self.steps))
+        for k, t in pairs:
+            for j, s in pairs:
+                least.setdefault(mul(t, s), (k, j))
+        tries = [[] for _ in pairs] + [pairs]
+        for pair in filter(None, least.values()):  # in (k, j) order
+            tries[pair[0]].append(pairs[pair[1]])
         came = [len(pairs)] * (offsets[top + 1] - offsets[top])
         for r in range(top + 1, radius + 1):
             reached = []

@@ -234,7 +234,7 @@ def _free_concat(a: str, b: str) -> str:
 # Nested products go through child.mul and child.show, the class entry
 # points (see Group.mul); a free product calls child.mul only at the seam,
 # and child.inv and child.show once per distinct syllable, through
-# per-syllable tables.
+# per-syllable tables that also check the syllable's shape and side.
 
 
 def _free_abelian_kernels(rank: int):
@@ -358,9 +358,16 @@ def _free_product_kernels(left: "Group", right: "Group", tagged: bool):
         for side, child in enumerate(children)
     )
     suffix = tuple(")" if child.kind == "free_product" else "" for child in children)
+
+    def side_of(syl):
+        # checked once per distinct syllable, by the memos below
+        if not (isinstance(syl, tuple) and len(syl) == 2 and syl[0] in (0, 1)):
+            raise MismatchError(mismatch)
+        return syl[0]
+
     # per-syllable tables: (side, x) -> its inverse syllable, its printed form
-    inverse = _Memo(lambda syl: (syl[0], children[syl[0]].inv(syl[1])))
-    text = _Memo(lambda syl: prefix[syl[0]] + children[syl[0]].show(syl[1]) + suffix[syl[0]])
+    inverse = _Memo(lambda syl: (side_of(syl), children[syl[0]].inv(syl[1])))
+    text = _Memo(lambda syl: prefix[side_of(syl)] + children[syl[0]].show(syl[1]) + suffix[syl[0]])
 
     def mul(a, b):
         if not (isinstance(a, tuple) and isinstance(b, tuple)):

@@ -76,6 +76,46 @@ def window_order_reference(group, gens, radius):
     return elements, offsets, norms
 
 
+def plain_search_products(window):
+    """Products a plain search forms to build window in one search.
+
+    The |K|^2 products t*s of two steps, each once. Then, for each element
+    of norm < R, one product per step it tries: every step for the
+    identity; for an element first reached by step t, each step s such
+    that t*s is neither the identity nor a step and no pair of steps before
+    (t, s), in step order, has the product t*s. First steps come from a
+    textbook breadth-first search, not from the window.
+    """
+    group, radius = window.group, window.radius
+    steps = sorted((g for g in window.gens if g != group.identity), key=group.show)
+    n = len(steps)
+    product = {(k, j): group.mul(steps[k], steps[j]) for k in range(n) for j in range(n)}
+    short = {group.identity, *steps}
+    tried = [
+        sum(
+            1
+            for j in range(n)
+            if product[k, j] not in short
+            and min(pair for pair, c in product.items() if c == product[k, j]) == (k, j)
+        )
+        for k in range(n)
+    ]
+    first = {group.identity: None}
+    queue = deque([(group.identity, 0)])
+    total = n * n
+    while queue:
+        x, r = queue.popleft()
+        if r == radius:
+            continue
+        total += n if first[x] is None else tried[first[x]]
+        for j, s in enumerate(steps):
+            y = group.mul(x, s)
+            if y not in first:
+                first[y] = j
+                queue.append((y, r + 1))
+    return total
+
+
 def table_search_products(window):
     """Products a table search forms to write window's generator table.
 

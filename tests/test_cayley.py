@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coarse_ends import (
     Group,
@@ -10,12 +11,16 @@ from coarse_ends import (
     ParameterError,
     WindowCapError,
     build_window,
+    parse_spec,
+    power_generators,
+    standard_generators,
 )
 from coarse_ends.cayley import ENLARGE_BY
 from helpers import ZOO, get_gens, get_group, get_window
 from oracles import (
     bfs_norms,
     distance,
+    plain_search_products,
     table_edges,
     table_search_products,
     window_order_reference,
@@ -40,6 +45,11 @@ def _one_way_z():
     return frozenset({(0,), (1,)})
 
 
+def _one_way_z2():
+    # {e, (1,0), (0,1)}: two commuting steps whose inverses are not steps
+    return frozenset({(0, 0), (1, 0), (0, 1)})
+
+
 @pytest.mark.parametrize(
     "text,radius,gens,grown",
     [(text, 5, None, False) for text in ZOO]
@@ -52,18 +62,64 @@ def _one_way_z():
         ("Z^5", 5, None, True),
         ("Z", 6, "one-way", False),
         ("Z", 7, "one-way", True),
+        # step sets with many pairs t*s that are a step, or that an earlier pair spells
+        ("(C2 * C3)", 5, 2, False),
+        ("(C2 * C3)", 7, 2, True),
+        ("(Z x C3)", 5, None, False),
+        ("(Z x C3)", 7, None, True),
+        ("((C2 * C2) x C3)", 5, None, False),
+        ("((C2 * C2) x C3)", 7, None, True),
+        ("Z^3", 4, 2, False),
+        ("Z^3", 5, 2, True),
+        ("Z^2", 6, "one-way", False),
+        ("Z^2", 7, "one-way", True),
     ],
 )
 def test_window_order_matches_reference(text, radius, gens, grown):
     # window order itself, not only the norms: the search may skip products
     # but must reach every element in the order a plain search does
     grp = get_group(text)
-    gens = _one_way_z() if gens == "one-way" else get_gens(text, gens or 1)
+    if gens == "one-way":
+        gens = _one_way_z() if text == "Z" else _one_way_z2()
+    else:
+        gens = get_gens(text, gens or 1)
     if grown:  # continue a smaller window's search, whose outer sphere has no known step
         window = build_window(grp, gens, 3).at(radius)
     else:
         window = build_window(grp, gens, radius)
     elements, offsets, norms = window_order_reference(grp, gens, radius)
+    assert window.elements == elements
+    assert window.offsets == offsets
+    assert list(window.norms.items()) == list(norms.items())
+
+
+def _nested_specs(depth):
+    leaf = st.sampled_from(["Z", "Z^2", "F2", "C1", "C2", "C3", "C4"])
+    if depth == 0:
+        return leaf
+    inner = _nested_specs(depth - 1)
+    pair = st.tuples(inner, st.sampled_from("x*"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+    return st.one_of(leaf, pair)
+
+
+@given(_nested_specs(2), st.sampled_from([1, 2]), st.integers(0, 5), st.booleans())
+def test_window_order_matches_reference_on_nested_specs(text, power, radius, grown):
+    grp = Group(parse_spec(text))
+    gens = standard_generators(grp)
+    if power > 1:
+        gens = power_generators(grp, gens, power)
+    cap = 1000
+
+    def build(r):
+        if grown:
+            return build_window(grp, gens, min(r, 1), cap).at(r)
+        return build_window(grp, gens, r, cap)
+
+    try:
+        window = build(radius)
+    except WindowCapError as err:
+        window = build(err.radius_reached)
+    elements, offsets, norms = window_order_reference(grp, gens, window.radius)
     assert window.elements == elements
     assert window.offsets == offsets
     assert list(window.norms.items()) == list(norms.items())
@@ -380,7 +436,7 @@ def test_class_entry_points_see_every_product(monkeypatch, text, per_product):
     monkeypatch.setattr(Group, "mul", counting)
     radius = 4
     window = build_window(get_group(text), get_gens(text), radius)
-    # every element of norm < R is expanded against every step, except that
-    # each one but the identity skips the way back to the element it came from
-    expanded = window.offsets[radius]
-    assert calls[0] == per_product * (expanded * len(window.steps) - (expanded - 1))
+    formed = calls[0]
+    # the |K|^2 products of two steps, then each element of norm < R against
+    # the steps that can extend its shortlex-least word
+    assert formed == per_product * plain_search_products(window)

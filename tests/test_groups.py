@@ -211,11 +211,20 @@ def test_mul_rejects_foreign_payloads(text, a, b, message):
         ("(Z x C2)", ((1,), 0, 1), "direct product payload must be a pair"),
         ("(Z x C2)", "ab", "direct product payload must be a pair"),
         ("(C2 * C3)", "a", "free product payload must be a syllable tuple"),
+        ("(C2 * C3)", ((5, 1),), "free product payload must be a syllable tuple"),
+        ("(C2 * C3)", ((0, 1), (1,)), "free product payload must be a syllable tuple"),
     ],
 )
 def test_inv_rejects_foreign_payloads(text, a, message):
     with pytest.raises(MismatchError, match=f"^{re.escape(message)}$"):
         get_group(text).inv(a)
+
+
+@pytest.mark.parametrize("a", [((5, 1),), ((0, 1), (-1, 2)), ((0,),), (3,)])
+def test_free_product_show_rejects_foreign_syllables(a):
+    # the side is checked once per distinct syllable, where its printed form is memoised
+    with pytest.raises(MismatchError, match="^free product payload must be a syllable tuple$"):
+        get_group("(C2 * C3)").show(a)
 
 
 @pytest.mark.parametrize(
