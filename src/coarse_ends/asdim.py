@@ -14,15 +14,42 @@ grouped by the last point where their canonical geodesic crosses the norm
 scans then confirm the diameter and multiplicity laws that make the
 family of covers witness asdim <= 2*N - 1.
 
-Three scans skip work whose outcome is already known. The greedy cover
-sorts one sphere at a time, outermost first, and only the elements still
-uncovered when their sphere comes up: covered only grows, so it picks the
-centres that one sort of the whole target would. The diameter scan visits
-each distinct cover set once, since a maximum over sets cannot be raised
-by a set met again. The thin-geodesics scan compares same-index points
-from the top index down and stops where the two geodesics meet: canonical
-geodesics are predecessor walks, so they agree at every lower index, where
-the distance is 0.
+The exact scans skip work whose outcome is already known. Write D(g, h)
+for min(|g^-1 h|, R+1), a distance read off the radius-R window with an
+escape counted as R+1. It keeps the triangle inequality D(g, h) <= D(g, p)
++ D(p, h): the true distances obey it, and a term of R+1 already bounds D.
+
+The greedy cover sorts one sphere at a time, outermost first, and only the
+elements still uncovered when their sphere comes up: covered only grows,
+so it picks the centres that one sort of the whole target would. It keeps
+every product of a translate, since covered is read only at target
+elements.
+
+The multiplicity scans read a reach map per cover: for every window
+element z, how many sets the probe ball z*B(r) meets. The map is built
+from the assigned side, one product per assigned y and u in B(r): z*u = y
+exactly when z = y*u^-1, and every z it finds lies in the band of norms
+2n+1-r .. 2n+2ps+r that a scan over probe centres would visit. The sets
+of two covers are distinct, so the cross multiplicity of adjacent covers
+is the largest sum of their two counts at one z. The worst centre, the
+first probe centre in window order whose count is the maximum, is found by
+lookups alone.
+
+The diameter scan visits each distinct cover set once, since a maximum
+over sets cannot be raised by a set met again. In a set it takes the first
+member p as pivot, forms D(p, g) for every member (the pivot's own pairs),
+and scans the other pairs in descending D(g, p) + D(p, h), stopping where
+that bound is at most the largest distance found, which no later pair can
+then exceed. On the symmetric generator sets that the witness is stated
+for, |x^-1| = |x|, so D(g, p) = D(p, g).
+
+The thin-geodesics scan compares same-index points from the top index down
+and stops where the two geodesics meet: canonical geodesics are
+predecessor walks, so they agree at every lower index, where the distance
+is 0. It also stops at the first index i with 2i <= the largest value so
+far: point i of a canonical geodesic has norm i, so D(cg[i], ch[i]) <= 2i.
+A pair whose top index already fails that builds no geodesic, though it
+still counts as informative.
 
 Cover centres and last-exit points come from predecessor walks. Point i
 of g's canonical geodesic is |g| - i predecessor steps back from g, so
@@ -35,14 +62,19 @@ All greedy choices (net points, cover centers) are ordered by norm then
 printed form, so witnesses are reproducible byte for byte. Ball translates
 are products, not neighbour-table walks: a greedy cover on a free group
 spends about one product per covered element, less than the |K|/2 per
-element that a table costs. perfbench/spans.py wraps `greedy_ball_cover`,
-`build_annulus_cover` and `verify_cover` by name.
+element that a table costs, and a reach map's walk from y back to z may
+leave the window, which is only sure to reach norm 2n+2ps. A reach map
+is made on the first request and kept on the cover, so the cross scan
+reads the maps that `verify_cover` built at radius ps.
+perfbench/spans.py wraps `greedy_ball_cover`, `build_annulus_cover` and
+`verify_cover` by name.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .cayley import Window
@@ -108,12 +140,16 @@ def greedy_ball_cover(window: Window, target: Iterable, s: int) -> list:
     if s < 0:
         raise ParameterError("covering radius must be nonnegative")
     grp = window.group
-    remaining = set(target)
+    mul, norms = grp.mul, window.norms
     by_norm: dict = {}
-    for g in remaining:
-        by_norm.setdefault(window.knorm(g), []).append(g)
+    for g in target:
+        k = norms.get(g)
+        if k is None:
+            window.knorm(g)  # raises, naming the first outside element in target order
+        by_norm.setdefault(k, []).append(g)
     ball = window.ball(min(s, window.radius))
     centers = []
+    # every product is kept, but covered is read only for target elements
     covered = set()
     for k in sorted(by_norm, reverse=True):
         # covered only grows, so what is covered now would be skipped anyway
@@ -125,10 +161,7 @@ def greedy_ball_cover(window: Window, target: Iterable, s: int) -> list:
             for _ in range(min(s, k)):
                 center = window.predecessor(center)
             centers.append(center)
-            for v in ball:
-                y = grp.mul(center, v)
-                if y in remaining:
-                    covered.add(y)
+            covered.update([mul(center, v) for v in ball])
     return centers
 
 
@@ -202,11 +235,14 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
         if top <= 0:
             continue
         informative += 1
+        # points i have norm i, so no index with 2i <= best can raise best
+        if 2 * top <= best:
+            continue
         cg = geo(g)
         ch = geo(h)
         # both are predecessor walks: once they meet, they agree below
         for i in range(top, 0, -1):
-            if cg[i] == ch[i]:
+            if 2 * i <= best or cg[i] == ch[i]:
                 break
             y = grp.mul(grp.inv(cg[i]), ch[i])
             val = window.norms.get(y, window.radius + 1)
@@ -236,6 +272,8 @@ class AnnulusCover:
     net: tuple  # the 2ps-separated net points on the norm-2n sphere
     sets: tuple  # sets[i] = elements assigned to net point i, window order
     assignment: dict  # annulus element -> sorted tuple of set indices
+    # probe radius -> reach map (see _reach_map), made on first request
+    _reach: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -323,69 +361,78 @@ def build_annulus_cover(window: Window, n: int, p: int, s: int) -> AnnulusCover:
     )
 
 
-def _probe_multiplicity(covers: Sequence[AnnulusCover], radius: int) -> tuple:
-    """Most distinct sets, over covers of one window, met by one probe ball.
+def _reach_map(cover: AnnulusCover, radius: int) -> dict:
+    """How many of the cover's sets the radius-`radius` probe ball at z meets,
+    for every window element z whose ball meets one.
 
-    Sets are told apart by their cover. The probe balls of the radius are
-    centered, in window order, on every element whose ball can meet the
-    annuli from that of covers[0] to that of covers[-1]. Returns the
-    maximum and the first center reaching it (None when no ball meets a set).
+    Read from the assigned side: z*u = y for u in B(radius) exactly when
+    z = y*u^-1, so one product per assigned y and ball element, kept when
+    z lies in the window. Kept on the cover, one map per radius.
     """
-    window = covers[0].window
-    grp = window.group
-    assignment: dict = {}
-    base = 0
-    for cover in covers:
-        for g, ids in cover.assignment.items():
-            assignment[g] = assignment.get(g, ()) + tuple(base + i for i in ids)
-        base += len(cover.sets)
-    last = covers[-1]
-    lo = max(0, 2 * covers[0].n + 1 - radius)
-    hi = min(window.radius, 2 * last.n + 2 * last.p * last.s + radius)
-    ball = window.ball(radius)
-    best = 0
-    best_center = None
-    for z in window.elements[window.offsets[lo] : window.offsets[hi + 1]]:
-        seen = set()
-        for u in ball:
-            ids = assignment.get(grp.mul(z, u))
-            if ids:
-                seen.update(ids)
-        if len(seen) > best:
-            best = len(seen)
-            best_center = z
-    return best, best_center
+    counts = cover._reach.get(radius)
+    if counts is None:
+        window = cover.window
+        grp = window.group
+        mul, norms = grp.mul, window.norms
+        back = [grp.inv(u) for u in window.ball(radius)]
+        hits: dict = {}
+        for y, ids in cover.assignment.items():
+            for v in back:
+                z = mul(y, v)
+                if z in norms:
+                    seen = hits.get(z)
+                    if seen is None:
+                        hits[z] = set(ids)
+                    else:
+                        seen.update(ids)
+        counts = {z: len(seen) for z, seen in hits.items()}
+        cover._reach[radius] = counts
+    return counts
 
 
 def verify_cover(cover: AnnulusCover, probe_radius: int, n2delta: int) -> CoverStats:
     """Exact diameter and multiplicity scan for one annulus cover.
 
     Probe balls of radius probe_radius are centered on every window element
-    whose norm allows the ball to meet the annulus; the multiplicity at a
-    center is how many distinct cover sets the ball meets. A smaller probe
-    ball has no more centers and meets no more sets, so that one scan
-    gives the largest multiplicity over probe radii up to probe_radius.
-    Passing means max diameter <= 8ps and multiplicity <= n2delta; a failing
-    multiplicity names the first center reaching it.
+    whose ball meets the annulus; the multiplicity at a center is how many
+    distinct cover sets the ball meets. A smaller probe ball has no more
+    centers and meets no more sets, so that one scan gives the largest
+    multiplicity over probe radii up to probe_radius. Passing means max
+    diameter <= 8ps and multiplicity <= n2delta; a failing multiplicity
+    names the first center, in window order, reaching it.
     """
     window = cover.window
     grp = window.group
+    mul, norms, far = grp.mul, window.norms, window.radius + 1
     ps = cover.p * cover.s
     if not 1 <= probe_radius <= ps:
         raise ParameterError(f"probe radius must lie in 1..{ps}")
     max_diam = 0
-    # a maximum over sets: an equal set met again cannot raise it
-    for members in dict.fromkeys(cover.sets):
-        for i, g in enumerate(members):
-            g_inv = grp.inv(g)
-            for h in members[i + 1 :]:
-                d = window.norms.get(grp.mul(g_inv, h), window.radius + 1)
+    # a maximum over the sets with a pair: an equal set met again cannot raise it
+    for members in dict.fromkeys(filter(None, cover.sets)):
+        # members by their distance from the pivot members[0], which bounds
+        # each pair: D(g, h) <= D(g, p) + D(p, h)
+        pivot = grp.inv(members[0])
+        level: dict = {}
+        for g in members[1:]:
+            level.setdefault(norms.get(mul(pivot, g), far), []).append((grp.inv(g), g))
+        max_diam = max((max_diam, *level))  # the pivot's own pairs
+        bounds = sorted(((a + b, a, b) for a in level for b in level if b <= a), reverse=True)
+        for bound, a, b in bounds:
+            if bound <= max_diam:
+                break
+            pairs = combinations(level[a], 2) if a == b else product(level[a], level[b])
+            for (g_inv, _), (_, h) in pairs:
+                d = norms.get(mul(g_inv, h), far)
                 if d > max_diam:
                     max_diam = d
-    multiplicity, center = _probe_multiplicity((cover,), probe_radius)
+                    if d == bound:
+                        break
+    reach = _reach_map(cover, probe_radius)
+    multiplicity = max(reach.values(), default=0)  # 0 on an empty annulus
     worst_center = None
     if multiplicity > n2delta:
-        worst_center = grp.show(center)
+        worst_center = grp.show(next(z for z in window if reach.get(z) == multiplicity))
     elif max_diam > 8 * ps:
         worst_center = "diameter law"
     return CoverStats(
@@ -512,7 +559,9 @@ def asdim_upper_bound(
     if len(covers) >= 2:
         cross = 0
         for cov_a, cov_b in zip(covers, covers[1:]):
-            val, _ = _probe_multiplicity((cov_a, cov_b), ps)
+            # the two covers' sets are distinct, so their counts add
+            a, b = _reach_map(cov_a, ps), _reach_map(cov_b, ps)
+            val = max(a.get(z, 0) + b.get(z, 0) for z in a.keys() | b.keys())
             if val > 2 * n2delta:
                 raise CoverVerificationError(
                     f"adjacent annuli n={cov_a.n},{cov_b.n} exceed the cross bound: "

@@ -463,6 +463,40 @@ def max_diameter_reference(window, sets):
     return best
 
 
+def probe_multiplicity_reference(covers, radius):
+    """Most distinct sets, over covers of one window, met by one probe ball.
+
+    Sets are told apart by their cover. The probe balls of the radius are
+    centered, in window order, on every element whose ball can meet the
+    annuli from that of covers[0] to that of covers[-1]. Returns the
+    maximum and the first center reaching it (None when no ball meets a set).
+    """
+    window = covers[0].window
+    grp = window.group
+    assignment: dict = {}
+    base = 0
+    for cover in covers:
+        for g, ids in cover.assignment.items():
+            assignment[g] = assignment.get(g, ()) + tuple(base + i for i in ids)
+        base += len(cover.sets)
+    last = covers[-1]
+    lo = max(0, 2 * covers[0].n + 1 - radius)
+    hi = min(window.radius, 2 * last.n + 2 * last.p * last.s + radius)
+    ball = window.ball(radius)
+    best = 0
+    best_center = None
+    for z in window.elements[window.offsets[lo] : window.offsets[hi + 1]]:
+        seen = set()
+        for u in ball:
+            ids = assignment.get(grp.mul(z, u))
+            if ids:
+                seen.update(ids)
+        if len(seen) > best:
+            best = len(seen)
+            best_center = z
+    return best, best_center
+
+
 def estimate_delta_reference(window, pair_budget=20000, seed=0):
     """`asdim.estimate_delta` comparing every index from 1 to the top.
 

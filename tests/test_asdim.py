@@ -27,6 +27,7 @@ from oracles import (
     greedy_ball_cover_reference,
     max_diameter_reference,
     min_cover_size,
+    probe_multiplicity_reference,
 )
 
 
@@ -195,12 +196,15 @@ def test_estimate_delta_matches_reference():
         w = get_window(text, radius)
         assert estimate_delta(w) == estimate_delta_reference(w), text
     # small samples, where one pair whose geodesics meet early can set the value
-    sampled = [("Z^2", 8, 300, 3), ("Z^2", 10, 200, 3), ("F2", 6, 2000, 3),
-               ("(C2 * C3)", 10, 1000, 3), ("Z^2", 5, 20, 20), ("(Z x C2)", 6, 20, 20)]
+    # on Z^3 and (Z x C3) the bound 2i <= best ends comparisons early
+    sampled = [("Z^2", 8, 300, range(3)), ("Z^2", 10, 200, range(3)), ("F2", 6, 2000, range(3)),
+               ("(C2 * C3)", 10, 1000, range(3)), ("Z^2", 5, 20, range(20)),
+               ("(Z x C2)", 6, 20, range(20)), ("Z^3", 6, 2000, (0, 11)),
+               ("(Z x C3)", 12, 2000, (0, 11))]
     values = []
     for text, radius, budget, seeds in sampled:
         w = get_window(text, radius)
-        for seed in range(seeds):
+        for seed in seeds:
             got = estimate_delta(w, pair_budget=budget, seed=seed)
             assert got == estimate_delta_reference(w, budget, seed), (text, seed)
             values.append(got)
@@ -292,19 +296,63 @@ def test_verify_cover_z():
         verify_cover(cover, 2, 2)
 
 
+def test_verify_cover_empty_annulus():
+    # C8 ends at norm 4: the n=2 annulus, norms 5 and 6, is empty, and so is its one set
+    cover = build_annulus_cover(get_window("C8", 8), 2, 1, 1)
+    assert cover.sets == ((),)
+    stats = verify_cover(cover, 1, 0)
+    assert (stats.max_diameter, stats.multiplicity, stats.worst_center) == (0, 0, None)
+    assert probe_multiplicity_reference((cover,), 1) == (0, None)
+
+
 def test_max_diameter_matches_reference():
-    # the covers asdim_upper_bound builds for Z, (C2 * C3) and F2 n=2
-    for text, radius, n_list in [("Z", 14, range(2, 7)), ("(C2 * C3)", 16, range(2, 8)),
-                                 ("F2", 9, [2])]:
+    # the covers asdim_upper_bound builds for Z, (C2 * C3) and F2 n=2, and covers
+    # whose largest distance escapes the window (R+1 for Z^2 and Z^3)
+    cases = [("Z", 14, range(2, 7), 1, 1), ("(C2 * C3)", 16, range(2, 8), 1, 1),
+             ("F2", 9, [2], 1, 1), ("Z^2", 6, [2], 1, 1), ("Z^3", 6, [2], 1, 1),
+             ("Z^2", 10, [3], 1, 2), ("(C2 * C3)", 14, [3], 2, 1)]
+    escaped = 0
+    for text, radius, n_list, p, s in cases:
         w = get_window(text, radius)
         for n in n_list:
-            cover = build_annulus_cover(w, n, 1, 1)
+            cover = build_annulus_cover(w, n, p, s)
             want = max_diameter_reference(w, cover.sets)
+            escaped += want == radius + 1
             assert verify_cover(cover, 1, len(cover.sets)).max_diameter == want, (text, n)
             # distinct sets that share members are each scanned
             heads = tuple(members[:1] for members in cover.sets)
             mixed = dataclasses.replace(cover, sets=heads + cover.sets + heads)
             assert verify_cover(mixed, 1, len(cover.sets)).max_diameter == want
+    assert escaped == 3
+
+
+def test_probe_multiplicity_matches_reference():
+    # reach maps built from the assigned side against the band scan over every centre
+    cases = [("Z", 14), ("(C2 * C3)", 16), ("F2", 8), ("F2", 9), ("(C2 * C2)", 16),
+             ("(Z x C2)", 14), ("(Z * C2)", 10), ("Z^2", 7), ("Z^3", 6)]
+    compared = 0
+    for text, radius in cases:
+        w = get_window(text, radius)
+        for ps in (1, 2):
+            n_list = list(range(ps + 1, (radius - 2 * ps) // 2 + 1, ps))
+            covers = [build_annulus_cover(w, n, ps, 1) for n in n_list]
+            for cover in covers:
+                for r in range(1, ps + 1):
+                    want, center = probe_multiplicity_reference((cover,), r)
+                    passing = verify_cover(cover, r, len(cover.sets))
+                    failing = verify_cover(cover, r, 0)
+                    assert passing.multiplicity == failing.multiplicity == want, (text, cover.n, r)
+                    assert passing.worst_center is None
+                    assert failing.worst_center == w.group.show(center), (text, cover.n, r)
+                    compared += 1
+            try:
+                witness = asdim_upper_bound(w, p=ps, n_list=n_list, pair_budget=2000)
+            except (NonHyperbolicError, ParameterError):
+                continue  # Z^2 and Z^3 refuse; F2 fits no annulus at p*s = 2
+            pairs = [probe_multiplicity_reference(pair, ps)[0] for pair in zip(covers, covers[1:])]
+            assert witness.cross_multiplicity == max(pairs, default=None), (text, ps)
+            compared += 1
+    assert compared == 61  # 49 covers at each radius, 12 witnesses
 
 
 # ---------------------------------------------------------------------------

@@ -677,13 +677,17 @@ def test_any_argv_maps_to_an_exit_code(argv):
 # Determinism across processes
 
 
-def _spawn(argv, **env):
+def _python(args, **env):
     return subprocess.run(
-        [sys.executable, "-m", "coarse_ends"] + argv,
+        [sys.executable] + args,
         capture_output=True,
         timeout=120,
         env={**os.environ, **env},
     )
+
+
+def _spawn(argv, **env):
+    return _python(["-m", "coarse_ends"] + argv, **env)
 
 
 def test_subprocess_byte_identical():
@@ -717,6 +721,26 @@ def test_subprocess_refusal_ignores_hash_seed(group):
     assert {(r.returncode, r.stdout, r.stderr) for r in runs} == {
         (4, b"", b"coarse-ends: refusing: ball B(1) reaches past the radius-0 window\n")
     }
+
+
+def test_greedy_cover_refusal_ignores_hash_seed():
+    # the first target element outside the window is named, not the first in
+    # set order (seeds 0 and 1 put abab and aaaa first)
+    code = (
+        "from coarse_ends import Group, build_window, greedy_ball_cover, parse_spec,"
+        " standard_generators\n"
+        "grp = Group(parse_spec('F2'))\n"
+        "window = build_window(grp, standard_generators(grp), 2)\n"
+        "target = [grp.parse(t) for t in ('a', 'aaaa', 'bbbb', 'abab')]\n"
+        "greedy_ball_cover(window, target, 1)\n"
+    )
+    runs = [_python(["-c", code], PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert [r.returncode for r in runs] == [1, 1]
+    for run in runs:
+        last = run.stderr.decode("utf-8").splitlines()[-1]
+        assert last == (
+            "coarse_ends.errors.OutOfWindowError: element a4 lies outside the radius-2 window"
+        )
 
 
 # ---------------------------------------------------------------------------
