@@ -41,12 +41,17 @@ abelian and even-order cyclic groups and their products do, the parity
 of x is |x| mod 2, no edge joins two elements of one sphere, and the
 outer sphere forms no product at all. A skipped product would only
 have reached an element already in the window, so window order, norms
-and the cap check are those of a plain search, and every product still
-goes through Group.mul. Growing a table window copies its table and id
-map and re-expands only the old outer sphere's entries that lead out; a
-prefix of a table window is a plain window. Every command that reads a
-neighbour (ends, tree, clopen) asks for one; a plain window builds no id
-map unless a caller reads it, and fills its table on the first request.
+and the cap check are those of a plain search. Growing a table window
+copies its table and id map and re-expands only the old outer sphere's
+entries that lead out; a prefix of a table window is a plain window.
+Every command that reads a neighbour (ends, tree, clopen) asks for one; a
+plain window builds no id map unless a caller reads it, and fills its
+table on the first request.
+
+Every product p*s by a fixed step s, in both searches, in the table a
+plain window fills and in the predecessor walk, goes through the step's
+map Group.right(s), built once per step; only the |K|^2 products of two
+steps that a plain search pairs up go through Group.mul.
 
 perfbench/spans.py wraps `build_window` and `Window.geodesic` by name and
 reads `Window.spheres`, so those names stay.
@@ -155,13 +160,18 @@ class Window:
             return self._pred[g]
         if r == 0:
             raise ValueError("the identity has no predecessor")
-        grp = self.group
         # by products, not the neighbour table: geodesics are walked for few
         # elements, and a table costs |K|/2 products per element of the window
-        below = [grp.mul(g, grp.inv(s)) for s in self.steps]
-        best = min((p for p in below if self.norms.get(p) == r - 1), key=grp.show)
+        below = [back(g) for back in self._backs]
+        best = min((p for p in below if self.norms.get(p) == r - 1), key=self.group.show)
         self._pred[g] = best
         return best
+
+    @cached_property
+    def _backs(self) -> tuple:
+        """The maps x -> x*s^-1, one per step, in step order."""
+        grp = self.group
+        return tuple(grp.right(grp.inv(s)) for s in self.steps)
 
     def geodesic(self, g) -> tuple:
         """The canonical geodesic from the identity to g (least-predecessor
@@ -209,27 +219,28 @@ class Window:
     def _search(self, elements: list, norms: dict, offsets: list, radius: int) -> None:
         """Continue a plain search from the outer sphere out to radius."""
         top = len(offsets) - 2
-        mul, cap = self.group.mul, self.cap
-        # tries[k]: the (id, step) pairs that can extend the least word of an
-        # element first reached by steps[k], in step order; the last entry is
-        # every step, for an element whose first step is unknown. came[i] is
-        # that k for the i-th element of the frontier.
+        grp, cap = self.group, self.cap
+        # tries[k]: the (id, step map) pairs that can extend the least word of
+        # an element first reached by steps[k], in step order; the last entry
+        # is every step, for an element whose first step is unknown. came[i]
+        # is that k for the i-th element of the frontier.
         pairs = tuple(enumerate(self.steps))
         # least[c]: the least pair (k, j) with steps[k]*steps[j] = c, or None
         # when c is the identity or a step
-        least = dict.fromkeys((self.group.identity, *self.steps))
+        least = dict.fromkeys((grp.identity, *self.steps))
         for k, t in pairs:
             for j, s in pairs:
-                least.setdefault(mul(t, s), (k, j))
-        tries = [[] for _ in pairs] + [pairs]
+                least.setdefault(grp.mul(t, s), (k, j))
+        moves = tuple((j, grp.right(s)) for j, s in pairs)
+        tries = [[] for _ in pairs] + [moves]
         for pair in filter(None, least.values()):  # in (k, j) order
-            tries[pair[0]].append(pairs[pair[1]])
+            tries[pair[0]].append(moves[pair[1]])
         came = [len(pairs)] * (offsets[top + 1] - offsets[top])
         for r in range(top + 1, radius + 1):
             reached = []
             for p, k in zip(elements[offsets[r - 1] :], came):
-                for j, s in tries[k]:
-                    q = mul(p, s)
+                for j, step in tries[k]:
+                    q = step(p)
                     if q not in norms:
                         norms[q] = r
                         elements.append(q)
@@ -252,19 +263,19 @@ class Window:
         ids = dict(self.ids)
         cols = [array("i", col) for col in self.neighbours()]
         grp, cap = self.group, self.cap
-        mul, put = grp.mul, ids.setdefault
+        put = ids.setdefault
         index = {s: j for j, s in enumerate(self.steps)}
         back = [index[grp.inv(s)] for s in self.steps]
-        # (column of s, s, column of s^-1) for every step, in step order
-        moves = tuple(zip(cols, self.steps, [cols[k] for k in back]))
+        # (column of s, the map x -> x*s, column of s^-1) for every step, in step order
+        moves = tuple(zip(cols, map(grp.right, self.steps), [cols[k] for k in back]))
         # the columns grow by doubling, padded with -1, and are cut to n at the end
         n = rows = len(elements)
         for r in range(top + 1, radius + 1):
             for i in range(offsets[r - 1], offsets[r]):
                 p = elements[i]
-                for col, s, mirror in moves:
+                for col, step, mirror in moves:
                     if col[i] < 0:
-                        q = mul(p, s)
+                        q = step(p)
                         y = put(q, n)
                         if y == n:
                             norms[q] = r
@@ -294,9 +305,9 @@ class Window:
         get = ids.get
         for i in range(offsets[radius], n):
             p = elements[i]
-            for col, s, mirror in pairs:
+            for col, step, mirror in pairs:
                 if col[i] < 0:
-                    y = get(mul(p, s), -1)
+                    y = get(step(p), -1)
                     if y >= 0:
                         col[i] = y
                         mirror[y] = i
@@ -328,7 +339,8 @@ class Window:
         for s in steps:
             mirror = cols.get(grp.inv(s))
             if mirror is None:
-                col = array("i", [ids.get(grp.mul(x, s), -1) for x in self.elements])
+                step = grp.right(s)
+                col = array("i", [ids.get(step(x), -1) for x in self.elements])
             else:
                 col = array("i", [-1]) * n
                 for i, y in enumerate(mirror):

@@ -225,49 +225,85 @@ def _free_concat(a: str, b: str) -> str:
     return a[:i] + b[j:]
 
 
+def _step_maps(build):
+    """right(s): build(s), the map a -> a*s, built on the first request for s.
+
+    build checks s deeply and raises MismatchError. The maps are kept by
+    repr(s), which, unlike equality, tells 1 from 1.0 and True and takes a
+    step that does not hash, so every step that is not a payload is checked.
+    """
+    maps: dict = {}
+
+    def right(s):
+        key = repr(s)
+        step = maps.get(key)
+        if step is None:
+            step = maps[key] = build(s)
+        return step
+
+    return right
+
+
 # Kernels: each family's mul, inv and show (of a non-identity payload),
-# built once per Group so that no product re-dispatches on the family.
+# built once per Group so that no product re-dispatches on the family, and
+# its step maps (see Group.right), built once per step.
 # mul and inv check only a payload's outer shape (type, a pair's arity, a
 # free abelian rank), once per call, and raise MismatchError on a wrong
 # one; a payload malformed inside can give a non-payload or another error.
+# A step map checks its step deeply, once, when it is built, and never
+# checks the payloads it is applied to.
 # Payloads from parse are well formed; tests/oracles.validate checks deeply.
-# Nested products go through child.mul and child.show, the class entry
-# points (see Group.mul); a free product calls child.mul only at the seam,
-# and child.inv and child.show once per distinct syllable, through
-# per-syllable tables that also check the syllable's shape and side.
+# Nested products go through child.mul, child.right and child.show, the
+# class entry points (see Group.mul); a free product calls child.mul only
+# at the seam, and child.inv and child.show once per distinct syllable,
+# through per-syllable tables that also check the syllable's shape and
+# side. A direct product's step map calls the map of each factor the step
+# moves and leaves the other factor as it is.
 
 
 def _free_abelian_kernels(rank: int):
-    # mul and inv spell out one coordinate per slot, written from this
-    # template once per Group: a displayed tuple of rank sums builds the
-    # result in one step, about 4x faster than tuple(map(add, a, b)) on a
-    # 3-tuple. The sums are the same ints in the same slots, so every
-    # product is the payload the map would give; the rank check runs first
-    # in both, so no coordinate is read from a foreign payload.
+    # mul, inv and the step maps spell out one coordinate per slot, written
+    # from a template: a displayed tuple of rank sums builds the result in
+    # one step, about 4x faster than tuple(map(add, a, b)) on a 3-tuple.
+    # The sums are the same ints in the same slots, so every product is the
+    # payload the map would give; the rank check runs first in mul and inv,
+    # so no coordinate is read from a foreign payload, and a coordinate that
+    # no operator takes is caught on the exception path only.
+    mismatch = "free abelian payload must be an int tuple of the right rank"
     slots = range(rank)
-    mismatch = (
-        "        raise MismatchError(\n"
-        '            "free abelian payload must be an int tuple of the right rank"\n'
-        "        )\n"
-    )
     source = (
         "def mul(a, b):\n"
         "    if not (isinstance(a, tuple) and isinstance(b, tuple)"
         f" and len(a) == len(b) == {rank}):\n"
-        f"{mismatch}"
-        f"    return ({''.join(f'a[{i}] + b[{i}], ' for i in slots)})\n"
+        "        raise MismatchError(mismatch)\n"
+        "    try:\n"
+        f"        return ({''.join(f'a[{i}] + b[{i}], ' for i in slots)})\n"
+        "    except TypeError:\n"
+        "        raise MismatchError(mismatch) from None\n"
         "def inv(a):\n"
         f"    if not (isinstance(a, tuple) and len(a) == {rank}):\n"
-        f"{mismatch}"
-        f"    return ({''.join(f'-a[{i}], ' for i in slots)})\n"
+        "        raise MismatchError(mismatch)\n"
+        "    try:\n"
+        f"        return ({''.join(f'-a[{i}], ' for i in slots)})\n"
+        "    except TypeError:\n"
+        "        raise MismatchError(mismatch) from None\n"
     )
-    kernels = {"MismatchError": MismatchError}
+    kernels = {"MismatchError": MismatchError, "mismatch": mismatch}
     exec(compile(source, f"<free abelian rank {rank}>", "exec"), kernels)
 
     def show(a):
         return "(" + ",".join(map(str, a)) + ")"
 
-    return kernels["mul"], kernels["inv"], show
+    def step(s):
+        # adds s's nonzero coordinates, as literals, and copies the others
+        if not (isinstance(s, tuple) and len(s) == rank and all(isinstance(c, int) for c in s)):
+            raise MismatchError(mismatch)
+        terms = "".join(f"a[{i}] + {int(c)}, " if c else f"a[{i}], " for i, c in enumerate(s))
+        code: dict = {}
+        exec(compile(f"def right(a):\n    return ({terms})\n", f"<free abelian step {s}>", "exec"), code)
+        return code["right"]
+
+    return kernels["mul"], kernels["inv"], show, _step_maps(step)
 
 
 def _cyclic_kernels(order: int, letter: str):
@@ -286,7 +322,12 @@ def _cyclic_kernels(order: int, letter: str):
     def show(a):
         return letter + ("" if a == 1 else str(a))
 
-    return mul, inv, show
+    def step(s):
+        if not isinstance(s, int):
+            raise MismatchError(mismatch)
+        return lambda a: (a + s) % order
+
+    return mul, inv, show, _step_maps(step)
 
 
 class _Memo(dict):
@@ -327,7 +368,27 @@ def _free_kernels(letters: tuple):
     def show(a):
         return "".join(map(printed.__getitem__, runs(a)))
 
-    return mul, inv, show
+    alphabet = frozenset("".join(letters).swapcase() + "".join(letters))
+
+    def step(s):
+        # the seam test reads one letter: s is reduced, so a*s cancels only
+        # if a ends in the inverse of s's first letter
+        if not (
+            isinstance(s, str)
+            and alphabet.issuperset(s)
+            and all(x != y.swapcase() for x, y in zip(s, s[1:]))
+        ):
+            raise MismatchError(mismatch)
+        seam = s[:1].swapcase()
+
+        def right(a):
+            if a and a[-1] == seam:
+                return _free_concat(a, s)
+            return a + s
+
+        return right
+
+    return mul, inv, show, _step_maps(step)
 
 
 def _direct_kernels(left: "Group", right: "Group"):
@@ -346,7 +407,18 @@ def _direct_kernels(left: "Group", right: "Group"):
     def show(a):
         return f"({left.show(a[0])},{right.show(a[1])})"
 
-    return mul, inv, show
+    def step(s):
+        # a factor the step does not move is passed through, with no product
+        if not (isinstance(s, tuple) and len(s) == 2):
+            raise MismatchError(mismatch)
+        f, g = left.right(s[0]), right.right(s[1])
+        if s[1] == right.identity:
+            return lambda a: (f(a[0]), a[1])
+        if s[0] == left.identity:
+            return lambda a: (a[0], g(a[1]))
+        return lambda a: (f(a[0]), g(a[1]))
+
+    return mul, inv, show, _step_maps(step)
 
 
 def _free_product_kernels(left: "Group", right: "Group", tagged: bool):
@@ -360,7 +432,8 @@ def _free_product_kernels(left: "Group", right: "Group", tagged: bool):
     suffix = tuple(")" if child.kind == "free_product" else "" for child in children)
 
     def side_of(syl):
-        # checked once per distinct syllable, by the memos below
+        # checked once per distinct syllable, by the memos below, and once
+        # per syllable of a step, where its map is built
         if not (isinstance(syl, tuple) and len(syl) == 2 and syl[0] in (0, 1)):
             raise MismatchError(mismatch)
         return syl[0]
@@ -398,7 +471,34 @@ def _free_product_kernels(left: "Group", right: "Group", tagged: bool):
     def show(a):
         return ".".join(map(text.__getitem__, a))
 
-    return mul, inv, show
+    def step(s):
+        if not isinstance(s, tuple):
+            raise MismatchError(mismatch)
+        before = None
+        for syl in s:
+            side = side_of(syl)
+            child = children[side]
+            child.right(syl[1])  # checks the syllable's payload deeply
+            # sides alternate, and no syllable is the identity
+            if side == before or syl[1] == child.identity:
+                raise MismatchError(mismatch)
+            before = side
+        if len(s) != 1:
+            return lambda a: mul(a, s)
+        # one syllable: only a's last syllable can change, and only when it
+        # lies on the step's side
+        ((side, x),) = s
+        f, unit = children[side].right(x), children[side].identity
+
+        def right(a):
+            if a and a[-1][0] == side:
+                y = f(a[-1][1])
+                return a[:-1] + ((side, y),) if y != unit else a[:-1]
+            return a + s
+
+        return right
+
+    return mul, inv, show, _step_maps(step)
 
 
 class Group:
@@ -414,8 +514,8 @@ class Group:
         cursor = [0] if _cursor is None else _cursor
         self.spec = spec
         self.letters: tuple[str, ...] = ()
-        self.left: Group | None = None
-        self.right: Group | None = None
+        # the left and right factors of a direct or free product
+        self.factors: tuple[Group, ...] = ()
         if isinstance(spec, FreeAbelian):
             self.kind = "free_abelian"
             self.identity = (0,) * spec.rank
@@ -432,26 +532,21 @@ class Group:
             kernels = _cyclic_kernels(spec.order, self.letters[0])
         elif isinstance(spec, DirectProduct):
             self.kind = "direct"
-            self.left = Group(spec.left, cursor)
-            self.right = Group(spec.right, cursor)
-            self.identity = (self.left.identity, self.right.identity)
-            kernels = _direct_kernels(self.left, self.right)
+            left, right = self.factors = (Group(spec.left, cursor), Group(spec.right, cursor))
+            self.identity = (left.identity, right.identity)
+            kernels = _direct_kernels(left, right)
         elif isinstance(spec, FreeProduct):
             self.kind = "free_product"
-            self.left = Group(spec.left, cursor)
-            self.right = Group(spec.right, cursor)
+            left, right = self.factors = (Group(spec.left, cursor), Group(spec.right, cursor))
             self.identity = ()
             # Bare syllables are routed by their first letter, which only
             # works when both factors print letter-first. Otherwise every
             # syllable carries an explicit side marker.
-            self.tagged = not (
-                self.left.kind in ("free", "cyclic")
-                and self.right.kind in ("free", "cyclic")
-            )
-            kernels = _free_product_kernels(self.left, self.right, self.tagged)
+            self.tagged = not (left.kind in ("free", "cyclic") and right.kind in ("free", "cyclic"))
+            kernels = _free_product_kernels(left, right, self.tagged)
         else:
             raise MismatchError(f"not a group spec: {spec!r}")
-        self._mul, self._inv, self._show = kernels
+        self._mul, self._inv, self._show, self._right = kernels
 
     @staticmethod
     def _claim_letters(cursor: list[int], count: int) -> tuple[str, ...]:
@@ -468,9 +563,12 @@ class Group:
 
     # -- arithmetic -------------------------------------------------------
 
-    # mul, inv and show stay methods of the class, each delegating to the
-    # family's kernel, so that a wrapper patched onto Group (as a tracer
-    # counting products does) sees every call, nested ones included.
+    # mul, inv, right and show stay methods of the class, each delegating to
+    # the family's kernel, so that a wrapper patched onto Group sees every
+    # call, nested ones included. A product formed by a step map (right)
+    # does not pass through mul: a tracer that counts products by patching
+    # mul alone sees only general products, and must also wrap the maps
+    # that right returns to see the step products of a search.
 
     def mul(self, a, b):
         """Product a*b in canonical form."""
@@ -479,6 +577,17 @@ class Group:
     def inv(self, a):
         """Inverse of a in canonical form."""
         return self._inv(a)
+
+    def right(self, s):
+        """The map a -> a*s for one fixed step s, in canonical form.
+
+        Built on the first request for s and kept. s is checked deeply,
+        once, here: a malformed step raises MismatchError, as mul does on a
+        payload of the wrong shape. The map checks nothing of a, so it takes
+        only payloads of this group, such as the elements of a window; it
+        spends on each product only what s leaves to do (see the kernels).
+        """
+        return self._right(s)
 
     def parity(self, a) -> int:
         """Exponent-sum parity of a: a homomorphism onto Z/2.
@@ -496,10 +605,10 @@ class Group:
             return len(a) % 2
         if kind == "cyclic":
             return a % 2 if self.spec.order % 2 == 0 else 0
+        factors = self.factors
         if kind == "direct":
-            return (self.left.parity(a[0]) + self.right.parity(a[1])) % 2
-        children = (self.left, self.right)
-        return sum(children[side].parity(x) for side, x in a) % 2
+            return (factors[0].parity(a[0]) + factors[1].parity(a[1])) % 2
+        return sum(factors[side].parity(x) for side, x in a) % 2
 
     # -- printing ---------------------------------------------------------
 
@@ -547,15 +656,14 @@ class Group:
             parts = _split_top(s[1:-1], ",")
             if len(parts) != 2:
                 raise ElementSyntaxError(f"expected exactly one top-level comma in {s!r}")
-            return (self.left.parse(parts[0]), self.right.parse(parts[1]))
+            return (self.factors[0].parse(parts[0]), self.factors[1].parse(parts[1]))
         # free product
         acc = self.identity
         for frag in _split_top(s, "."):
             if not frag:
                 raise ElementSyntaxError(f"empty syllable in {s!r}")
             side, payload = self._parse_syllable(frag)
-            child = self.left if side == 0 else self.right
-            if payload == child.identity:
+            if payload == self.factors[side].identity:
                 continue
             acc = self.mul(acc, ((side, payload),))
         return acc
@@ -568,7 +676,7 @@ class Group:
                     f"syllable {frag!r} must start with '<' or '>' for this group"
                 )
             side = 0 if mark == "<" else 1
-            child = self.left if side == 0 else self.right
+            child = self.factors[side]
             rest = frag[1:]
             if child.kind == "free_product":
                 if not (rest.startswith("(") and rest.endswith(")")):
@@ -576,10 +684,9 @@ class Group:
                 rest = rest[1:-1]
             return side, child.parse(rest)
         c = frag[0]
-        if c.lower() in self.left.letters:
-            return 0, self.left.parse(frag)
-        if c.lower() in self.right.letters:
-            return 1, self.right.parse(frag)
+        for side, child in enumerate(self.factors):
+            if c.lower() in child.letters:
+                return side, child.parse(frag)
         raise ElementSyntaxError(f"letter {c!r} belongs to neither factor")
 
     def _parse_letter_word(self, s: str):
@@ -640,17 +747,16 @@ def standard_generators(group: Group) -> frozenset:
             els.add(1 % n)
             els.add((n - 1) % n)
     elif kind == "direct":
-        for u in standard_generators(group.left):
-            els.add((u, group.right.identity))
-        for v in standard_generators(group.right):
-            els.add((group.left.identity, v))
+        left, right = group.factors
+        for u in standard_generators(left):
+            els.add((u, right.identity))
+        for v in standard_generators(right):
+            els.add((left.identity, v))
     else:
-        for x in standard_generators(group.left):
-            if x != group.left.identity:
-                els.add(((0, x),))
-        for y in standard_generators(group.right):
-            if y != group.right.identity:
-                els.add(((1, y),))
+        for side, child in enumerate(group.factors):
+            for x in standard_generators(child):
+                if x != child.identity:
+                    els.add(((side, x),))
     return frozenset(els)
 
 

@@ -2,6 +2,8 @@
 
 import functools
 
+from hypothesis import strategies as st
+
 from coarse_ends import (
     Group,
     build_window,
@@ -44,3 +46,14 @@ def random_element(group: Group, rng, max_len: int = 6):
 
 def random_subset(window, rng, density: float = 0.4):
     return {g for g in window if rng.random() < density}
+
+
+def nested_specs(depth):
+    """Spec strings: a leaf family, or a direct or free product of two
+    specs of depth less than depth."""
+    leaf = st.sampled_from(["Z", "Z^2", "F2", "C1", "C2", "C3", "C4"])
+    if depth == 0:
+        return leaf
+    inner = nested_specs(depth - 1)
+    pair = st.tuples(inner, st.sampled_from("x*"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+    return st.one_of(leaf, pair)

@@ -16,7 +16,7 @@ from coarse_ends import (
     standard_generators,
 )
 from coarse_ends.cayley import ENLARGE_BY
-from helpers import ZOO, get_gens, get_group, get_window
+from helpers import ZOO, get_gens, get_group, get_window, nested_specs
 from oracles import (
     bfs_norms,
     distance,
@@ -93,16 +93,7 @@ def test_window_order_matches_reference(text, radius, gens, grown):
     assert list(window.norms.items()) == list(norms.items())
 
 
-def _nested_specs(depth):
-    leaf = st.sampled_from(["Z", "Z^2", "F2", "C1", "C2", "C3", "C4"])
-    if depth == 0:
-        return leaf
-    inner = _nested_specs(depth - 1)
-    pair = st.tuples(inner, st.sampled_from("x*"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})")
-    return st.one_of(leaf, pair)
-
-
-@given(_nested_specs(2), st.sampled_from([1, 2]), st.integers(0, 5), st.booleans())
+@given(nested_specs(2), st.sampled_from([1, 2]), st.integers(0, 5), st.booleans())
 def test_window_order_matches_reference_on_nested_specs(text, power, radius, grown):
     grp = Group(parse_spec(text))
     gens = standard_generators(grp)
@@ -400,19 +391,44 @@ def test_grown_table_window_shares_no_table():
     assert ([list(c) for c in cols], list(source.ids.items()), list(source.norms.items())) == before
 
 
+def _count_products(monkeypatch, only=None):
+    """Count the products formed through Group.mul and through the maps that
+    Group.right returns, those of the group `only` alone when it is given.
+
+    A product's step map takes its factors' maps when it is built, so the
+    groups counted must be fresh: a map built before the patch counts none
+    of its nested products.
+    """
+    calls = [0]
+    mul, right = Group.mul, Group.right
+
+    def counting_mul(self, a, b):
+        calls[0] += only is None or self is only
+        return mul(self, a, b)
+
+    def counting_right(self, s):
+        step = right(self, s)
+        if only is not None and self is not only:
+            return step
+
+        def counted(a):
+            calls[0] += 1
+            return step(a)
+
+        return counted
+
+    monkeypatch.setattr(Group, "mul", counting_mul)
+    monkeypatch.setattr(Group, "right", counting_right)
+    return calls
+
+
 @pytest.mark.parametrize("text", ["Z^2", "F2", "(Z x C2)", "(C2 * C2)", "(C2 * C3)", "C6"])
 def test_table_search_forms_each_entry_once(monkeypatch, text):
     # products of the window's group only: a product's own child products
     # are the kernel's business
-    grp, gens = get_group(text), get_gens(text)
-    calls = [0]
-    original = Group.mul
-
-    def counting(self, a, b):
-        calls[0] += self is grp
-        return original(self, a, b)
-
-    monkeypatch.setattr(Group, "mul", counting)
+    grp = Group(parse_spec(text))
+    gens = standard_generators(grp)
+    calls = _count_products(monkeypatch, grp)
     window = build_window(grp, gens, 4, table=True)
     assert calls[0] == table_search_products(window)
     # a grown window forms again only the old outer sphere's entries leading out
@@ -422,21 +438,17 @@ def test_table_search_forms_each_entry_once(monkeypatch, text):
     assert calls[0] == table_search_products(grown) - table_edges(source)
 
 
-@pytest.mark.parametrize("text,per_product", [("Z^2", 1), ("F2", 1), ("(Z x C2)", 3)])
-def test_class_entry_points_see_every_product(monkeypatch, text, per_product):
-    # a tracer counts products by patching Group.mul; a family's kernel, and
-    # a direct product's two nested child products, must all pass through it
-    calls = [0]
-    original = Group.mul
-
-    def counting(self, a, b):
-        calls[0] += 1
-        return original(self, a, b)
-
-    monkeypatch.setattr(Group, "mul", counting)
-    radius = 4
-    window = build_window(get_group(text), get_gens(text), radius)
+@pytest.mark.parametrize("text,per_pair,per_step", [("Z^2", 1, 1), ("F2", 1, 1), ("(Z x C2)", 3, 2)])
+def test_class_entry_points_see_every_step_product(monkeypatch, text, per_pair, per_step):
+    # a tracer counts products by patching Group.mul and Group.right; the
+    # search's products, and their nested child products, must all pass
+    # through them. A direct product's pair product forms one product in
+    # each factor; its step map forms one only in the factor the step moves.
+    grp = Group(parse_spec(text))
+    calls = _count_products(monkeypatch)
+    window = build_window(grp, standard_generators(grp), 4)
     formed = calls[0]
     # the |K|^2 products of two steps, then each element of norm < R against
     # the steps that can extend its shortlex-least word
-    assert formed == per_product * plain_search_products(window)
+    pairs = len(window.steps) ** 2
+    assert formed == per_pair * pairs + per_step * (plain_search_products(window) - pairs)

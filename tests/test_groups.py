@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coarse_ends import (
     Cyclic,
@@ -16,12 +17,14 @@ from coarse_ends import (
     MismatchError,
     SpecSyntaxError,
     UnsupportedSpecError,
+    WindowCapError,
+    build_window,
     parse_spec,
     power_generators,
     spec_to_string,
     standard_generators,
 )
-from helpers import ZOO, get_group, get_window, random_element
+from helpers import ZOO, get_group, get_window, nested_specs, random_element
 from oracles import SyllableGroup, reduce_word, validate
 
 
@@ -190,6 +193,9 @@ def test_validate_rejects_foreign_payloads():
         ("(C2 * C3)", ((0, 1),), "a", "free product payload must be a syllable tuple"),
         ("Z^5", (1, 0, 0, 0, 0), (1, 0, 0, 0), "free abelian payload must be an int tuple of the right rank"),
         ("Z^5", (1, 0, 0, 0, 0), [1, 0, 0, 0, 0], "free abelian payload must be an int tuple of the right rank"),
+        # a coordinate no operator takes: caught on the exception path
+        ("Z^2", (1, "a"), (0, 0), "free abelian payload must be an int tuple of the right rank"),
+        ("Z^5", (0, 0, 0, 0, 1), (0, 0, 0, 0, None), "free abelian payload must be an int tuple of the right rank"),
     ],
 )
 def test_mul_rejects_foreign_payloads(text, a, b, message):
@@ -213,6 +219,8 @@ def test_mul_rejects_foreign_payloads(text, a, b, message):
         ("(C2 * C3)", "a", "free product payload must be a syllable tuple"),
         ("(C2 * C3)", ((5, 1),), "free product payload must be a syllable tuple"),
         ("(C2 * C3)", ((0, 1), (1,)), "free product payload must be a syllable tuple"),
+        # a coordinate no operator takes: caught on the exception path
+        ("Z^2", (1, "a"), "free abelian payload must be an int tuple of the right rank"),
     ],
 )
 def test_inv_rejects_foreign_payloads(text, a, message):
@@ -250,6 +258,108 @@ def test_free_product_matches_syllable_oracle(text):
             assert grp.show(x) == ref.show(x)
     # some seams cancelled several syllables before they stopped
     assert deepest >= 3
+
+
+# ---------------------------------------------------------------------------
+# Step maps
+
+
+@given(nested_specs(2), st.sampled_from([1, 2]))
+def test_step_maps_match_mul(text, power):
+    grp = Group(parse_spec(text))
+    gens = standard_generators(grp)
+    if power > 1:
+        gens = power_generators(grp, gens, power)
+    try:
+        window = build_window(grp, gens, 3, 300)
+    except WindowCapError as err:
+        window = build_window(grp, gens, err.radius_reached, 300)
+    rng = random.Random(f"steps:{text}:{power}")
+    drawn = [random_element(grp, rng) for _ in range(10)]
+    for s in gens:
+        step, back = grp.right(s), grp.inv(s)
+        assert grp.right(s) is step  # built once
+        # a = s^-1 w: a*s = w cancels at the seam, all of s when w = e
+        for a in [*window, *drawn, *(grp.mul(back, w) for w in [*window, *drawn])]:
+            assert step(a) == grp.mul(a, s), (s, a)
+
+
+@pytest.mark.parametrize(
+    "text,a,s,want",
+    [
+        # a map that only concatenated would give "Aa", "abAaB", ((1, 1), (1, 2)), ...
+        ("F2", "A", "a", ""),
+        ("F2", "abA", "aB", "a"),
+        ("F2", "ab", "Ba", "aa"),
+        ("(C2 * C3)", ((1, 1),), ((1, 2),), ()),
+        ("(C2 * C3)", ((0, 1), (1, 1)), ((1, 1),), ((0, 1), (1, 2))),
+        ("(F2 * C3)", ((0, "aB"),), ((0, "b"),), ((0, "a"),)),
+        ("(C2 * C3)", ((1, 1), (0, 1)), ((0, 1), (1, 2)), ()),  # two syllables, through mul
+        ("(C2 * C3)", ((1, 1), (0, 1)), ((0, 1), (1, 1)), ((1, 2),)),
+        ("(Z x F2)", ((3,), "bA"), ((0,), "a"), ((3,), "b")),
+        ("(Z x F2)", ((3,), "bA"), ((-1,), ""), ((2,), "bA")),
+    ],
+)
+def test_step_maps_reduce_at_the_seam(text, a, s, want):
+    grp = get_group(text)
+    assert grp.right(s)(a) == grp.mul(a, s) == want
+    validate(grp, want)
+
+
+FREE_ABELIAN = "free abelian payload must be an int tuple of the right rank"
+FREE = "free payload must be a letter string"
+CYCLIC = "cyclic payload must be an int residue"
+DIRECT = "direct product payload must be a pair"
+FREE_PRODUCT = "free product payload must be a syllable tuple"
+
+
+@pytest.mark.parametrize(
+    "text,s,message",
+    [
+        ("Z^2", (1, "a"), FREE_ABELIAN),
+        ("Z^2", (1, 0.5), FREE_ABELIAN),
+        ("Z^2", (1, 0, 0), FREE_ABELIAN),
+        ("Z^2", [1, 0], FREE_ABELIAN),
+        ("Z^2", (1, [0]), FREE_ABELIAN),
+        ("F2", 1, FREE),
+        ("F2", "aA", FREE),
+        ("F2", "ax", FREE),
+        ("C6", "a", CYCLIC),
+        ("C6", [1], CYCLIC),
+        ("(Z x C2)", ((1,),), DIRECT),
+        ("(Z x C2)", ((1,), "a"), CYCLIC),
+        ("(Z x C2)", (("a",), 0), FREE_ABELIAN),
+        ("(Z x C2)", [(1,), 0], DIRECT),
+        ("(C2 * C3)", "a", FREE_PRODUCT),
+        ("(C2 * C3)", ((5, 1),), FREE_PRODUCT),
+        ("(C2 * C3)", ((0, 1, 2),), FREE_PRODUCT),
+        ("(C2 * C3)", ((0, 1), (0, 1)), FREE_PRODUCT),  # sides must alternate
+        ("(C2 * C3)", ((0, 0),), FREE_PRODUCT),  # identity syllable
+        ("(C2 * C3)", ((0, "a"),), CYCLIC),
+        ("(C2 * C3)", ((0, [1]),), CYCLIC),
+        ("(C2 * C3)", ((0, 1.0),), CYCLIC),
+        ("(Z^2 * C3)", ((0, (1, "a")),), FREE_ABELIAN),
+    ],
+)
+def test_right_rejects_malformed_steps(text, s, message):
+    # the step is checked deeply, once, where its map is built
+    grp = Group(parse_spec(text))
+    for _ in range(2):
+        with pytest.raises(MismatchError, match=f"^{re.escape(message)}$"):
+            grp.right(s)
+
+
+def test_right_checks_a_step_equal_to_a_built_one():
+    # 1.0 == 1 and hashes alike, but is no coordinate, residue or syllable payload
+    for text, good, bad in [
+        ("Z^2", (1, 0), (1.0, 0)),
+        ("(Z x C2)", ((0,), 1), ((0,), 1.0)),
+        ("(C2 * C3)", ((1, 1),), ((1, 1.0),)),
+    ]:
+        grp = Group(parse_spec(text))
+        grp.right(good)
+        with pytest.raises(MismatchError):
+            grp.right(bad)
 
 
 # ---------------------------------------------------------------------------

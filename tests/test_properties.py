@@ -139,13 +139,13 @@ def test_free_reduction_matches_oracle(letters):
 
 
 # Free groups whose letters start at a, and one whose letters start at b
-FREE = [("F2", None), ("F3", None), ("(C3 * F2)", "right")]
+FREE = [("F2", None), ("F3", None), ("(C3 * F2)", 1)]
 
 
 def _free_group(case):
-    text, child = case
+    text, side = case
     grp = get_group(text)
-    return getattr(grp, child) if child else grp
+    return grp if side is None else grp.factors[side]
 
 
 def _pairs(word):
