@@ -50,7 +50,7 @@ table on the first request.
 
 Every product p*s by a fixed step s, in both searches, in the table a
 plain window fills and in the predecessor walk, goes through the step's
-map Group.right(s), built once per step; only the |K|^2 products of two
+map Group.step_map(s), built once per step; only the |K|^2 products of two
 steps that a plain search pairs up go through Group.mul.
 
 perfbench/spans.py wraps `build_window` and `Window.geodesic` by name and
@@ -171,7 +171,7 @@ class Window:
     def _backs(self) -> tuple:
         """The maps x -> x*s^-1, one per step, in step order."""
         grp = self.group
-        return tuple(grp.right(grp.inv(s)) for s in self.steps)
+        return tuple(grp.step_map(grp.inv(s)) for s in self.steps)
 
     def geodesic(self, g) -> tuple:
         """The canonical geodesic from the identity to g (least-predecessor
@@ -231,7 +231,7 @@ class Window:
         for k, t in pairs:
             for j, s in pairs:
                 least.setdefault(grp.mul(t, s), (k, j))
-        moves = tuple((j, grp.right(s)) for j, s in pairs)
+        moves = tuple((j, grp.step_map(s)) for j, s in pairs)
         tries = [[] for _ in pairs] + [moves]
         for pair in filter(None, least.values()):  # in (k, j) order
             tries[pair[0]].append(moves[pair[1]])
@@ -267,7 +267,7 @@ class Window:
         index = {s: j for j, s in enumerate(self.steps)}
         back = [index[grp.inv(s)] for s in self.steps]
         # (column of s, the map x -> x*s, column of s^-1) for every step, in step order
-        moves = tuple(zip(cols, map(grp.right, self.steps), [cols[k] for k in back]))
+        moves = tuple(zip(cols, map(grp.step_map, self.steps), [cols[k] for k in back]))
         # the columns grow by doubling, padded with -1, and are cut to n at the end
         n = rows = len(elements)
         for r in range(top + 1, radius + 1):
@@ -339,7 +339,7 @@ class Window:
         for s in steps:
             mirror = cols.get(grp.inv(s))
             if mirror is None:
-                step = grp.right(s)
+                step = grp.step_map(s)
                 col = array("i", [ids.get(step(x), -1) for x in self.elements])
             else:
                 col = array("i", [-1]) * n

@@ -226,7 +226,7 @@ def _free_concat(a: str, b: str) -> str:
 
 
 def _step_maps(build):
-    """right(s): build(s), the map a -> a*s, built on the first request for s.
+    """step_map(s): build(s), the map a -> a*s, built on the first request for s.
 
     build checks s deeply and raises MismatchError. The maps are kept by
     repr(s), which, unlike equality, tells 1 from 1.0 and True and takes a
@@ -234,31 +234,30 @@ def _step_maps(build):
     """
     maps: dict = {}
 
-    def right(s):
+    def step_map(s):
         key = repr(s)
         step = maps.get(key)
         if step is None:
             step = maps[key] = build(s)
         return step
 
-    return right
+    return step_map
 
 
 # Kernels: each family's mul, inv and show (of a non-identity payload),
 # built once per Group so that no product re-dispatches on the family, and
-# its step maps (see Group.right), built once per step.
+# its step maps (see Group.step_map), built once per step.
 # mul and inv check only a payload's outer shape (type, a pair's arity, a
 # free abelian rank), once per call, and raise MismatchError on a wrong
 # one; a payload malformed inside can give a non-payload or another error.
 # A step map checks its step deeply, once, when it is built, and never
 # checks the payloads it is applied to.
 # Payloads from parse are well formed; tests/oracles.validate checks deeply.
-# Nested products go through child.mul, child.right and child.show, the
+# Nested products go through child.mul, child.step_map and child.show, the
 # class entry points (see Group.mul); a free product calls child.mul only
 # at the seam, and child.inv and child.show once per distinct syllable,
 # through per-syllable tables that also check the syllable's shape and
-# side. A direct product's step map calls the map of each factor the step
-# moves and leaves the other factor as it is.
+# side. A direct product's step map applies both factors' maps.
 
 
 def _free_abelian_kernels(rank: int):
@@ -295,13 +294,15 @@ def _free_abelian_kernels(rank: int):
         return "(" + ",".join(map(str, a)) + ")"
 
     def step(s):
-        # adds s's nonzero coordinates, as literals, and copies the others
-        if not (isinstance(s, tuple) and len(s) == rank and all(isinstance(c, int) for c in s)):
+        # adds s's nonzero coordinates, as literals, and copies the others;
+        # a bool or an int subclass is no coordinate
+        if not (isinstance(s, tuple) and len(s) == rank and all(type(c) is int for c in s)):
             raise MismatchError(mismatch)
-        terms = "".join(f"a[{i}] + {int(c)}, " if c else f"a[{i}], " for i, c in enumerate(s))
+        terms = "".join(f"a[{i}] + {c}, " if c else f"a[{i}], " for i, c in enumerate(s))
         code: dict = {}
-        exec(compile(f"def right(a):\n    return ({terms})\n", f"<free abelian step {s}>", "exec"), code)
-        return code["right"]
+        source = f"def times(a):\n    return ({terms})\n"
+        exec(compile(source, f"<free abelian step {s}>", "exec"), code)
+        return code["times"]
 
     return kernels["mul"], kernels["inv"], show, _step_maps(step)
 
@@ -323,7 +324,7 @@ def _cyclic_kernels(order: int, letter: str):
         return letter + ("" if a == 1 else str(a))
 
     def step(s):
-        if not isinstance(s, int):
+        if type(s) is not int:
             raise MismatchError(mismatch)
         return lambda a: (a + s) % order
 
@@ -381,12 +382,12 @@ def _free_kernels(letters: tuple):
             raise MismatchError(mismatch)
         seam = s[:1].swapcase()
 
-        def right(a):
+        def times(a):
             if a and a[-1] == seam:
                 return _free_concat(a, s)
             return a + s
 
-        return right
+        return times
 
     return mul, inv, show, _step_maps(step)
 
@@ -408,14 +409,9 @@ def _direct_kernels(left: "Group", right: "Group"):
         return f"({left.show(a[0])},{right.show(a[1])})"
 
     def step(s):
-        # a factor the step does not move is passed through, with no product
         if not (isinstance(s, tuple) and len(s) == 2):
             raise MismatchError(mismatch)
-        f, g = left.right(s[0]), right.right(s[1])
-        if s[1] == right.identity:
-            return lambda a: (f(a[0]), a[1])
-        if s[0] == left.identity:
-            return lambda a: (a[0], g(a[1]))
+        f, g = left.step_map(s[0]), right.step_map(s[1])
         return lambda a: (f(a[0]), g(a[1]))
 
     return mul, inv, show, _step_maps(step)
@@ -435,6 +431,8 @@ def _free_product_kernels(left: "Group", right: "Group", tagged: bool):
         # checked once per distinct syllable, by the memos below, and once
         # per syllable of a step, where its map is built
         if not (isinstance(syl, tuple) and len(syl) == 2 and syl[0] in (0, 1)):
+            raise MismatchError(mismatch)
+        if type(syl[0]) is not int:  # 1.0 and True equal 1, but are no side
             raise MismatchError(mismatch)
         return syl[0]
 
@@ -478,7 +476,7 @@ def _free_product_kernels(left: "Group", right: "Group", tagged: bool):
         for syl in s:
             side = side_of(syl)
             child = children[side]
-            child.right(syl[1])  # checks the syllable's payload deeply
+            child.step_map(syl[1])  # checks the syllable's payload deeply
             # sides alternate, and no syllable is the identity
             if side == before or syl[1] == child.identity:
                 raise MismatchError(mismatch)
@@ -488,15 +486,15 @@ def _free_product_kernels(left: "Group", right: "Group", tagged: bool):
         # one syllable: only a's last syllable can change, and only when it
         # lies on the step's side
         ((side, x),) = s
-        f, unit = children[side].right(x), children[side].identity
+        f, unit = children[side].step_map(x), children[side].identity
 
-        def right(a):
+        def times(a):
             if a and a[-1][0] == side:
                 y = f(a[-1][1])
                 return a[:-1] + ((side, y),) if y != unit else a[:-1]
             return a + s
 
-        return right
+        return times
 
     return mul, inv, show, _step_maps(step)
 
@@ -514,8 +512,8 @@ class Group:
         cursor = [0] if _cursor is None else _cursor
         self.spec = spec
         self.letters: tuple[str, ...] = ()
-        # the left and right factors of a direct or free product
-        self.factors: tuple[Group, ...] = ()
+        self.left: Group | None = None
+        self.right: Group | None = None
         if isinstance(spec, FreeAbelian):
             self.kind = "free_abelian"
             self.identity = (0,) * spec.rank
@@ -532,21 +530,26 @@ class Group:
             kernels = _cyclic_kernels(spec.order, self.letters[0])
         elif isinstance(spec, DirectProduct):
             self.kind = "direct"
-            left, right = self.factors = (Group(spec.left, cursor), Group(spec.right, cursor))
-            self.identity = (left.identity, right.identity)
-            kernels = _direct_kernels(left, right)
+            self.left = Group(spec.left, cursor)
+            self.right = Group(spec.right, cursor)
+            self.identity = (self.left.identity, self.right.identity)
+            kernels = _direct_kernels(self.left, self.right)
         elif isinstance(spec, FreeProduct):
             self.kind = "free_product"
-            left, right = self.factors = (Group(spec.left, cursor), Group(spec.right, cursor))
+            self.left = Group(spec.left, cursor)
+            self.right = Group(spec.right, cursor)
             self.identity = ()
             # Bare syllables are routed by their first letter, which only
             # works when both factors print letter-first. Otherwise every
             # syllable carries an explicit side marker.
-            self.tagged = not (left.kind in ("free", "cyclic") and right.kind in ("free", "cyclic"))
-            kernels = _free_product_kernels(left, right, self.tagged)
+            self.tagged = not (
+                self.left.kind in ("free", "cyclic")
+                and self.right.kind in ("free", "cyclic")
+            )
+            kernels = _free_product_kernels(self.left, self.right, self.tagged)
         else:
             raise MismatchError(f"not a group spec: {spec!r}")
-        self._mul, self._inv, self._show, self._right = kernels
+        self._mul, self._inv, self._show, self._step_map = kernels
 
     @staticmethod
     def _claim_letters(cursor: list[int], count: int) -> tuple[str, ...]:
@@ -563,12 +566,12 @@ class Group:
 
     # -- arithmetic -------------------------------------------------------
 
-    # mul, inv, right and show stay methods of the class, each delegating to
-    # the family's kernel, so that a wrapper patched onto Group sees every
-    # call, nested ones included. A product formed by a step map (right)
-    # does not pass through mul: a tracer that counts products by patching
-    # mul alone sees only general products, and must also wrap the maps
-    # that right returns to see the step products of a search.
+    # mul, inv, step_map and show stay methods of the class, each delegating
+    # to the family's kernel, so that a wrapper patched onto Group sees every
+    # call, nested ones included. A product formed by a step map does not
+    # pass through mul: a tracer that counts products by patching mul alone
+    # sees only general products, and must also wrap the maps that step_map
+    # returns to see the step products of a search.
 
     def mul(self, a, b):
         """Product a*b in canonical form."""
@@ -578,7 +581,7 @@ class Group:
         """Inverse of a in canonical form."""
         return self._inv(a)
 
-    def right(self, s):
+    def step_map(self, s):
         """The map a -> a*s for one fixed step s, in canonical form.
 
         Built on the first request for s and kept. s is checked deeply,
@@ -587,7 +590,7 @@ class Group:
         only payloads of this group, such as the elements of a window; it
         spends on each product only what s leaves to do (see the kernels).
         """
-        return self._right(s)
+        return self._step_map(s)
 
     def parity(self, a) -> int:
         """Exponent-sum parity of a: a homomorphism onto Z/2.
@@ -605,10 +608,10 @@ class Group:
             return len(a) % 2
         if kind == "cyclic":
             return a % 2 if self.spec.order % 2 == 0 else 0
-        factors = self.factors
         if kind == "direct":
-            return (factors[0].parity(a[0]) + factors[1].parity(a[1])) % 2
-        return sum(factors[side].parity(x) for side, x in a) % 2
+            return (self.left.parity(a[0]) + self.right.parity(a[1])) % 2
+        children = (self.left, self.right)
+        return sum(children[side].parity(x) for side, x in a) % 2
 
     # -- printing ---------------------------------------------------------
 
@@ -656,14 +659,15 @@ class Group:
             parts = _split_top(s[1:-1], ",")
             if len(parts) != 2:
                 raise ElementSyntaxError(f"expected exactly one top-level comma in {s!r}")
-            return (self.factors[0].parse(parts[0]), self.factors[1].parse(parts[1]))
+            return (self.left.parse(parts[0]), self.right.parse(parts[1]))
         # free product
         acc = self.identity
         for frag in _split_top(s, "."):
             if not frag:
                 raise ElementSyntaxError(f"empty syllable in {s!r}")
             side, payload = self._parse_syllable(frag)
-            if payload == self.factors[side].identity:
+            child = self.left if side == 0 else self.right
+            if payload == child.identity:
                 continue
             acc = self.mul(acc, ((side, payload),))
         return acc
@@ -676,7 +680,7 @@ class Group:
                     f"syllable {frag!r} must start with '<' or '>' for this group"
                 )
             side = 0 if mark == "<" else 1
-            child = self.factors[side]
+            child = self.left if side == 0 else self.right
             rest = frag[1:]
             if child.kind == "free_product":
                 if not (rest.startswith("(") and rest.endswith(")")):
@@ -684,9 +688,10 @@ class Group:
                 rest = rest[1:-1]
             return side, child.parse(rest)
         c = frag[0]
-        for side, child in enumerate(self.factors):
-            if c.lower() in child.letters:
-                return side, child.parse(frag)
+        if c.lower() in self.left.letters:
+            return 0, self.left.parse(frag)
+        if c.lower() in self.right.letters:
+            return 1, self.right.parse(frag)
         raise ElementSyntaxError(f"letter {c!r} belongs to neither factor")
 
     def _parse_letter_word(self, s: str):
@@ -747,16 +752,17 @@ def standard_generators(group: Group) -> frozenset:
             els.add(1 % n)
             els.add((n - 1) % n)
     elif kind == "direct":
-        left, right = group.factors
-        for u in standard_generators(left):
-            els.add((u, right.identity))
-        for v in standard_generators(right):
-            els.add((left.identity, v))
+        for u in standard_generators(group.left):
+            els.add((u, group.right.identity))
+        for v in standard_generators(group.right):
+            els.add((group.left.identity, v))
     else:
-        for side, child in enumerate(group.factors):
-            for x in standard_generators(child):
-                if x != child.identity:
-                    els.add(((side, x),))
+        for x in standard_generators(group.left):
+            if x != group.left.identity:
+                els.add(((0, x),))
+        for y in standard_generators(group.right):
+            if y != group.right.identity:
+                els.add(((1, y),))
     return frozenset(els)
 
 

@@ -225,8 +225,8 @@ def validate(group, a):
     if kind == "direct":
         if not (isinstance(a, tuple) and len(a) == 2):
             raise MismatchError(f"bad direct product payload {a!r}")
-        validate(group.factors[0], a[0])
-        validate(group.factors[1], a[1])
+        validate(group.left, a[0])
+        validate(group.right, a[1])
         return
     if not isinstance(a, tuple):
         raise MismatchError(f"bad free product payload {a!r}")
@@ -237,7 +237,7 @@ def validate(group, a):
         side, x = entry
         if side == prev:
             raise MismatchError("syllable sides must alternate")
-        child = group.factors[side]
+        child = group.left if side == 0 else group.right
         validate(child, x)
         if x == child.identity:
             raise MismatchError("identity syllable in free product payload")

@@ -393,21 +393,21 @@ def test_grown_table_window_shares_no_table():
 
 def _count_products(monkeypatch, only=None):
     """Count the products formed through Group.mul and through the maps that
-    Group.right returns, those of the group `only` alone when it is given.
+    Group.step_map returns, those of the group `only` alone when it is given.
 
     A product's step map takes its factors' maps when it is built, so the
     groups counted must be fresh: a map built before the patch counts none
     of its nested products.
     """
     calls = [0]
-    mul, right = Group.mul, Group.right
+    mul, step_map = Group.mul, Group.step_map
 
     def counting_mul(self, a, b):
         calls[0] += only is None or self is only
         return mul(self, a, b)
 
-    def counting_right(self, s):
-        step = right(self, s)
+    def counting_step_map(self, s):
+        step = step_map(self, s)
         if only is not None and self is not only:
             return step
 
@@ -418,7 +418,7 @@ def _count_products(monkeypatch, only=None):
         return counted
 
     monkeypatch.setattr(Group, "mul", counting_mul)
-    monkeypatch.setattr(Group, "right", counting_right)
+    monkeypatch.setattr(Group, "step_map", counting_step_map)
     return calls
 
 
@@ -438,17 +438,16 @@ def test_table_search_forms_each_entry_once(monkeypatch, text):
     assert calls[0] == table_search_products(grown) - table_edges(source)
 
 
-@pytest.mark.parametrize("text,per_pair,per_step", [("Z^2", 1, 1), ("F2", 1, 1), ("(Z x C2)", 3, 2)])
-def test_class_entry_points_see_every_step_product(monkeypatch, text, per_pair, per_step):
-    # a tracer counts products by patching Group.mul and Group.right; the
-    # search's products, and their nested child products, must all pass
-    # through them. A direct product's pair product forms one product in
-    # each factor; its step map forms one only in the factor the step moves.
+@pytest.mark.parametrize("text,per_product", [("Z^2", 1), ("F2", 1), ("(Z x C2)", 3)])
+def test_class_entry_points_see_every_product(monkeypatch, text, per_product):
+    # a tracer counts products by patching Group.mul and Group.step_map; a
+    # family's kernel and step maps, and a direct product's two nested child
+    # products, must all pass through them
     grp = Group(parse_spec(text))
     calls = _count_products(monkeypatch)
-    window = build_window(grp, standard_generators(grp), 4)
+    radius = 4
+    window = build_window(grp, standard_generators(grp), radius)
     formed = calls[0]
     # the |K|^2 products of two steps, then each element of norm < R against
     # the steps that can extend its shortlex-least word
-    pairs = len(window.steps) ** 2
-    assert formed == per_pair * pairs + per_step * (plain_search_products(window) - pairs)
+    assert formed == per_product * plain_search_products(window)

@@ -277,8 +277,8 @@ def test_step_maps_match_mul(text, power):
     rng = random.Random(f"steps:{text}:{power}")
     drawn = [random_element(grp, rng) for _ in range(10)]
     for s in gens:
-        step, back = grp.right(s), grp.inv(s)
-        assert grp.right(s) is step  # built once
+        step, back = grp.step_map(s), grp.inv(s)
+        assert grp.step_map(s) is step  # built once
         # a = s^-1 w: a*s = w cancels at the seam, all of s when w = e
         for a in [*window, *drawn, *(grp.mul(back, w) for w in [*window, *drawn])]:
             assert step(a) == grp.mul(a, s), (s, a)
@@ -302,7 +302,7 @@ def test_step_maps_match_mul(text, power):
 )
 def test_step_maps_reduce_at_the_seam(text, a, s, want):
     grp = get_group(text)
-    assert grp.right(s)(a) == grp.mul(a, s) == want
+    assert grp.step_map(s)(a) == grp.mul(a, s) == want
     validate(grp, want)
 
 
@@ -332,34 +332,41 @@ FREE_PRODUCT = "free product payload must be a syllable tuple"
         ("(Z x C2)", [(1,), 0], DIRECT),
         ("(C2 * C3)", "a", FREE_PRODUCT),
         ("(C2 * C3)", ((5, 1),), FREE_PRODUCT),
+        ("(C2 * C3)", ((1.0, 1),), FREE_PRODUCT),  # a side is an int, not a number equal to one
+        ("(C2 * C3)", ((True, 1),), FREE_PRODUCT),
         ("(C2 * C3)", ((0, 1, 2),), FREE_PRODUCT),
         ("(C2 * C3)", ((0, 1), (0, 1)), FREE_PRODUCT),  # sides must alternate
         ("(C2 * C3)", ((0, 0),), FREE_PRODUCT),  # identity syllable
         ("(C2 * C3)", ((0, "a"),), CYCLIC),
         ("(C2 * C3)", ((0, [1]),), CYCLIC),
         ("(C2 * C3)", ((0, 1.0),), CYCLIC),
+        ("(C2 * C3)", ((0, True),), CYCLIC),
+        ("C6", True, CYCLIC),
+        ("Z^2", (True, 0), FREE_ABELIAN),
         ("(Z^2 * C3)", ((0, (1, "a")),), FREE_ABELIAN),
     ],
 )
-def test_right_rejects_malformed_steps(text, s, message):
+def test_step_map_rejects_malformed_steps(text, s, message):
     # the step is checked deeply, once, where its map is built
     grp = Group(parse_spec(text))
     for _ in range(2):
         with pytest.raises(MismatchError, match=f"^{re.escape(message)}$"):
-            grp.right(s)
+            grp.step_map(s)
 
 
-def test_right_checks_a_step_equal_to_a_built_one():
+def test_step_map_checks_a_step_equal_to_a_built_one():
     # 1.0 == 1 and hashes alike, but is no coordinate, residue or syllable payload
     for text, good, bad in [
         ("Z^2", (1, 0), (1.0, 0)),
         ("(Z x C2)", ((0,), 1), ((0,), 1.0)),
         ("(C2 * C3)", ((1, 1),), ((1, 1.0),)),
+        ("(C2 * C3)", ((1, 1),), ((1.0, 1),)),
+        ("(C2 * C3)", ((1, 1),), ((True, 1),)),
     ]:
         grp = Group(parse_spec(text))
-        grp.right(good)
+        grp.step_map(good)
         with pytest.raises(MismatchError):
-            grp.right(bad)
+            grp.step_map(bad)
 
 
 # ---------------------------------------------------------------------------

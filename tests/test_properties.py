@@ -139,13 +139,13 @@ def test_free_reduction_matches_oracle(letters):
 
 
 # Free groups whose letters start at a, and one whose letters start at b
-FREE = [("F2", None), ("F3", None), ("(C3 * F2)", 1)]
+FREE = [("F2", None), ("F3", None), ("(C3 * F2)", "right")]
 
 
 def _free_group(case):
-    text, side = case
+    text, child = case
     grp = get_group(text)
-    return grp if side is None else grp.factors[side]
+    return getattr(grp, child) if child else grp
 
 
 def _pairs(word):
