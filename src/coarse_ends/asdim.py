@@ -179,6 +179,15 @@ def covering_number(window: Window, S: int, t: int) -> int:
     return len(greedy_ball_cover(window, target, S))
 
 
+def covering_samples(window: Window, t: int) -> tuple:
+    """Covering numbers at offset t over the base radii S in
+    [t, min(t+3, R-t)]; empty when the window is too small for S = t."""
+    return tuple(
+        CoveringSample(base=S, offset=t, count=covering_number(window, S, t))
+        for S in range(t, min(t + 3, window.radius - t) + 1)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Thin-geodesics diagnostic
 
@@ -519,15 +528,11 @@ def asdim_upper_bound(
     delta_hat = estimate_delta(window, pair_budget, seed)
     delta = max(delta_hat, 1) + 1
     t = 2 * delta
-    s_hi = min(t + 3, radius - t)
-    if s_hi < t:
+    samples = covering_samples(window, t)
+    if not samples:
         raise ParameterError(
             f"window radius {radius} too small to sample covering numbers at offset {t}"
         )
-    samples = tuple(
-        CoveringSample(base=S, offset=t, count=covering_number(window, S, t))
-        for S in range(t, s_hi + 1)
-    )
     n2delta = max(c.count for c in samples)
     if n_list is None:
         n_list = list(range(ps + 1, (radius - 2 * ps) // 2 + 1, ps))

@@ -45,13 +45,13 @@ and the cap check are those of a plain search. Growing a table window
 copies its table and id map and re-expands only the old outer sphere's
 entries that lead out; a prefix of a table window is a plain window.
 Every command that reads a neighbour (ends, tree, clopen) asks for one; a
-plain window builds no id map unless a caller reads it, and fills its
-table on the first request.
+plain window builds no id map unless a caller reads it, and reads a table
+search's table.
 
-Every product p*s by a fixed step s, in both searches, in the table a
-plain window fills and in the predecessor walk, goes through the step's
-map Group.step_map(s), built once per step; only the |K|^2 products of two
-steps that a plain search pairs up go through Group.mul.
+Every product p*s by a fixed step s, in both searches and in the
+predecessor walk, goes through the step's map Group.step_map(s), built
+once per step; only the |K|^2 products of two steps that a plain search
+pairs up go through Group.mul.
 
 perfbench/spans.py wraps `build_window` and `Window.geodesic` by name and
 reads `Window.spheres`, so those names stay.
@@ -147,10 +147,6 @@ class Window:
         if not 0 <= hi <= self.radius:
             raise OutOfWindowError(f"annulus reach {hi} outside window radius {self.radius}")
         return self.elements[self.offsets[max(lo + 1, 0)] : self.offsets[hi + 1]]
-
-    def maxnorm_of(self, items) -> int:
-        """Largest norm over items; 0 for an empty collection."""
-        return max(map(self.knorm, items), default=0)
 
     def predecessor(self, g):
         """Canonical predecessor: the least-printed p at norm |g|-1 with
@@ -323,31 +319,18 @@ class Window:
 
         One array('i') per step s: entry i is the id of elements[i]*s, or -1
         when that product lies outside the window. A table window returns
-        the columns its search wrote, with no product; a plain window fills
-        them on the first request, one product per element for each inverse
-        pair, since the column of s^-1 is the inverse of the column of s.
+        the columns its search wrote, with no product; a plain window, on
+        the first request, reads them off a table search of its radius,
+        whose window order, and so whose ids, are its own.
         """
         return self._cols
 
     @cached_property
     def _cols(self) -> tuple:
-        grp, steps = self.group, self.steps
-        if any(grp.inv(s) not in self.gens for s in steps):
+        grp = self.group
+        if any(grp.inv(s) not in self.gens for s in self.steps):
             raise ParameterError("step set is not closed under inverses")
-        ids, n = self.ids, len(self.elements)
-        cols: dict = {}
-        for s in steps:
-            mirror = cols.get(grp.inv(s))
-            if mirror is None:
-                step = grp.step_map(s)
-                col = array("i", [ids.get(step(x), -1) for x in self.elements])
-            else:
-                col = array("i", [-1]) * n
-                for i, y in enumerate(mirror):
-                    if y >= 0:
-                        col[y] = i
-            cols[s] = col
-        return tuple(cols.values())
+        return build_window(grp, self.gens, self.radius, self.cap, table=True)._cols
 
 
 def build_window(

@@ -18,12 +18,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from . import __version__
-from .asdim import (
-    CoveringSample,
-    asdim_upper_bound,
-    covering_number,
-    growth_series,
-)
+from .asdim import asdim_upper_bound, covering_number, covering_samples, growth_series
 from .cayley import DEFAULT_CAP, build_window
 from .covers import clopen_scale_test
 from .ends import component_tree, components, end_count
@@ -299,12 +294,10 @@ def cmd_growth(args) -> Report:
     warnings = []
     samples = []
     for t in offsets:
-        hi = min(t + 3, radius - t)
-        if hi < t:
+        fits = covering_samples(window, t)
+        if not fits:
             warnings.append(f"offset {t} does not fit the window; skipped")
-            continue
-        for S in range(t, hi + 1):
-            samples.append(CoveringSample(base=S, offset=t, count=covering_number(window, S, t)))
+        samples.extend(fits)
     bg = None
     if radius >= 3:
         # K holds the identity, so K*K is the ball B(2)

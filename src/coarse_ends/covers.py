@@ -1,4 +1,4 @@
-"""Stars, interfaces, and coarsely-clopen certificates on a window.
+"""Interfaces and coarsely-clopen certificates on a window.
 
 A scale is a radius t: the cover of the group by the translates g*B(t)
 of the ball B(t) = K^t, which the window holds as a prefix of its
@@ -35,7 +35,6 @@ __all__ = [
     "InterfaceReport",
     "ScaleEntry",
     "ClopenCertificate",
-    "star",
     "interface",
     "clopen_scale_test",
 ]
@@ -95,28 +94,6 @@ def _maxnorm(window: Window, r: int) -> int:
     if r > R and window.steps and window.offsets[R] < len(window):
         raise OutOfWindowError(f"ball B({r}) reaches past the radius-{R} window")
     return window.norm(window.offsets[min(r, R) + 1] - 1)
-
-
-def star(A: Iterable, t: int, window: Window) -> set:
-    """A*B(t)^(-1)*B(t) = A*B(2t) at scale radius t, truncated to the window.
-
-    B(2t) is read off the window, so 2t may pass R only on an exhausted
-    window. The identity B(t)^(-1)*B(t) = B(2t) needs a symmetric generator
-    set: steps that are not closed under inverses raise ParameterError.
-    Exact inside B(R - 2t); beyond that, products falling outside the
-    window are dropped rather than reported.
-    """
-    grp = window.group
-    if any(grp.inv(s) not in window.gens for s in window.steps):
-        raise ParameterError("step set is not closed under inverses")
-    ball = window.elements[: window.offsets[_maxnorm(window, 2 * t) + 1]]
-    out = set()
-    for a in A:
-        for u in ball:
-            x = grp.mul(a, u)
-            if x in window:
-                out.add(x)
-    return out
 
 
 def interface(A: Iterable, t: int, window: Window, core_radius: int) -> InterfaceReport:

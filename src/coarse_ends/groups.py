@@ -225,6 +225,34 @@ def _free_concat(a: str, b: str) -> str:
     return a[:i] + b[j:]
 
 
+def _claim_letters(cursor: list[int], count: int) -> tuple[str, ...]:
+    start = cursor[0]
+    if start + count > len(string.ascii_lowercase):
+        raise UnsupportedSpecError("spec needs more than 26 generator letters; not supported")
+    cursor[0] += count
+    return tuple(string.ascii_lowercase[start : start + count])
+
+
+def _letter_runs(s: str, letters: tuple):
+    """The (letter, exponent) runs of a printed free or cyclic word:
+    "a2B" -> ("a", 2), ("b", -1). An uppercase letter negates its exponent."""
+    i, n = 0, len(s)
+    while i < n:
+        c = s[i]
+        if c.lower() not in letters:
+            raise ElementSyntaxError(f"unexpected character {c!r} in {s!r}")
+        i += 1
+        j = i + 1 if i < n and s[i] == "-" else i
+        while j < n and s[j].isdigit():
+            j += 1
+        try:
+            exp = int(s[i:j]) if j > i else 1
+        except ValueError:
+            raise ElementSyntaxError(f"bad exponent in {s!r}") from None
+        yield c.lower(), -exp if c.isupper() else exp
+        i = j
+
+
 def _step_maps(build):
     """step_map(s): build(s), the map a -> a*s, built on the first request for s.
 
@@ -244,9 +272,14 @@ def _step_maps(build):
     return step_map
 
 
-# Kernels: each family's mul, inv and show (of a non-identity payload),
-# built once per Group so that no product re-dispatches on the family, and
-# its step maps (see Group.step_map), built once per step.
+# Families: each factory below is the one definition of its family. Once
+# per Group it binds the family's parts on the group (its letters, or its
+# factors left and right) and returns, in this order: the identity; the
+# kernels mul, inv, show (of a non-identity payload) and step_map (see
+# Group.step_map, built once per step); parity (see Group.parity); the
+# parser of a stripped printed form other than "e"; and the standard
+# generators. So no product, parse or generator set re-dispatches on the
+# family, and Group.__init__ picks the factory by the spec's type.
 # mul and inv check only a payload's outer shape (type, a pair's arity, a
 # free abelian rank), once per call, and raise MismatchError on a wrong
 # one; a payload malformed inside can give a non-payload or another error.
@@ -260,7 +293,7 @@ def _step_maps(build):
 # side. A direct product's step map applies both factors' maps.
 
 
-def _free_abelian_kernels(rank: int):
+def _free_abelian(grp: "Group", spec: FreeAbelian, cursor: list):
     # mul, inv and the step maps spell out one coordinate per slot, written
     # from a template: a displayed tuple of rank sums builds the result in
     # one step, about 4x faster than tuple(map(add, a, b)) on a 3-tuple.
@@ -268,6 +301,7 @@ def _free_abelian_kernels(rank: int):
     # payload the map would give; the rank check runs first in mul and inv,
     # so no coordinate is read from a foreign payload, and a coordinate that
     # no operator takes is caught on the exception path only.
+    rank = spec.rank
     mismatch = "free abelian payload must be an int tuple of the right rank"
     slots = range(rank)
     source = (
@@ -289,6 +323,7 @@ def _free_abelian_kernels(rank: int):
     )
     kernels = {"MismatchError": MismatchError, "mismatch": mismatch}
     exec(compile(source, f"<free abelian rank {rank}>", "exec"), kernels)
+    mul, inv = kernels["mul"], kernels["inv"]
 
     def show(a):
         return "(" + ",".join(map(str, a)) + ")"
@@ -304,10 +339,32 @@ def _free_abelian_kernels(rank: int):
         exec(compile(source, f"<free abelian step {s}>", "exec"), code)
         return code["times"]
 
-    return kernels["mul"], kernels["inv"], show, _step_maps(step)
+    def parse(s):
+        if not (s.startswith("(") and s.endswith(")")):
+            raise ElementSyntaxError(f"expected a vector like (1,0), got {s!r}")
+        parts = s[1:-1].split(",")
+        if len(parts) != rank:
+            raise ElementSyntaxError(f"expected {rank} coordinates, got {len(parts)} in {s!r}")
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError:
+            raise ElementSyntaxError(f"bad integer coordinate in {s!r}") from None
+
+    def parity(a):
+        return sum(a) % 2
+
+    identity = (0,) * rank
+    gens = {identity}
+    for i in slots:
+        unit = tuple(1 if j == i else 0 for j in slots)
+        gens.update((unit, inv(unit)))
+    return identity, mul, inv, show, _step_maps(step), parity, parse, frozenset(gens)
 
 
-def _cyclic_kernels(order: int, letter: str):
+def _cyclic(grp: "Group", spec: Cyclic, cursor: list):
+    order = spec.order
+    letters = grp.letters = _claim_letters(cursor, 1)
+    letter = letters[0]
     mismatch = "cyclic payload must be an int residue"
 
     def mul(a, b):
@@ -328,7 +385,13 @@ def _cyclic_kernels(order: int, letter: str):
             raise MismatchError(mismatch)
         return lambda a: (a + s) % order
 
-    return mul, inv, show, _step_maps(step)
+    def parse(s):
+        return sum(exp for _, exp in _letter_runs(s, letters)) % order
+
+    # an odd-order cyclic group has no homomorphism onto Z/2 but the zero one
+    parity = (lambda a: a % 2) if order % 2 == 0 else (lambda a: 0)
+    gens = frozenset((0, 1 % order, (order - 1) % order))
+    return 0, mul, inv, show, _step_maps(step), parity, parse, gens
 
 
 class _Memo(dict):
@@ -349,7 +412,8 @@ def _printed_run(run: str) -> str:
     return run[0].lower() + ("" if exp == 1 else str(exp))
 
 
-def _free_kernels(letters: tuple):
+def _free(grp: "Group", spec: Free, cursor: list):
+    letters = grp.letters = _claim_letters(cursor, spec.rank)
     runs = re.compile("|".join(f"{c}+|{c.upper()}+" for c in letters)).findall
     printed = _Memo(_printed_run)
     mismatch = "free payload must be a letter string"
@@ -389,10 +453,24 @@ def _free_kernels(letters: tuple):
 
         return times
 
-    return mul, inv, show, _step_maps(step)
+    def parse(s):
+        word = ""
+        for letter, exp in _letter_runs(s, letters):
+            word = _free_concat(word, letter * exp if exp > 0 else letter.upper() * -exp)
+        return word
+
+    def parity(a):
+        return len(a) % 2
+
+    gens = {""}
+    for c in letters:
+        gens.update((c, c.upper()))
+    return "", mul, inv, show, _step_maps(step), parity, parse, frozenset(gens)
 
 
-def _direct_kernels(left: "Group", right: "Group"):
+def _direct(grp: "Group", spec: DirectProduct, cursor: list):
+    left = grp.left = Group(spec.left, cursor)
+    right = grp.right = Group(spec.right, cursor)
     mismatch = "direct product payload must be a pair"
 
     def mul(a, b):
@@ -414,18 +492,36 @@ def _direct_kernels(left: "Group", right: "Group"):
         f, g = left.step_map(s[0]), right.step_map(s[1])
         return lambda a: (f(a[0]), g(a[1]))
 
-    return mul, inv, show, _step_maps(step)
+    def parity(a):
+        return (left.parity(a[0]) + right.parity(a[1])) % 2
+
+    def parse(s):
+        if not (s.startswith("(") and s.endswith(")")):
+            raise ElementSyntaxError(f"expected a pair like (u,v), got {s!r}")
+        parts = _split_top(s[1:-1], ",")
+        if len(parts) != 2:
+            raise ElementSyntaxError(f"expected exactly one top-level comma in {s!r}")
+        return (left.parse(parts[0]), right.parse(parts[1]))
+
+    identity = (left.identity, right.identity)
+    gens = {identity}
+    gens.update((u, right.identity) for u in standard_generators(left))
+    gens.update((left.identity, v) for v in standard_generators(right))
+    return identity, mul, inv, show, _step_maps(step), parity, parse, frozenset(gens)
 
 
-def _free_product_kernels(left: "Group", right: "Group", tagged: bool):
-    children = (left, right)
+def _free_product(grp: "Group", spec: FreeProduct, cursor: list):
+    grp.left, grp.right = Group(spec.left, cursor), Group(spec.right, cursor)
+    children = (grp.left, grp.right)
     mismatch = "free product payload must be a syllable tuple"
+    # Bare syllables are routed by their first letter, which only works when
+    # both factors print letter-first. Otherwise every syllable carries an
+    # explicit side marker, and a nested free product's is parenthesised.
+    tagged = not all(isinstance(child.spec, (Free, Cyclic)) for child in children)
+    nested = tuple(isinstance(child.spec, FreeProduct) for child in children)
     # printed syllable = prefix + child.show(x) + suffix, per side
-    prefix = tuple(
-        ("<>"[side] if tagged else "") + ("(" if child.kind == "free_product" else "")
-        for side, child in enumerate(children)
-    )
-    suffix = tuple(")" if child.kind == "free_product" else "" for child in children)
+    prefix = tuple(("<>"[side] if tagged else "") + ("(" if nested[side] else "") for side in (0, 1))
+    suffix = tuple(")" if inner else "" for inner in nested)
 
     def side_of(syl):
         # checked once per distinct syllable, by the memos below, and once
@@ -496,7 +592,47 @@ def _free_product_kernels(left: "Group", right: "Group", tagged: bool):
 
         return times
 
-    return mul, inv, show, _step_maps(step)
+    def parity(a):
+        return sum(children[side].parity(x) for side, x in a) % 2
+
+    def syllable(frag):
+        if not tagged:
+            for side, child in enumerate(children):
+                if frag[0].lower() in child.letters:
+                    return side, child.parse(frag)
+            raise ElementSyntaxError(f"letter {frag[0]!r} belongs to neither factor")
+        if frag[0] not in "<>":
+            raise ElementSyntaxError(f"syllable {frag!r} must start with '<' or '>' for this group")
+        side, rest = "<>".index(frag[0]), frag[1:]
+        if nested[side]:
+            if not (rest.startswith("(") and rest.endswith(")")):
+                raise ElementSyntaxError(f"nested syllable {frag!r} must be parenthesized")
+            rest = rest[1:-1]
+        return side, children[side].parse(rest)
+
+    def parse(s):
+        word = ()
+        for frag in _split_top(s, "."):
+            if not frag:
+                raise ElementSyntaxError(f"empty syllable in {s!r}")
+            side, x = syllable(frag)
+            if x != children[side].identity:
+                word = grp.mul(word, ((side, x),))
+        return word
+
+    gens = {()}
+    for side, child in enumerate(children):
+        gens.update(((side, x),) for x in standard_generators(child) if x != child.identity)
+    return (), mul, inv, show, _step_maps(step), parity, parse, frozenset(gens)
+
+
+_FAMILIES = {
+    FreeAbelian: _free_abelian,
+    Free: _free,
+    Cyclic: _cyclic,
+    DirectProduct: _direct,
+    FreeProduct: _free_product,
+}
 
 
 class Group:
@@ -505,61 +641,22 @@ class Group:
     Elements are plain payloads (see module docstring); the Group instance
     supplies multiplication, inversion, canonical printing via show(), whose
     string is the sort key of every deterministic tie-break downstream, and
-    the inverse parse().
+    the inverse parse(). Its family's factory (see _FAMILIES) builds all of
+    them, once.
     """
 
     def __init__(self, spec: GroupSpec, _cursor: list[int] | None = None):
-        cursor = [0] if _cursor is None else _cursor
         self.spec = spec
         self.letters: tuple[str, ...] = ()
         self.left: Group | None = None
         self.right: Group | None = None
-        if isinstance(spec, FreeAbelian):
-            self.kind = "free_abelian"
-            self.identity = (0,) * spec.rank
-            kernels = _free_abelian_kernels(spec.rank)
-        elif isinstance(spec, Free):
-            self.kind = "free"
-            self.letters = self._claim_letters(cursor, spec.rank)
-            self.identity = ""
-            kernels = _free_kernels(self.letters)
-        elif isinstance(spec, Cyclic):
-            self.kind = "cyclic"
-            self.letters = self._claim_letters(cursor, 1)
-            self.identity = 0
-            kernels = _cyclic_kernels(spec.order, self.letters[0])
-        elif isinstance(spec, DirectProduct):
-            self.kind = "direct"
-            self.left = Group(spec.left, cursor)
-            self.right = Group(spec.right, cursor)
-            self.identity = (self.left.identity, self.right.identity)
-            kernels = _direct_kernels(self.left, self.right)
-        elif isinstance(spec, FreeProduct):
-            self.kind = "free_product"
-            self.left = Group(spec.left, cursor)
-            self.right = Group(spec.right, cursor)
-            self.identity = ()
-            # Bare syllables are routed by their first letter, which only
-            # works when both factors print letter-first. Otherwise every
-            # syllable carries an explicit side marker.
-            self.tagged = not (
-                self.left.kind in ("free", "cyclic")
-                and self.right.kind in ("free", "cyclic")
-            )
-            kernels = _free_product_kernels(self.left, self.right, self.tagged)
-        else:
+        family = _FAMILIES.get(type(spec))
+        if family is None:
             raise MismatchError(f"not a group spec: {spec!r}")
-        self._mul, self._inv, self._show, self._step_map = kernels
-
-    @staticmethod
-    def _claim_letters(cursor: list[int], count: int) -> tuple[str, ...]:
-        start = cursor[0]
-        if start + count > len(string.ascii_lowercase):
-            raise UnsupportedSpecError(
-                "spec needs more than 26 generator letters; not supported"
-            )
-        cursor[0] += count
-        return tuple(string.ascii_lowercase[start : start + count])
+        (
+            self.identity, self._mul, self._inv, self._show, self._step_map,
+            self._parity, self._parse, self._generators,
+        ) = family(self, spec, [0] if _cursor is None else _cursor)
 
     def __repr__(self) -> str:
         return f"Group({spec_to_string(self.spec)!r})"
@@ -601,17 +698,7 @@ class Group:
         add their parts. It walks the payload, so callers read it on
         generators, never once per product.
         """
-        kind = self.kind
-        if kind == "free_abelian":
-            return sum(a) % 2
-        if kind == "free":
-            return len(a) % 2
-        if kind == "cyclic":
-            return a % 2 if self.spec.order % 2 == 0 else 0
-        if kind == "direct":
-            return (self.left.parity(a[0]) + self.right.parity(a[1])) % 2
-        children = (self.left, self.right)
-        return sum(children[side].parity(x) for side, x in a) % 2
+        return self._parity(a)
 
     # -- printing ---------------------------------------------------------
 
@@ -635,98 +722,6 @@ class Group:
             return self.identity
         return self._parse(s)
 
-    def _parse(self, s: str):
-        kind = self.kind
-        if kind == "free_abelian":
-            if not (s.startswith("(") and s.endswith(")")):
-                raise ElementSyntaxError(f"expected a vector like (1,0), got {s!r}")
-            parts = s[1:-1].split(",")
-            if len(parts) != self.spec.rank:
-                raise ElementSyntaxError(
-                    f"expected {self.spec.rank} coordinates, got {len(parts)} in {s!r}"
-                )
-            try:
-                return tuple(int(p) for p in parts)
-            except ValueError:
-                raise ElementSyntaxError(f"bad integer coordinate in {s!r}") from None
-        if kind == "cyclic":
-            return self._parse_letter_word(s)
-        if kind == "free":
-            return self._parse_letter_word(s)
-        if kind == "direct":
-            if not (s.startswith("(") and s.endswith(")")):
-                raise ElementSyntaxError(f"expected a pair like (u,v), got {s!r}")
-            parts = _split_top(s[1:-1], ",")
-            if len(parts) != 2:
-                raise ElementSyntaxError(f"expected exactly one top-level comma in {s!r}")
-            return (self.left.parse(parts[0]), self.right.parse(parts[1]))
-        # free product
-        acc = self.identity
-        for frag in _split_top(s, "."):
-            if not frag:
-                raise ElementSyntaxError(f"empty syllable in {s!r}")
-            side, payload = self._parse_syllable(frag)
-            child = self.left if side == 0 else self.right
-            if payload == child.identity:
-                continue
-            acc = self.mul(acc, ((side, payload),))
-        return acc
-
-    def _parse_syllable(self, frag: str):
-        if self.tagged:
-            mark = frag[0]
-            if mark not in "<>":
-                raise ElementSyntaxError(
-                    f"syllable {frag!r} must start with '<' or '>' for this group"
-                )
-            side = 0 if mark == "<" else 1
-            child = self.left if side == 0 else self.right
-            rest = frag[1:]
-            if child.kind == "free_product":
-                if not (rest.startswith("(") and rest.endswith(")")):
-                    raise ElementSyntaxError(f"nested syllable {frag!r} must be parenthesized")
-                rest = rest[1:-1]
-            return side, child.parse(rest)
-        c = frag[0]
-        if c.lower() in self.left.letters:
-            return 0, self.left.parse(frag)
-        if c.lower() in self.right.letters:
-            return 1, self.right.parse(frag)
-        raise ElementSyntaxError(f"letter {c!r} belongs to neither factor")
-
-    def _parse_letter_word(self, s: str):
-        """Shared letter+exponent reader for free and cyclic factors."""
-        acc = self.identity
-        i = 0
-        n = len(s)
-        while i < n:
-            c = s[i]
-            if c.lower() not in self.letters:
-                raise ElementSyntaxError(f"unexpected character {c!r} in {s!r}")
-            i += 1
-            j = i
-            if j < n and s[j] == "-":
-                j += 1
-            while j < n and s[j].isdigit():
-                j += 1
-            if j > i:
-                try:
-                    exp = int(s[i:j])
-                except ValueError:
-                    raise ElementSyntaxError(f"bad exponent in {s!r}") from None
-            else:
-                exp = 1
-            if c.isupper():
-                exp = -exp
-            i = j
-            if self.kind == "cyclic":
-                acc = (acc + exp) % self.spec.order
-            else:
-                letter = c.lower()
-                chunk = letter * exp if exp > 0 else letter.upper() * (-exp)
-                acc = _free_concat(acc, chunk)
-        return acc
-
 
 # ---------------------------------------------------------------------------
 # Generator sets
@@ -734,36 +729,7 @@ class Group:
 
 def standard_generators(group: Group) -> frozenset:
     """The standard symmetric generator set of the family, identity included."""
-    kind = group.kind
-    els = {group.identity}
-    if kind == "free_abelian":
-        rank = group.spec.rank
-        for i in range(rank):
-            unit = tuple(1 if j == i else 0 for j in range(rank))
-            els.add(unit)
-            els.add(group.inv(unit))
-    elif kind == "free":
-        for c in group.letters:
-            els.add(c)
-            els.add(c.upper())
-    elif kind == "cyclic":
-        n = group.spec.order
-        if n > 1:
-            els.add(1 % n)
-            els.add((n - 1) % n)
-    elif kind == "direct":
-        for u in standard_generators(group.left):
-            els.add((u, group.right.identity))
-        for v in standard_generators(group.right):
-            els.add((group.left.identity, v))
-    else:
-        for x in standard_generators(group.left):
-            if x != group.left.identity:
-                els.add(((0, x),))
-        for y in standard_generators(group.right):
-            if y != group.right.identity:
-                els.add(((1, y),))
-    return frozenset(els)
+    return group._generators
 
 
 def power_generators(group: Group, gens: frozenset, t: int) -> frozenset:

@@ -21,6 +21,7 @@ from coarse_ends import (
     CoverVerificationError,
     Cyclic,
     DirectProduct,
+    Free,
     FreeAbelian,
     FreeProduct,
     MismatchError,
@@ -29,8 +30,8 @@ from coarse_ends import (
     greedy_ball_cover,
     interface,
     power_generators,
-    star,
 )
+from coarse_ends.covers import _maxnorm
 
 
 def bfs_norms(group, gens, radius):
@@ -203,16 +204,16 @@ def show_free_word(a):
 def validate(group, a):
     """Deep structural check of a payload of group; raises MismatchError
     on a foreign one. The package's mul and inv check only the outer shape."""
-    kind = group.kind
-    if kind == "free_abelian":
-        if not (isinstance(a, tuple) and len(a) == group.spec.rank and all(isinstance(x, int) for x in a)):
+    spec = group.spec
+    if isinstance(spec, FreeAbelian):
+        if not (isinstance(a, tuple) and len(a) == spec.rank and all(isinstance(x, int) for x in a)):
             raise MismatchError(f"bad free abelian payload {a!r}")
         return
-    if kind == "cyclic":
-        if not (isinstance(a, int) and 0 <= a < group.spec.order):
+    if isinstance(spec, Cyclic):
+        if not (isinstance(a, int) and 0 <= a < spec.order):
             raise MismatchError(f"bad cyclic payload {a!r}")
         return
-    if kind == "free":
+    if isinstance(spec, Free):
         if not isinstance(a, str):
             raise MismatchError(f"bad free payload {a!r}")
         allowed = set(group.letters) | {c.upper() for c in group.letters}
@@ -222,7 +223,7 @@ def validate(group, a):
             if i + 1 < len(a) and a[i + 1] == c.swapcase():
                 raise MismatchError(f"payload {a!r} is not reduced")
         return
-    if kind == "direct":
+    if isinstance(spec, DirectProduct):
         if not (isinstance(a, tuple) and len(a) == 2):
             raise MismatchError(f"bad direct product payload {a!r}")
         validate(group.left, a[0])
@@ -534,10 +535,37 @@ def estimate_delta_reference(window, pair_budget=20000, seed=0):
 # Test hooks over the package
 
 
+def maxnorm_of(window, items):
+    """Largest norm over items; 0 for an empty collection."""
+    return max(map(window.knorm, items), default=0)
+
+
+def star(A, t, window):
+    """A*B(t)^(-1)*B(t) = A*B(2t) at scale radius t, truncated to the window.
+
+    B(2t) is read off the window, so 2t may pass R only on an exhausted
+    window. The identity B(t)^(-1)*B(t) = B(2t) needs a symmetric generator
+    set: steps that are not closed under inverses raise ParameterError.
+    Exact inside B(R - 2t); beyond that, products falling outside the
+    window are dropped rather than reported.
+    """
+    grp = window.group
+    if any(grp.inv(s) not in window.gens for s in window.steps):
+        raise ParameterError("step set is not closed under inverses")
+    ball = window.elements[: window.offsets[_maxnorm(window, 2 * t) + 1]]
+    out = set()
+    for a in A:
+        for u in ball:
+            x = grp.mul(a, u)
+            if x in window:
+                out.add(x)
+    return out
+
+
 def coarsely_identical(A, C, window):
     """Largest norm in the symmetric difference of A and C; -1 when equal."""
     diff = set(A) ^ set(C)
-    return window.maxnorm_of(diff) if diff else -1
+    return maxnorm_of(window, diff) if diff else -1
 
 
 def clopen_intersection_law(A1, A2, t, window, core_radius):
@@ -601,7 +629,7 @@ def union_component_clopen_check(decomposition, selection, window, scale_t=1):
             raise ParameterError(f"component index {i} out of range")
         union.update(decomposition.components[i].elements)
     B = power_generators(window.group, window.gens, scale_t)
-    core = window.radius - 2 * window.maxnorm_of(B)
+    core = window.radius - 2 * maxnorm_of(window, B)
     if core < 0:
         raise ParameterError("window too small for the requested scale")
     return interface(union, scale_t, window, core)
@@ -619,8 +647,8 @@ def k4_component_bound(window, L):
     comparison is made.
     """
     L = set(L)
-    if L and window.maxnorm_of(L) + 2 > window.radius:
-        raise ParameterError(f"L reaches norm {window.maxnorm_of(L)}; need R >= that + 2")
+    if L and maxnorm_of(window, L) + 2 > window.radius:
+        raise ParameterError(f"L reaches norm {maxnorm_of(window, L)}; need R >= that + 2")
     grp = window.group
     k4 = [s for s in power_generators(grp, window.gens, 4) if s != grp.identity]
     parts = flood_partition(

@@ -23,12 +23,18 @@ from coarse_ends import (
     covering_number,
     end_count,
     estimate_delta,
-    star,
     verify_cover,
 )
 from coarse_ends.cli import main as cli_main
 from helpers import ZOO, get_gens, get_group, get_window, random_subset
-from oracles import exact_covering_number, flood_partition, k4_component_bound, min_cover_size
+from oracles import (
+    exact_covering_number,
+    flood_partition,
+    k4_component_bound,
+    maxnorm_of,
+    min_cover_size,
+    star,
+)
 
 
 @contextmanager
@@ -150,7 +156,7 @@ def test_acceptance_04_clopen_algebra(capsys):
             window = get_window(text, radius)
             grp = window.group
             B = set(get_gens(text))
-            core = window.radius - 2 * window.maxnorm_of(B)
+            core = window.radius - 2 * maxnorm_of(window, B)
             core_ball = set(window.ball(core))
             rng = random.Random(f"acceptance-4:{text}")
             for _ in range(1000):

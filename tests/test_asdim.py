@@ -17,7 +17,6 @@ from coarse_ends import (
     estimate_delta,
     greedy_ball_cover,
     growth_series,
-    star,
     verify_cover,
 )
 from helpers import get_gens, get_group, get_window, random_subset
@@ -28,6 +27,7 @@ from oracles import (
     max_diameter_reference,
     min_cover_size,
     probe_multiplicity_reference,
+    star,
 )
 
 

@@ -767,6 +767,6 @@ def test_public_names_resolve():
         "build_annulus_cover", "build_window", "classify_counts", "clopen_scale_test",
         "component_tree", "components", "covering_number", "end_count", "estimate_delta",
         "greedy_ball_cover", "growth_series", "interface", "parse_spec", "power_generators",
-        "spec_to_string", "standard_generators", "star", "verify_cover",
+        "spec_to_string", "standard_generators", "verify_cover",
     }
-    assert len(coarse_ends.__all__) == 56
+    assert len(coarse_ends.__all__) == 55

@@ -13,10 +13,15 @@ from coarse_ends import (
     clopen_scale_test,
     interface,
     power_generators,
-    star,
 )
 from helpers import get_gens, get_group, get_window, random_subset
-from oracles import clopen_intersection_law, coarsely_identical, star_preserves_clopen
+from oracles import (
+    clopen_intersection_law,
+    coarsely_identical,
+    maxnorm_of,
+    star,
+    star_preserves_clopen,
+)
 
 
 def _gen_set(text):
@@ -156,7 +161,7 @@ def test_interface_matches_naive():
         rng = random.Random(f"iface:{text}:{power}")
         for t in scales:
             B = _scale(window, t)
-            core = radius - 2 * window.maxnorm_of(B)
+            core = radius - 2 * maxnorm_of(window, B)
             for _ in range(200 if (t, power) == (1, 1) else 25):
                 A = random_subset(window, rng)
                 rep = interface(A, t, window, core)
@@ -334,7 +339,7 @@ def test_interface_is_the_same_on_a_grown_window(text, radius, power):
     rng = random.Random(f"grown:{text}:{power}")
     for _ in range(20):
         t = rng.randint(1, 3)
-        limit = radius - 2 * window.maxnorm_of(window.ball(min(t, radius)))
+        limit = radius - 2 * maxnorm_of(window, window.ball(min(t, radius)))
         if limit < 0:
             continue
         core = rng.randint(0, limit)

@@ -12,7 +12,6 @@ from coarse_ends import (
     component_tree,
     components,
     end_count,
-    star,
 )
 from coarse_ends.cayley import ENLARGE_BY
 from helpers import ZOO, get_gens, get_group, get_window
@@ -20,6 +19,7 @@ from oracles import (
     bounded_mass_report,
     flood_partition,
     k4_component_bound,
+    star,
     union_component_clopen_check,
 )
 

@@ -456,6 +456,33 @@ def test_standard_generators_shape():
             validate(grp, g)
 
 
+def _step_count(spec):
+    """Standard steps from the spec alone: 2k for Z^k and Fk; 0, 1 and 2
+    for C1, C2 and Cn with n >= 3; the sum over a product's factors."""
+    if isinstance(spec, (DirectProduct, FreeProduct)):
+        return _step_count(spec.left) + _step_count(spec.right)
+    if isinstance(spec, Cyclic):
+        return min(spec.order - 1, 2)
+    return 2 * spec.rank
+
+
+@given(nested_specs(2))
+def test_families_against_closed_forms(text):
+    # nested specs print tagged and parenthesised syllables, which ZOO does not
+    grp = Group(parse_spec(text))
+    gens = standard_generators(grp)
+    assert len(gens) == 1 + _step_count(grp.spec)
+    for s in gens:
+        assert grp.inv(s) in gens
+        validate(grp, s)
+    try:
+        window = build_window(grp, gens, 3, 300)
+    except WindowCapError as err:
+        window = build_window(grp, gens, err.radius_reached, 300)
+    for g in window:
+        assert grp.parse(grp.show(g)) == g, (text, g)
+
+
 def test_power_generators_are_products():
     for text in ["Z", "F2", "(C2 * C3)"]:
         grp = get_group(text)

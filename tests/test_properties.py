@@ -16,10 +16,9 @@ from coarse_ends import (
     components,
     greedy_ball_cover,
     interface,
-    star,
 )
 from helpers import get_gens, get_group, get_window
-from oracles import reduce_word, show_free_word
+from oracles import maxnorm_of, reduce_word, show_free_word, star
 
 WINDOWS = [("Z", 10), ("C6", 8), ("(C2 * C3)", 6), ("Z^2", 4)]
 
@@ -51,7 +50,7 @@ def test_interface_symmetric_in_complement(data):
     (text, radius), A = data
     w = get_window(text, radius)
     gens = set(get_gens(text))
-    core = w.radius - 2 * w.maxnorm_of(gens)
+    core = w.radius - 2 * maxnorm_of(w, gens)
     comp = set(w) - A
     left = interface(A, 1, w, core)
     right = interface(comp, 1, w, core)
