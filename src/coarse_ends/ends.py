@@ -9,17 +9,29 @@ approximate the ends of the group. Every component meets sphere r, and
 is labelled by the least printed element there, so its label does not
 change when the window grows.
 
+All of it comes from one union-find sweep that adds the spheres R, R-1,
+... of the window's generator table. Each added id keeps its own root as
+it joins its present neighbours, so an edge costs one root walk; the root
+labels of a whole tail of ids are read by repeated parent lookups over
+the list, with no call per id, and the anchors off sphere r alone.
+
 Verdicts are conservative. One and Two require the outer count to sit
 still across a span of radii, to survive growing the window 4 larger,
 and to coexist with zero bounded complementary mass; growth across the
 final radii yields Infinite; an exhausted group yields Zero; everything
 else, including a stable count of three or more (which no finitely
 generated group can sustain), is Undetermined with the evidence attached.
+A verdict that the sphere sizes of its windows contradict is refused too
+(see sphere_guard): below the diameter of a finite factor, a two-ended
+group such as Z x C8 shows one outer component at every radius.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .cayley import DEFAULT_CAP, ENLARGE_BY, Window, build_window
@@ -72,6 +84,13 @@ class _UnionFind:
     {|g| >= r} after each one (offline incremental connectivity, as in
     Tarjan 1975). count and outer track the number of components and of
     those reaching the outer sphere.
+
+    add keeps the root of the id being added as it goes: a fresh id is its
+    own root, and after each union the winner is. So a present neighbour
+    costs one root walk (with path halving), not two. labels reads the
+    roots of a whole tail of ids by replacing every entry with its parent's
+    until a pass changes nothing, and writes them back, which only shortens
+    paths.
     """
 
     def __init__(self, window: Window):
@@ -85,15 +104,9 @@ class _UnionFind:
         self.count = 0
         self.outer = 0
 
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
     def add(self, ids: Iterable[int]) -> None:
         parent, size, present, touches = self.parent, self.size, self.present, self.touches
-        find, cols, boundary = self.find, self.cols, self.boundary
+        cols, boundary = self.cols, self.boundary
         count, outer = self.count, self.outer
         for i in ids:
             present[i] = 1
@@ -101,11 +114,13 @@ class _UnionFind:
             if i >= boundary:
                 touches[i] = 1
                 outer += 1
+            a = i  # the root of i's component
             for col in cols:
-                y = col[i]
-                if y < 0 or not present[y]:
+                b = col[i]
+                if b < 0 or not present[b]:
                     continue
-                a, b = find(i), find(y)
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
                 if a == b:
                     continue
                 if size[a] < size[b]:
@@ -119,23 +134,30 @@ class _UnionFind:
         self.count, self.outer = count, outer
 
     def labels(self, lo: int) -> list:
-        """Root of every id from lo to the end of the window."""
-        find = self.find
-        return [find(i) for i in range(lo, len(self.parent))]
+        """Root of every id from lo to the end of the window, all of them
+        members."""
+        parent = self.parent
+        roots = parent[lo:]
+        while True:
+            up = list(map(parent.__getitem__, roots))
+            if up == roots:
+                break
+            parent[lo:] = roots = up
+        return roots
 
 
-def _classes(labels: list, window: Window, r: int) -> list:
-    """Ids of {|g| >= r} grouped by root label, in window order, as (anchor,
-    ids) pairs sorted by anchor: the least printed element of the group's
-    part of sphere r. Every group meets sphere r, as a canonical geodesic
-    keeps norm >= r down to sphere r by generator steps.
+def _anchored(roots: list, window: Window, r: int) -> list:
+    """(anchor, root) for every root label of {|g| >= r}, sorted by anchor:
+    the least printed element of the component's part of sphere r. roots
+    holds the label of every id from offsets[r] on. Every component meets
+    sphere r, as a canonical geodesic keeps norm >= r down to sphere r by
+    generator steps.
     """
     lo, hi = window.offsets[r], window.offsets[r + 1]
-    groups: dict = {}
-    for i, root in enumerate(labels, start=lo):
-        groups.setdefault(root, []).append(i)
-    shown = list(map(window.group.show, window.elements[lo:hi]))
-    return sorted((min(shown[i - lo] for i in ids if i < hi), ids) for ids in groups.values())
+    shown = map(window.group.show, window.elements[lo:hi])
+    # in descending printed order, the last value written for a root is its least
+    least = dict(sorted(zip(roots[: hi - lo], shown), key=itemgetter(1), reverse=True))
+    return sorted(zip(least.values(), least))
 
 
 def components(window: Window, r: int) -> ComponentDecomposition:
@@ -152,15 +174,21 @@ def components(window: Window, r: int) -> ComponentDecomposition:
     lo = window.offsets[r]
     uf = _UnionFind(window)
     uf.add(range(lo, len(window)))
-    elements = window.elements
+    roots = uf.labels(lo)
+    label = roots.__getitem__
+    order = sorted(range(len(roots)), key=label)  # stable: window order inside each root
+    members = {root: list(ids) for root, ids in groupby(order, label)}
+    tail = window.elements[lo:]
     comps = []
-    for least, ids in _classes(uf.labels(lo), window, r):
+    for least, root in _anchored(roots, window, r):
+        ids = members[root]
+        last = lo + ids[-1]
         comps.append(
             Component(
-                elements=tuple(elements[i] for i in ids),
-                outer=ids[-1] >= uf.boundary,
+                elements=tuple(map(tail.__getitem__, ids)),
+                outer=last >= uf.boundary,
                 size=len(ids),
-                max_norm=window.norm(ids[-1]),
+                max_norm=window.norm(last),
                 least=least,
             )
         )
@@ -232,7 +260,8 @@ def component_tree(window: Window, r_min: int, r_max: int, margin: int = 4) -> E
     moves inward, so every component at radius r+1 lies inside exactly one
     component at radius r, its parent.
     The verdict is the classification read off this window alone, with no
-    enlargement re-run; end_count applies the stricter discipline.
+    enlargement re-run, and is refused when this window's sphere sizes
+    contradict it (sphere_guard); end_count applies the stricter discipline.
     """
     if r_min < 0 or r_min > r_max:
         raise ParameterError("need 0 <= r_min <= r_max")
@@ -252,21 +281,28 @@ def component_tree(window: Window, r_min: int, r_max: int, margin: int = 4) -> E
     exhausted = False
     owner = None  # root label at the previous radius -> node id
     for r in range(r_min, r_max + 1):
-        lo = offsets[r]
-        classes = [ids for _, ids in _classes(labels[r], window, r)]
-        nodes = []
-        for idx, ids in enumerate(classes):
-            parent = None
-            if owner is not None:
-                parent = owner[labels[r - 1][ids[0] - offsets[r - 1]]]
-            outer = ids[-1] >= uf.boundary
-            nodes.append(TreeNode(id=idx, size=len(ids), outer=outer, parent=parent))
-        levels.append(TreeLevel(r=r, nodes=tuple(nodes)))
+        roots = labels[r]
+        sizes = Counter(roots)
+        reach = set(roots[uf.boundary - offsets[r] :])  # roots of the outer sphere
+        anchored = [root for _, root in _anchored(roots, window, r)]
+        nodes = tuple(
+            TreeNode(
+                id=idx,
+                size=sizes[root],
+                outer=root in reach,
+                # root is a member, so its label one radius in names the parent
+                parent=None if owner is None else owner[labels[r - 1][root - offsets[r - 1]]],
+            )
+            for idx, root in enumerate(anchored)
+        )
+        levels.append(TreeLevel(r=r, nodes=nodes))
         outer_counts.append(sum(1 for n in nodes if n.outer))
-        if not classes:
+        if not nodes:
             exhausted = True
-        owner = {labels[r][ids[0] - lo]: idx for idx, ids in enumerate(classes)}
+        owner = {root: idx for idx, root in enumerate(anchored)}
     verdict, _, _ = classify_counts(outer_counts, exhausted=exhausted)
+    if sphere_guard(verdict, _sphere_sizes(window)):
+        verdict = "Undetermined"
     return EndTree(levels=tuple(levels), verdict=verdict)
 
 
@@ -365,6 +401,45 @@ def classify_counts(
     )
 
 
+def sphere_guard(verdict: str, *spheres: Sequence[int]) -> Optional[str]:
+    """Anomaly text when sphere sizes contradict an end verdict, else None.
+
+    Each argument lists the sphere sizes |S(0)|, |S(1)|, ... of one window,
+    and only its three outermost are read. A finitely generated group is
+    virtually Z, and so two-ended, exactly when its sphere sizes are bounded
+    (Justin 1971); one with infinitely many ends contains a free subgroup of
+    rank two (Stallings 1968), so its spheres grow. The guard only refutes:
+    One is refused when the sizes are constant in every window given, Two
+    when they strictly increase in every window given, and Infinite when
+    they are constant. The windows passed are the ones the verdict rests on.
+    """
+    tails = [sizes[-3:] for sizes in spheres]
+    if not tails or any(len(t) < 3 for t in tails):
+        return None
+    constant = all(t[0] == t[1] == t[2] for t in tails)
+    if verdict == "One" and constant:
+        return (
+            "one outer component, but the sphere sizes are constant over the outermost "
+            "radii, as in a two-ended group whose finite part is wider than the radii read"
+        )
+    if verdict == "Two" and all(t[0] < t[1] < t[2] for t in tails):
+        return (
+            "two outer components, but the sphere sizes strictly increase over the "
+            "outermost radii, which the bounded spheres of a two-ended group rule out"
+        )
+    if verdict == "Infinite" and constant:
+        return (
+            "the outer counts grow, but the sphere sizes are constant over the outermost "
+            "radii, so the group grows linearly and has at most two ends"
+        )
+    return None
+
+
+def _sphere_sizes(window: Window) -> list:
+    offsets = window.offsets
+    return [b - a for a, b in zip(offsets, offsets[1:])]
+
+
 _NOTES = {
     "Zero": "the window exhausts the group, which is therefore finite and has no ends",
     "One": "a single unbounded complementary component persists at every radius and "
@@ -418,6 +493,7 @@ def end_count(
     recheck_rows = None
     recheck_radius = None
     stable = None
+    big = None
     verdict = candidate
     if candidate in ("One", "Two"):
         tail = rows[-stab_span:]
@@ -438,6 +514,11 @@ def end_count(
             if not stable:
                 verdict = "Undetermined"
                 anomaly = "outer counts changed when the window was enlarged"
+    # a One or Two that got here stands on the recheck window too; Infinite builds none
+    read = (window,) if big is None else (window, big)
+    refusal = sphere_guard(verdict, *map(_sphere_sizes, read))
+    if refusal:
+        verdict, anomaly = "Undetermined", refusal
 
     if verdict == "Undetermined":
         note = "the window does not certify a verdict: " + (anomaly or "insufficient data")

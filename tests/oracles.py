@@ -10,6 +10,7 @@ test hooks that state laws about the package's own functions and
 therefore call them.
 """
 
+import math
 import random
 import string
 from collections import deque
@@ -170,6 +171,65 @@ def flood_partition(members, neighbors):
                     queue.append(y)
         parts.add(frozenset(comp))
     return parts
+
+
+def spec_order(spec):
+    """Order of the group a spec names, or None when it is infinite."""
+    if isinstance(spec, Cyclic):
+        return spec.order
+    if isinstance(spec, (FreeAbelian, Free)):
+        return None
+    left, right = spec_order(spec.left), spec_order(spec.right)
+    if isinstance(spec, DirectProduct):
+        return None if left is None or right is None else left * right
+    if left == 1 or right == 1:  # a free product with a trivial factor is the other
+        return right if left == 1 else left
+    return None
+
+
+def spec_ends(spec):
+    """Number of ends of the group a spec names, from its closed form: 0, 1,
+    2 or math.inf.
+
+    Z^n and Fn have two ends for n = 1, and one and infinitely many for
+    n >= 2. A direct product has the ends of its infinite factor when the
+    other is finite, and one end when both are infinite. A free product of
+    two nontrivial groups has two ends when both have order 2, and
+    infinitely many otherwise.
+    """
+    if isinstance(spec, Cyclic):
+        return 0
+    if isinstance(spec, FreeAbelian):
+        return 2 if spec.rank == 1 else 1
+    if isinstance(spec, Free):
+        return 2 if spec.rank == 1 else math.inf
+    if isinstance(spec, DirectProduct):
+        left, right = spec_order(spec.left), spec_order(spec.right)
+        if left is not None and right is not None:
+            return 0
+        if left is None and right is None:
+            return 1
+        return spec_ends(spec.left if left is None else spec.right)
+    left, right = spec_order(spec.left), spec_order(spec.right)
+    if left == 1:
+        return spec_ends(spec.right)
+    if right == 1:
+        return spec_ends(spec.left)
+    return 2 if left == right == 2 else math.inf
+
+
+def finite_diameter(spec):
+    """Cayley diameter, under the standard generators, of the finite part of
+    a spec: the product of its finite direct factors, and for a free product
+    the larger of its factors' values. Up to this radius a finite factor
+    can join pieces of a ball complement that lie far apart."""
+    if isinstance(spec, Cyclic):
+        return spec.order // 2
+    if isinstance(spec, (FreeAbelian, Free)):
+        return 0
+    if isinstance(spec, DirectProduct):
+        return finite_diameter(spec.left) + finite_diameter(spec.right)
+    return max(finite_diameter(spec.left), finite_diameter(spec.right))
 
 
 def reduce_word(pairs):

@@ -1,5 +1,6 @@
 """Component decompositions, end trees, verdicts, and the covering bound."""
 
+import math
 import random
 
 import pytest
@@ -14,11 +15,14 @@ from coarse_ends import (
     end_count,
 )
 from coarse_ends.cayley import ENLARGE_BY
+from coarse_ends.ends import sphere_guard
 from helpers import ZOO, get_gens, get_group, get_window
 from oracles import (
     bounded_mass_report,
+    finite_diameter,
     flood_partition,
     k4_component_bound,
+    spec_ends,
     star,
     union_component_clopen_check,
 )
@@ -75,6 +79,9 @@ def _window_pool():
         ("(Z x C2)", 6, 1),
         ("(C2 * C2)", 8, 1),
         ("(C2 * C3)", 6, 1),
+        # an odd-order factor: steps of parity 0, so every sphere has internal
+        # edges, and the root that add tracks must follow the winner of each union
+        ("(Z x C3)", 6, 1),
         ("Z", 6, 2),
         ("(Z x C2)", 4, 2),
     ]
@@ -310,6 +317,112 @@ def test_end_count_parameter_errors():
     for spans in [(0, 3), (-1, 3), (3, 1), (5, 0)]:
         with pytest.raises(ParameterError):
             end_count(get_group("Z^2"), get_gens("Z^2"), 4, *spans)
+
+
+def test_sphere_guard():
+    assert sphere_guard("One", [1, 4, 8, 8, 8], [1, 4, 8, 8, 8, 8, 8])
+    assert sphere_guard("One", [1, 4, 8, 8, 8], [1, 4, 8, 9, 9, 10, 10]) is None
+    assert sphere_guard("One", [1, 4, 8, 12, 16], [1, 4, 8, 12, 16, 20, 24]) is None
+    assert sphere_guard("Two", [1, 4, 8, 12], [1, 4, 8, 12, 16]) is not None
+    assert sphere_guard("Two", [1, 4, 8, 12], [1, 4, 8, 12, 12]) is None
+    assert sphere_guard("Two", [1, 2, 2, 2], [1, 2, 2, 2, 2]) is None
+    assert "linearly" in sphere_guard("Infinite", [1, 3, 4, 4, 4])
+    assert sphere_guard("Infinite", [1, 3, 4, 6, 8]) is None
+    assert sphere_guard("Zero", [1, 2, 2, 2]) is None
+    assert sphere_guard("Undetermined", [1, 2, 2, 2]) is None
+    assert sphere_guard("One", [1, 2]) is None  # fewer than three radii read
+    assert sphere_guard("One") is None  # no window read
+
+
+@pytest.mark.parametrize(
+    "text, r_max",
+    [
+        ("(Z x C8)", 4),
+        ("(Z x C6)", 3),
+        ("((C4 x C2) x Z)", 3),
+        ("((C2 * C2) x C8)", 3),
+        ("(Z x C12)", 5),
+        ("(Z x C12)", 6),
+    ],
+)
+def test_sphere_guard_refuses_one_for_two_ended(text, r_max):
+    # up to the diameter of the finite factor, an element of it joins the two
+    # sides, so the counts read 1 at every radius and on the recheck too
+    verdict = end_count(get_group(text), get_gens(text), r_max)
+    assert [c.outer for c in verdict.evidence.counts] == [1] * r_max
+    assert verdict.evidence.stable is True
+    assert verdict.verdict == "Undetermined" and "sphere sizes" in verdict.note
+    tree = component_tree(get_window(text, 2 * r_max + 4), 1, r_max)
+    assert tree.verdict == "Undetermined"
+
+
+def test_sphere_guard_keeps_verdicts():
+    assert end_count(get_group("(Z x C8)"), get_gens("(Z x C8)"), 8).verdict == "Two"
+    # the guard's limit: below r = 20 the spheres of (Z x C40) grow as Z^2's do
+    for r_max in (4, 8):
+        assert end_count(get_group("(Z x C40)"), get_gens("(Z x C40)"), r_max).verdict == "One"
+
+
+def test_spec_ends_closed_form():
+    want = {
+        "C1": 0,
+        "C6": 0,
+        "(C2 x C3)": 0,
+        "(C1 * C1)": 0,
+        "Z": 2,
+        "F1": 2,
+        "(Z x C2)": 2,
+        "(C2 * C2)": 2,
+        "((C2 x C1) * (C1 x C2))": 2,
+        "(Z * C1)": 2,
+        "Z^2": 1,
+        "(Z x F2)": 1,
+        "F2": math.inf,
+        "(C2 * C3)": math.inf,
+        "(Z * C2)": math.inf,
+    }
+    assert {text: spec_ends(get_group(text).spec) for text in want} == want
+    assert [finite_diameter(get_group(t).spec) for t in ("(Z x C8)", "((C4 x Z) x C3)")] == [4, 3]
+
+
+_VERDICT_OF = {0: "Zero", 1: "One", 2: "Two", math.inf: "Infinite"}
+# C6 and C8 make finite factors wider than the radii read common in the draw
+_LEAVES = ["Z", "Z^2", "F2", "C1", "C2", "C3", "C4", "C6", "C8"]
+
+
+def _random_spec(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_LEAVES)
+    return f"({_random_spec(rng, depth - 1)} {rng.choice('x*')} {_random_spec(rng, depth - 1)})"
+
+
+def test_end_count_against_closed_form():
+    """Over 200 seeded random specs of depth <= 2, at r_max 3 and 4, every
+    end_count verdict is Undetermined, capped, or the spec's end count.
+
+    The draw keeps to specs whose finite part has Cayley diameter at most
+    R / 2 for the window radius R = 2 r_max + 4: the guard reads the three
+    outermost spheres, and a wider finite factor, like C40's in (Z x C40),
+    gives a virtually-Z group spheres that still grow there.
+    """
+    rng = random.Random("spec-ends")
+    read = refused = 0
+    for _ in range(200):
+        text = _random_spec(rng, 2)
+        spec = get_group(text).spec
+        for r_max in (3, 4):
+            if 2 * finite_diameter(spec) > 2 * r_max + 4:
+                continue
+            try:
+                verdict = end_count(get_group(text), get_gens(text), r_max, cap=3000)
+            except WindowCapError:
+                continue
+            read += 1
+            if verdict.verdict == "Undetermined":
+                refused += "sphere sizes" in verdict.note
+                continue
+            assert verdict.verdict == _VERDICT_OF[spec_ends(spec)], (text, r_max)
+    assert read > 150 and refused > 0
 
 
 # ---------------------------------------------------------------------------
