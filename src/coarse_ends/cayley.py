@@ -22,10 +22,11 @@ word by that word's last letter. If p was first reached by step t, p*s is
 new only if t*s is neither the identity nor a step (else |p*s| <= |p|) and
 (t, s) is the least pair of steps with product t*s (else an earlier pair
 spells p*s by a smaller word). The search forms the |K|^2 products t*s
-once and skips every other pair, the way back t*s = e among them, so the
-window order is that of a search that tries every step. Only an element's
-first step is remembered, for the sphere being expanded; the identity and
-the outer sphere of a window being grown have none and try every step.
+once, on reaching the second sphere it adds, and skips every other pair,
+the way back t*s = e among them, so the window order is that of a search
+that tries every step. Only an element's first step is remembered, for
+the sphere being expanded; the identity and the outer sphere of a window
+being grown have none and try every step.
 
 A table window, build_window(..., table=True), writes the generator table
 during its search instead: an id map and one array('i') column per step,
@@ -218,21 +219,27 @@ class Window:
         grp, cap = self.group, self.cap
         # tries[k]: the (id, step map) pairs that can extend the least word of
         # an element first reached by steps[k], in step order; the last entry
-        # is every step, for an element whose first step is unknown. came[i]
-        # is that k for the i-th element of the frontier.
+        # is every step, for an element whose first step is unknown (k = -1).
+        # came[i] is that k for the i-th element of the frontier. The first
+        # frontier with first steps is that of sphere top + 2.
         pairs = tuple(enumerate(self.steps))
-        # least[c]: the least pair (k, j) with steps[k]*steps[j] = c, or None
-        # when c is the identity or a step
-        least = dict.fromkeys((grp.identity, *self.steps))
-        for k, t in pairs:
-            for j, s in pairs:
-                least.setdefault(grp.mul(t, s), (k, j))
         moves = tuple((j, grp.step_map(s)) for j, s in pairs)
-        tries = [[] for _ in pairs] + [moves]
-        for pair in filter(None, least.values()):  # in (k, j) order
-            tries[pair[0]].append(moves[pair[1]])
-        came = [len(pairs)] * (offsets[top + 1] - offsets[top])
+        tries = [moves]
+        came = [-1] * (offsets[top + 1] - offsets[top])
         for r in range(top + 1, radius + 1):
+            if r == top + 2:
+                # least[c]: the least pair (k, j) with steps[k]*steps[j] = c, or
+                # None when c is the identity or a step. Its keys are B(2), so
+                # past the cap they stop the search as sphere 2 would.
+                least = dict.fromkeys((grp.identity, *self.steps))
+                for k, t in pairs:
+                    for j, s in pairs:
+                        least.setdefault(grp.mul(t, s), (k, j))
+                    if len(least) > cap:
+                        raise WindowCapError(cap, r - 1)
+                tries = [[] for _ in pairs] + [moves]
+                for pair in filter(None, least.values()):  # in (k, j) order
+                    tries[pair[0]].append(moves[pair[1]])
             reached = []
             for p, k in zip(elements[offsets[r - 1] :], came):
                 for j, step in tries[k]:
@@ -278,6 +285,8 @@ class Window:
                             elements.append(q)
                             n += 1
                             if n > rows:
+                                if n > cap:  # before every column doubles
+                                    raise WindowCapError(cap, r - 1)
                                 pad = array("i", [-1]) * rows
                                 for c in cols:
                                     c.extend(pad)

@@ -2,7 +2,10 @@
 
 Reports are deterministic given (command, config, seed): no timestamps,
 no timings, stable ordering everywhere. JSON is the canonical format;
-csv and text are projections of it, and dot exists for trees only.
+csv and text are projections of it, and dot exists for trees only. Each
+command parses the group once, runs its analysis and hands the result,
+its text lines and its csv rows to one builder, `_report`, which renders
+only the format asked for.
 
 Exit codes: 0 determinate result, 1 usage or parse error, 2 element cap
 exceeded, 3 Undetermined end verdict, 4 precondition refusal (window too
@@ -14,8 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from dataclasses import asdict
+from typing import Callable
 
 from . import __version__
 from .asdim import asdim_upper_bound, covering_number, covering_samples, growth_series
@@ -35,24 +38,14 @@ class _ArgumentError(CoarseEndsError):
 _LABELS = {1: "error", 2: "resource cap", 4: "refusing"}
 
 
-@dataclass
-class Report:
-    command: str
-    config: dict
-    result: dict
-    text: str
-    csv: str
-    dot: Optional[str] = None
-    warnings: list = field(default_factory=list)
-    exit_code: int = 0
-
-
-def _bind(args):
+def _bind(args, default_radius: int):
+    """The group, generator set and window radius a command reads."""
     group = Group(parse_spec(args.group))
     gens = standard_generators(group)
     if args.gen_power > 1:
         gens = power_generators(group, gens, args.gen_power)
-    return group, gens
+    radius = args.window if args.window is not None else default_radius
+    return group, gens, radius
 
 
 def _check_common(args) -> None:
@@ -79,37 +72,60 @@ def _int_list(text: str, flag: str) -> list:
     return values
 
 
-def _base_config(args, window_radius: int) -> dict:
-    return {
-        "group": spec_to_string(parse_spec(args.group)),
-        "gen_power": args.gen_power,
-        "window": window_radius,
-        "cap": args.cap,
-        "seed": args.seed,
-    }
-
-
-def _csv_lines(config: dict, header: str, rows) -> str:
-    lines = [f"# {k}={config[k]}" for k in sorted(config)]
-    lines.append(header)
-    lines.extend(",".join(str(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _bool(b) -> str:
     return "true" if b else "false"
+
+
+def _report(args, group, radius, config, result, lines, header, rows, *, csv_config=(),
+            warnings=(), tree=None, exit_code=0) -> tuple:
+    """(payload, exit code) of a command's report, rendered in args.format only.
+
+    config holds the command's own settings, after the common ones. json
+    wraps result in the envelope. csv writes the config, with csv_config
+    added, as sorted `# key=value` lines, then header and rows. text writes
+    a `group:` line, then lines. dot writes the tree's graph.
+    """
+    config = {
+        "group": spec_to_string(group.spec),
+        "gen_power": args.gen_power,
+        "window": radius,
+        "cap": args.cap,
+        "seed": args.seed,
+        **config,
+    }
+    if args.format == "json":
+        envelope = {
+            "schema": REPORT_SCHEMA,
+            "version": __version__,
+            "command": args.command,
+            "config": config,
+            "seed": args.seed,
+            "warnings": list(warnings),
+            "result": result,
+        }
+        payload = json.dumps(envelope, sort_keys=True, indent=2)
+    elif args.format == "csv":
+        config.update(csv_config)
+        lines = [f"# {k}={config[k]}" for k in sorted(config)]
+        lines.append(header)
+        lines.extend(",".join(str(x) for x in row) for row in rows)
+        payload = "\n".join(lines)
+    elif args.format == "dot":
+        payload = tree.to_dot()
+    else:
+        payload = "\n".join([f"group: {config['group']}", *lines])
+    return payload + "\n", exit_code
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_ends(args) -> Report:
+def cmd_ends(args) -> tuple:
     _at_least("--rmax", args.rmax, 1)
     _at_least("--span", args.span, 1)
     _at_least("--growth-span", args.growth_span, 2)
-    group, gens = _bind(args)
-    radius = args.window if args.window is not None else 2 * args.rmax + 4
+    group, gens, radius = _bind(args, 2 * args.rmax + 4)
     verdict = end_count(
         group,
         gens,
@@ -119,11 +135,7 @@ def cmd_ends(args) -> Report:
         window_radius=radius,
         cap=args.cap,
     )
-    config = _base_config(args, radius)
-    config.update(rmax=args.rmax, span=args.span, growth_span=args.growth_span)
-    result = verdict.to_json_dict()
     lines = [
-        f"group: {config['group']}",
         f"verdict: {verdict.verdict}",
         f"note: {verdict.note}",
         f"window radius: {radius}"
@@ -137,33 +149,20 @@ def cmd_ends(args) -> Report:
         lines.append(f"r={c.r} outer={c.outer} inner={c.inner}")
     if verdict.evidence.exhausted_at is not None:
         lines.append(f"exhausted at r={verdict.evidence.exhausted_at}")
-    csv_config = dict(config, verdict=verdict.verdict)
-    csv = _csv_lines(
-        csv_config,
-        "r,outer,inner",
-        [(c.r, c.outer, c.inner) for c in verdict.evidence.counts],
-    )
-    return Report(
-        command="ends",
-        config=config,
-        result=result,
-        text="\n".join(lines) + "\n",
-        csv=csv,
-        exit_code=3 if verdict.verdict == "Undetermined" else 0,
-    )
+    config = dict(rmax=args.rmax, span=args.span, growth_span=args.growth_span)
+    rows = [(c.r, c.outer, c.inner) for c in verdict.evidence.counts]
+    return _report(args, group, radius, config, verdict.to_json_dict(), lines, "r,outer,inner",
+                   rows, csv_config={"verdict": verdict.verdict},
+                   exit_code=3 if verdict.verdict == "Undetermined" else 0)
 
 
-def cmd_tree(args) -> Report:
+def cmd_tree(args) -> tuple:
     _at_least("--rmin", args.rmin, 0)
     _at_least("--rmax", args.rmax, args.rmin)
-    group, gens = _bind(args)
-    radius = args.window if args.window is not None else 2 * args.rmax + 4
+    group, gens, radius = _bind(args, 2 * args.rmax + 4)
     window = build_window(group, gens, radius, cap=args.cap, table=True)
     tree = component_tree(window, args.rmin, args.rmax)
-    config = _base_config(args, radius)
-    config.update(rmin=args.rmin, rmax=args.rmax)
-    result = tree.to_json_dict()
-    lines = [f"group: {config['group']}", f"verdict: {tree.verdict}"]
+    lines = [f"verdict: {tree.verdict}"]
     rows = []
     for lv in tree.levels:
         sizes = " ".join(
@@ -176,15 +175,9 @@ def cmd_tree(args) -> Report:
             rows.append(
                 (lv.r, n.id, n.size, _bool(n.outer), "" if n.parent is None else n.parent)
             )
-    csv = _csv_lines(dict(config, verdict=tree.verdict), "r,id,size,outer,parent", rows)
-    return Report(
-        command="tree",
-        config=config,
-        result=result,
-        text="\n".join(lines) + "\n",
-        csv=csv,
-        dot=tree.to_dot() + "\n",
-    )
+    config = dict(rmin=args.rmin, rmax=args.rmax)
+    return _report(args, group, radius, config, tree.to_json_dict(), lines,
+                   "r,id,size,outer,parent", rows, csv_config={"verdict": tree.verdict}, tree=tree)
 
 
 def _parse_selector(text: str) -> Callable:
@@ -241,10 +234,9 @@ def _load_elements(path: str, group: Group, window) -> set:
     return out
 
 
-def cmd_clopen(args) -> Report:
+def cmd_clopen(args) -> tuple:
     _at_least("--tmax", args.tmax, 1)
-    group, gens = _bind(args)
-    radius = args.window if args.window is not None else 4 * args.tmax + 4
+    group, gens, radius = _bind(args, 4 * args.tmax + 4)
     window = build_window(group, gens, radius, cap=args.cap, table=True)
     if args.select is not None:
         chosen_set = _parse_selector(args.select)
@@ -253,11 +245,7 @@ def cmd_clopen(args) -> Report:
         chosen_set = _load_elements(args.elements_file, group, window)
         chosen = f"elements_file={args.elements_file}"
     cert = clopen_scale_test(window, chosen_set, args.tmax)
-    config = _base_config(args, radius)
-    config.update(tmax=args.tmax, set=chosen)
-    result = asdict(cert)
     lines = [
-        f"group: {config['group']}",
         f"set: {chosen}",
         f"verdict: {'clopen-consistent' if cert.verdict else 'not clopen'}",
     ]
@@ -266,31 +254,22 @@ def cmd_clopen(args) -> Report:
             f"t={e.scale_t} rho={e.rho} core={e.core_radius} "
             f"stable={_bool(e.stable)} verdict={_bool(e.verdict)}"
         )
-    csv = _csv_lines(
-        dict(config, verdict=_bool(cert.verdict)),
-        "scale_t,rho,core_radius,stable,verdict",
-        [
-            (e.scale_t, e.rho, e.core_radius, _bool(e.stable), _bool(e.verdict))
-            for e in cert.entries
-        ],
-    )
-    return Report(
-        command="clopen",
-        config=config,
-        result=result,
-        text="\n".join(lines) + "\n",
-        csv=csv,
-    )
+    rows = [
+        (e.scale_t, e.rho, e.core_radius, _bool(e.stable), _bool(e.verdict))
+        for e in cert.entries
+    ]
+    return _report(args, group, radius, dict(tmax=args.tmax, set=chosen), asdict(cert), lines,
+                   "scale_t,rho,core_radius,stable,verdict", rows,
+                   csv_config={"verdict": _bool(cert.verdict)})
 
 
-def cmd_growth(args) -> Report:
+def cmd_growth(args) -> tuple:
     offsets = _int_list(args.cover_offsets, "--cover-offsets")
     for t in offsets:
         _at_least("--cover-offsets", t, 1)
-    group, gens = _bind(args)
-    radius = args.window if args.window is not None else 8
+    group, gens, radius = _bind(args, 8)
     window = build_window(group, gens, radius, cap=args.cap)
-    rows = growth_series(window)
+    series = growth_series(window)
     warnings = []
     samples = []
     for t in offsets:
@@ -304,39 +283,29 @@ def cmd_growth(args) -> Report:
         bg = covering_number(window, 1, 1)
     else:
         warnings.append("window too small for the bounded-geometry count")
-    config = _base_config(args, radius)
-    config.update(cover_offsets=args.cover_offsets)
     result = {
-        "rows": [{"r": r.r, "sphere": r.sphere, "ball": r.ball} for r in rows],
+        "rows": [{"r": r.r, "sphere": r.sphere, "ball": r.ball} for r in series],
         "covering": [{"S": c.base, "t": c.offset, "N": c.count} for c in samples],
         "bounded_geometry": bg,
     }
-    lines = [f"group: {config['group']}", "r sphere ball"]
-    lines.extend(f"{r.r} {r.sphere} {r.ball}" for r in rows)
+    lines = ["r sphere ball"]
+    lines.extend(f"{r.r} {r.sphere} {r.ball}" for r in series)
     lines.append("covering numbers (cover K^(S+t) by translates of K^S):")
     lines.extend(f"S={c.base} t={c.offset} N={c.count}" for c in samples)
-    csv_rows = [("sphere", r.r, r.sphere, r.ball) for r in rows]
-    csv_rows.extend(("covering", c.base, c.offset, c.count) for c in samples)
+    rows = [("sphere", r.r, r.sphere, r.ball) for r in series]
+    rows.extend(("covering", c.base, c.offset, c.count) for c in samples)
     if bg is not None:
         lines.append(f"bounded geometry count: {bg}")
-        csv_rows.append(("bounded_geometry", bg, "", ""))
-    csv = _csv_lines(config, "kind,a,b,c", csv_rows)
-    return Report(
-        command="growth",
-        config=config,
-        result=result,
-        text="\n".join(lines) + "\n",
-        csv=csv,
-        warnings=warnings,
-    )
+        rows.append(("bounded_geometry", bg, "", ""))
+    return _report(args, group, radius, dict(cover_offsets=args.cover_offsets), result, lines,
+                   "kind,a,b,c", rows, warnings=warnings)
 
 
-def cmd_asdim(args) -> Report:
+def cmd_asdim(args) -> tuple:
     _at_least("--p", args.p, 1)
     _at_least("--s", args.s, 1)
     _at_least("--pair-budget", args.pair_budget, 1)
-    group, gens = _bind(args)
-    radius = args.window if args.window is not None else 14
+    group, gens, radius = _bind(args, 14)
     window = build_window(group, gens, radius, cap=args.cap)
     n_list = None if args.n_list is None else _int_list(args.n_list, "--n-list")
     witness = asdim_upper_bound(
@@ -347,16 +316,7 @@ def cmd_asdim(args) -> Report:
         pair_budget=args.pair_budget,
         seed=args.seed,
     )
-    config = _base_config(args, radius)
-    config.update(
-        p=args.p,
-        s=args.s,
-        n_list=",".join(str(n) for n in witness.n_list),
-        pair_budget=args.pair_budget,
-    )
-    result = witness.to_json_dict()
     lines = [
-        f"group: {config['group']}",
         f"delta_hat: {witness.delta_hat} (probe {list(witness.probe_radii)} -> "
         f"{list(witness.probe_values)})",
         f"delta: {witness.delta}",
@@ -371,23 +331,21 @@ def cmd_asdim(args) -> Report:
         )
     lines.append(f"cross multiplicity: {witness.cross_multiplicity}")
     lines.append(f"asdim bound: {witness.bound}")
-    csv = _csv_lines(
-        dict(config, delta_hat=witness.delta_hat, delta=witness.delta,
-             n2delta=witness.n2delta, bound=witness.bound),
-        "n,net_size,sets,max_diameter,max_multiplicity",
-        [
-            (st.n, st.net_size, st.set_count, st.max_diameter,
-             st.multiplicity)
-            for st in witness.annuli
-        ],
+    config = dict(
+        p=args.p,
+        s=args.s,
+        n_list=",".join(str(n) for n in witness.n_list),
+        pair_budget=args.pair_budget,
     )
-    return Report(
-        command="asdim",
-        config=config,
-        result=result,
-        text="\n".join(lines) + "\n",
-        csv=csv,
-    )
+    rows = [
+        (st.n, st.net_size, st.set_count, st.max_diameter,
+         st.multiplicity)
+        for st in witness.annuli
+    ]
+    return _report(args, group, radius, config, witness.to_json_dict(), lines,
+                   "n,net_size,sets,max_diameter,max_multiplicity", rows,
+                   csv_config=dict(delta_hat=witness.delta_hat, delta=witness.delta,
+                                   n2delta=witness.n2delta, bound=witness.bound))
 
 
 _DISPATCH = {
@@ -464,25 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(report: Report, fmt: str) -> str:
-    if fmt == "json":
-        envelope = {
-            "schema": REPORT_SCHEMA,
-            "version": __version__,
-            "command": report.command,
-            "config": report.config,
-            "seed": report.config.get("seed"),
-            "warnings": report.warnings,
-            "result": report.result,
-        }
-        return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        return report.csv
-    if fmt == "dot":
-        return report.dot
-    return report.text
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -491,11 +430,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         _check_common(args)
-        report = _DISPATCH[args.command](args)
+        payload, code = _DISPATCH[args.command](args)
     except CoarseEndsError as exc:
         print(f"coarse-ends: {_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)
         return exc.exit_code
-    payload = _render(report, args.format)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -505,7 +443,7 @@ def main(argv=None) -> int:
             return 1
     else:
         sys.stdout.write(payload)
-    return report.exit_code
+    return code
 
 
 def entrypoint() -> None:

@@ -81,7 +81,8 @@ def window_order_reference(group, gens, radius):
 def plain_search_products(window):
     """Products a plain search forms to build window in one search.
 
-    The |K|^2 products t*s of two steps, each once. Then, for each element
+    The |K|^2 products t*s of two steps, each once, when the window reaches
+    past radius 1 (sphere 1 reads none of them). Then, for each element
     of norm < R, one product per step it tries: every step for the
     identity; for an element first reached by step t, each step s such
     that t*s is neither the identity nor a step and no pair of steps before
@@ -104,7 +105,7 @@ def plain_search_products(window):
     ]
     first = {group.identity: None}
     queue = deque([(group.identity, 0)])
-    total = n * n
+    total = n * n if radius >= 2 else 0
     while queue:
         x, r = queue.popleft()
         if r == radius:
@@ -230,6 +231,53 @@ def finite_diameter(spec):
     if isinstance(spec, DirectProduct):
         return finite_diameter(spec.left) + finite_diameter(spec.right)
     return max(finite_diameter(spec.left), finite_diameter(spec.right))
+
+
+def _times(f, g):
+    """The first len(f) coefficients of the product of two power series."""
+    return [sum(f[i] * g[r - i] for i in range(r + 1)) for r in range(len(f))]
+
+
+def _reciprocal(f):
+    """The first len(f) coefficients of 1/f, for f with constant term 1."""
+    inv = [1]
+    for r in range(1, len(f)):
+        inv.append(-sum(f[i] * inv[r - i] for i in range(1, r + 1)))
+    return inv
+
+
+def spec_spheres(spec, n, power=1):
+    """Sphere sizes |S(r)| for r < n under the standard generators K, or
+    under K^power, from the spec's closed form alone, with no group
+    arithmetic.
+
+    Z^k: the k-fold convolution of 1, 2, 2, 2, ...; Fk: 1, then
+    2k(2k-1)^(r-1); Cn: the residues x with min(x, n - x) = r. A direct
+    product's generators are its factors', so |(a, b)| = |a| + |b| and its
+    series is the convolution of theirs. A free product's series f solves
+    1/f = 1/f_A + 1/f_B - 1 (de la Harpe, Topics in Geometric Group Theory,
+    ch. VI). K holds the identity, so K^t = B_K(t) and the K^t-ball of
+    radius m is the K-ball of radius tm.
+    """
+    if power > 1:
+        spheres = spec_spheres(spec, power * (n - 1) + 1)
+        balls = [sum(spheres[: power * m + 1]) for m in range(n)]
+        return [b - a for a, b in zip([0] + balls, balls)]
+    if isinstance(spec, FreeAbelian):
+        series = [1] + [0] * (n - 1)
+        for _ in range(spec.rank):
+            series = _times(series, [1] + [2] * (n - 1))
+        return series
+    if isinstance(spec, Free):
+        return [1] + [2 * spec.rank * (2 * spec.rank - 1) ** (r - 1) for r in range(1, n)]
+    if isinstance(spec, Cyclic):
+        return [sum(1 for x in range(spec.order) if min(x, spec.order - x) == r) for r in range(n)]
+    left, right = spec_spheres(spec.left, n), spec_spheres(spec.right, n)
+    if isinstance(spec, DirectProduct):
+        return _times(left, right)
+    inverse = [a + b for a, b in zip(_reciprocal(left), _reciprocal(right))]
+    inverse[0] -= 1
+    return _reciprocal(inverse)
 
 
 def reduce_word(pairs):

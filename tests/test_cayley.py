@@ -1,9 +1,10 @@
 """Window construction, metric laws, geodesics."""
 
 import random
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from coarse_ends import (
     Group,
@@ -21,6 +22,7 @@ from oracles import (
     bfs_norms,
     distance,
     plain_search_products,
+    spec_spheres,
     table_edges,
     table_search_products,
     window_order_reference,
@@ -114,6 +116,29 @@ def test_window_order_matches_reference_on_nested_specs(text, power, radius, gro
     assert window.elements == elements
     assert window.offsets == offsets
     assert list(window.norms.items()) == list(norms.items())
+
+
+@given(nested_specs(2), st.integers(1, 3))
+def test_offsets_match_closed_form_spheres(text, power):
+    # sphere sizes from the spec's closed form, with no group arithmetic, at
+    # the largest radius up to 12 whose ball holds at most 20,000 elements;
+    # |K^t| <= 400 bounds the |K^t|^2 pair products and the table columns
+    spec = parse_spec(text)
+    balls = list(accumulate(spec_spheres(spec, 13, power)))
+    assume(balls[1] <= 400)
+    radius = max(m for m, b in enumerate(balls) if b <= 20_000)
+    offsets = (0, *balls[: radius + 1])
+    grp = Group(spec)
+    gens = standard_generators(grp)
+    if power > 1:
+        gens = power_generators(grp, gens, power)
+    cap = balls[radius]  # a wrong search that reaches more elements stops here
+    assert build_window(grp, gens, radius, cap).offsets == offsets
+    # a table window writes |K^t| - 1 entries per element: up to 500,000 here
+    top = max(m for m in range(radius + 1) if balls[m] * balls[1] <= 500_000)
+    assert build_window(grp, gens, top, cap, table=True).offsets == offsets[: top + 2]
+    # a grown plain window forms its pair products past its source's radius
+    assert build_window(grp, gens, radius // 2, cap).at(radius).offsets == offsets
 
 
 def test_frozen_sphere_sizes():
@@ -451,3 +476,34 @@ def test_class_entry_points_see_every_product(monkeypatch, text, per_product):
     # the |K|^2 products of two steps, then each element of norm < R against
     # the steps that can extend its shortlex-least word
     assert formed == per_product * plain_search_products(window)
+
+
+def test_cap_bounds_the_work_of_a_large_step_set(monkeypatch):
+    # F2 under gen-power 6 has 1,456 steps, so sphere 1 alone passes a cap of
+    # 100. The plain search stops there, before the |K|^2 products of two
+    # steps that only sphere 2 reads; products of the group only are counted,
+    # once the generators are built.
+    grp = Group(parse_spec("F2"))
+    gens = power_generators(grp, standard_generators(grp), 6)
+    calls = _count_products(monkeypatch, grp)
+    with pytest.raises(WindowCapError) as exc:
+        build_window(grp, gens, 3, cap=100)
+    assert (exc.value.cap, exc.value.radius_reached) == (100, 0)
+    assert calls[0] == len(gens) - 1  # one step product per step, from the identity
+    # a table search doubles every column as it grows, so it checks the cap
+    # where it doubles them: the 4,372 steps of gen-power 7 stop it there
+    gens = power_generators(grp, standard_generators(grp), 7)
+    calls[0] = 0
+    with pytest.raises(WindowCapError) as exc:
+        build_window(grp, gens, 3, cap=100, table=True)
+    assert (exc.value.cap, exc.value.radius_reached) == (100, 0)
+    assert calls[0] <= 2 * (100 + 1)
+    # under gen-power 2, sphere 1 (17 elements) fits a cap of 50 and B(2)
+    # (161) does not: the pair products stop once their keys, B(2), pass the
+    # cap, with the error sphere 2 would raise
+    gens = power_generators(grp, standard_generators(grp), 2)
+    calls[0] = 0
+    with pytest.raises(WindowCapError) as exc:
+        build_window(grp, gens, 3, cap=50)
+    assert (exc.value.cap, exc.value.radius_reached) == (50, 1)
+    assert calls[0] < 16 * 16

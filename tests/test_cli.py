@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -95,6 +96,162 @@ def test_csv_format_frozen(capsys):
         "2,2,0",
         "3,2,0",
     ]
+
+
+# Every command in every format, with --out, growth warnings and both clopen
+# set sources, and the refusals and usage errors the package raises: argv,
+# exit code, stdout sha256 (None: no stdout), and stderr after "coarse-ends: ".
+# For --out the digest is of the file written. Frozen from the reports of the
+# code before the commands shared one report builder; a row changes only
+# with a deliberate report change.
+_FROZEN = [
+    ("ends --group Z --rmax 3", 0,
+     "3fa59016e3ab23b6de2a1fefdc44b74fb78b85ee62f55638e22ba2d276b1e837", ""),
+    ("ends --group Z --rmax 3 --format csv", 0,
+     "704956b6361226402fbdc66432986dd3e44b84231cf84860e31fd54fd709c62b", ""),
+    ("ends --group Z --rmax 3 --format text", 0,
+     "bd1576143002fa9143cbc34953a0a40c4b008101b2e4808184bdc2a6d4045990", ""),
+    ('ends --group "(C2 * C3)" --rmax 3 --seed 5', 0,
+     "934266237bc366f8dab5f0ec8ab66993fb99dcf8396374a41e6998020198b700", ""),
+    ('ends --group "(C2 * C3)" --rmax 3 --format csv --gen-power 2', 0,
+     "f147bb3c0e7bfa894cd0013d22acf15bb7201d274d725a38106a6f96d4e27232", ""),
+    ("ends --group Z^2 --rmax 2 --format text", 3,
+     "83110b21a12163d8fb22d0bc8de34711bebceb91090428064b5e021d69489653", ""),
+    ('ends --group "(Z x C8)" --format text', 3,
+     "b0a8730f41e49387ac082637c73da1bb20d24502e866ce320b44c38296ac2379", ""),
+    ('ends --group "(Z x C8)" --format csv', 3,
+     "b5afbb43b69cef21851a69e8da0cfa91ca210c91d814d9a413b60cb85d064966", ""),
+    ("ends --group C30 --rmax 6", 3,
+     "d318b6336adbee65a0d5302b8131fc920ef86ed90b8ff3d295c6f26f19220e02", ""),
+    ("tree --group F2 --rmax 2 --window 6", 0,
+     "f0fffc4b07de629cd64d1daec03067edea784bc950a7fee289de58fb755aa5e3", ""),
+    ("tree --group F2 --rmax 2 --window 6 --format csv", 0,
+     "97bb0c0ccd4b1e63e7ae4eb5130c34b39eb07bdabe9091083429f6e6179e8a0b", ""),
+    ("tree --group F2 --rmax 2 --window 6 --format text", 0,
+     "e11d8bb0b45e74be40f319cccdb3e8730ad5add2533466db727f51fd689264f5", ""),
+    ("tree --group F2 --rmax 2 --window 6 --format dot", 0,
+     "6f2e53b251c36f05002b3d47a36057e10822871c5556da2a9435af45d1957be0", ""),
+    ("tree --group Z --rmin 0 --rmax 2 --window 8 --format dot", 0,
+     "28516e58e45b26b33d9ab4b2d505cb8476d4480e867959e37e661ebad542f31c", ""),
+    ("clopen --group Z^2 --window 8 --tmax 1 --select component:r=1:index=0", 0,
+     "f1a8c015c2e111cf9c15a5d6418f4f96f6700e1a9bebfe15d1043fb06cfe5a15", ""),
+    ("clopen --group Z^2 --window 8 --tmax 1 --select component:r=1:index=0 --format csv", 0,
+     "090bfadeb9557dff9dbb849057a02ad02bbe69ffda9d0fa638ad437835544fd3", ""),
+    ("clopen --group Z^2 --window 8 --tmax 1 --select component:r=1:index=0 --format text", 0,
+     "c9b60377c8658a358e52c249a62740539b5e9885f35c5d279f3479b03f64ce03", ""),
+    ("clopen --group C6 --window 8 --tmax 3 --select component:r=1:index=0 --format text", 0,
+     "be5dd33cd99e958c1068202941f79800dc8d296db6c04e3093e559396dbbe83d", ""),
+    ("clopen --group Z --window 12 --tmax 2 --elements-file set.txt", 0,
+     "e5bfebba1167d7de092388883ded95c826a7707cc2a2b32a8767f2ac9affdac5", ""),
+    ("clopen --group Z --window 12 --tmax 2 --elements-file set.txt --format csv", 0,
+     "aa240a8ffc6827f5a724dc467b4336aae147253327e4b2dfdfa3247e841c523d", ""),
+    ("clopen --group Z --window 12 --tmax 2 --elements-file set.txt --format text", 0,
+     "ff38d4ad76a1ffa6106b7a4f6d054d4bdf924f5461e09d1cc96a83bc7647632c", ""),
+    ('growth --group "(C2 * C3)" --window 6', 0,
+     "0d6464fda70b1b174a429624a591c34ab8090df6aca7f24af96e065d5431e56e", ""),
+    ('growth --group "(C2 * C3)" --window 6 --format csv', 0,
+     "3116277ce4e294d0caf23a1d9c40ce92927de260912e1f05e73d675b690730c9", ""),
+    ('growth --group "(C2 * C3)" --window 6 --format text', 0,
+     "c2591b5ae41a7e8aa90c23c8af7286addc23d1974238b16347b22df7c50bc929", ""),
+    ("growth --group Z^2 --window 3 --gen-power 2 --seed -2 --format csv", 0,
+     "44c432a18d6946c132730683d67e0b6251433245ee8708c79530dde916d72ad6", ""),
+    ("growth --group Z --window 2 --cover-offsets 1,3", 0,
+     "58dbf2518033b9a88a1d0f7ca627fcad9dafb0f6f01d0f37b0e4e3bd1800bcfc", ""),
+    ("growth --group Z --window 2 --cover-offsets 1,3 --format csv", 0,
+     "98e09e8eb27a16defb12dfdbc9a61f251140ffed362c3bf60500543d9d028711", ""),
+    ("growth --group Z --window 2 --cover-offsets 1,3 --format text", 0,
+     "8252e145916b679f776af0a3830015a93977c524abcb056b96e13dfee2ed49b7", ""),
+    ("asdim --group Z --seed 3", 0,
+     "c0086caee1b432832e2826f78cc27e5610729f718585a99ab85a7091e9359713", ""),
+    ("asdim --group Z --seed 3 --format csv", 0,
+     "92d70ce7bccf4a0b1d35034b73241a9837005fd419a5a75c4b2a9e64e4cfb0ce", ""),
+    ("asdim --group Z --seed 3 --format text", 0,
+     "205ff6c427f90f64840a9b6df5793906e9857ffe0d2401ea497c467cf18d977f", ""),
+    ('asdim --group "(C2 * C3)" --window 12 --pair-budget 500 --n-list 2,3 --format text', 0,
+     "7edf767f3ad393a2234b53a8d2933e3a5ce28ca829378811804a38c783c238bc", ""),
+    ("growth --group Z --window 4 --format csv --out report.csv", 0,
+     "007d4eed33b686e66f26a79e301b14decde0d49fd1523b8f8bbd6ede0a4c876a", ""),
+    ('tree --group "(C2 * C3)" --rmax 3 --format dot --out tree.dot', 0,
+     "466932ef70416da53edece1d4d7e72a61dcbbfb68ff90d16abfa21a5271d0dcb", ""),
+    ('ends --group "(Z x C8)" --format text --out ends.txt', 3,
+     "b0a8730f41e49387ac082637c73da1bb20d24502e866ce320b44c38296ac2379", ""),
+    ("asdim --group Z --out report.json", 0,
+     "a17f04294928566140e93f6b5f66da5ff88df03f173b582567d55909011363bf", ""),
+    ("ends --group F2 --cap 100", 2, None,
+     "resource cap: window element cap 100 exceeded; last fully built radius 3"),
+    ("ends --group Z^3 --rmax 3 --cap 3000", 2, None,
+     "resource cap: window element cap 3000 exceeded; last fully built radius 12"),
+    ("tree --group F2 --window 9 --cap 20000 --format dot", 2, None,
+     "resource cap: window element cap 20000 exceeded; last fully built radius 8"),
+    ("clopen --group Z^2 --window 22 --tmax 5 --select component:r=1:index=0 --cap 1100", 2, None,
+     "resource cap: window element cap 1100 exceeded; last fully built radius 22"),
+    ("growth --group F2 --window 8 --gen-power 3 --cap 1000", 2, None,
+     "resource cap: window element cap 1000 exceeded; last fully built radius 1"),
+    ("asdim --group Z^2 --window 8", 4, None,
+     "refusing: geodesic divergence grows with the window (delta_hat [4, 6, 8] at radii [4, "
+     "6, 8]); refusing"),
+    ("asdim --group Z^2 --window 8 --pair-budget 1 --seed 1", 4, None,
+     "refusing: no sampled pair in the radius-8 window compares geodesics; pair budget 1 is "
+     "too small"),
+    ("asdim --group C6", 4, None,
+     "refusing: the norm-4 sphere is empty; the group is exhausted"),
+    ("clopen --group Z --window 0 --tmax 1 --select component:r=1:index=0", 4, None,
+     "refusing: ball B(1) reaches past the radius-0 window"),
+    ("clopen --group Z --window 6 --tmax 4 --select component:r=1:index=0 --format csv", 4, None,
+     "refusing: window radius 6 cannot host a core at scale t=4"),
+    ('ends --group "(Z x Z"', 1, None,
+     "error: expected ')' (offset 6)"),
+    ("ends --group Z^0 --format text", 1, None,
+     "error: 'Z^' parameter must be at least 1 (offset 2)"),
+    ("ends --group Z --cap 0", 1, None,
+     "error: --cap must be at least 1, got 0"),
+    ("ends --group Z --window -3", 1, None,
+     "error: --window must be nonnegative, got -3"),
+    ("ends --group Z --gen-power 0", 1, None,
+     "error: --gen-power must be at least 1, got 0"),
+    ("ends --group Z^2 --growth-span 1 --span 5", 1, None,
+     "error: --growth-span must be at least 2, got 1"),
+    ("tree --group Z --rmin 3 --rmax 2", 1, None,
+     "error: --rmax must be at least 3, got 2"),
+    ("clopen --group Z --select component:r=0:index=7", 1, None,
+     "error: component index 7 does not resolve: only 1 components at r=0"),
+    ("clopen --group Z --select shell:r=1", 1, None,
+     "error: unknown selector 'shell:r=1'; expected component:r=<int>:index=<int>"),
+    ("clopen --group Z --window 6 --tmax 1 --elements-file outside.txt", 1, None,
+     "error: outside.txt:1: element '(99)' lies outside the window"),
+    ("clopen --group Z --window 6 --tmax 1 --elements-file missing.txt", 1, None,
+     "error: cannot read elements file: [Errno 2] No such file or directory: 'missing.txt'"),
+    ("growth --group Z --cover-offsets x", 1, None,
+     "error: --cover-offsets takes comma-separated integers, got 'x'"),
+    ("growth --group Z --cover-offsets ,", 1, None,
+     "error: --cover-offsets names no integer, got ','"),
+    ("growth --group Z --window 4 --out missing/report.json", 1, None,
+     "error: cannot write the report: [Errno 2] No such file or directory: "
+     "'missing/report.json'"),
+    ("asdim --group Z --n-list ,", 1, None,
+     "error: --n-list names no integer, got ','"),
+    ('asdim --group Z --n-list ""', 1, None,
+     "error: --n-list names no integer, got ''"),
+    ("asdim --group Z --p 0 --format csv", 1, None,
+     "error: --p must be at least 1, got 0"),
+]
+
+
+def test_reports_frozen(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "set.txt").write_text("(1)\n(2)\n# a comment\n\n", encoding="utf-8")
+    (tmp_path / "outside.txt").write_text("(99)\n", encoding="utf-8")
+    for line, code, digest, err in _FROZEN:
+        argv = shlex.split(line)
+        got, out, stderr = run_cli(capsys, argv)
+        if digest is None:
+            assert (got, out, stderr) == (code, "", f"coarse-ends: {err}\n"), line
+            continue
+        if "--out" in argv:
+            assert out == "", line
+            out = (tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+        sha = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (got, sha, stderr) == (code, digest, ""), line
 
 
 def test_ends_result_frozen(capsys):
