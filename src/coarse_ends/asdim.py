@@ -27,21 +27,21 @@ elements.
 
 The multiplicity scans read a reach map per cover: for every window
 element z, how many sets the probe ball z*B(r) meets. The map is built
-from the assigned side, one product per assigned y and u in B(r): z*u = y
-exactly when z = y*u^-1, and every z it finds lies in the band of norms
-2n+1-r .. 2n+2ps+r that a scan over probe centres would visit. The sets
-of two covers are distinct, so the cross multiplicity of adjacent covers
-is the largest sum of their two counts at one z. The worst centre, the
-first probe centre in window order whose count is the maximum, is found by
-lookups alone.
+from the assigned side, one translate y*B(r) per assigned y: z*u = y
+exactly when z = y*u^-1, B(r)^-1 = B(r) on a symmetric step set, and every
+z it finds lies in the band of norms 2n+1-r .. 2n+2ps+r that a scan over
+probe centres would visit. The sets of two covers are distinct, so the
+cross multiplicity of adjacent covers is the largest sum of their two
+counts at one z. The worst centre, the first probe centre in window order
+whose count is the maximum, is found by lookups alone.
 
 The diameter scan visits each distinct cover set once, since a maximum
 over sets cannot be raised by a set met again. In a set it takes the first
 member p as pivot, forms D(p, g) for every member (the pivot's own pairs),
 and scans the other pairs in descending D(g, p) + D(p, h), stopping where
 that bound is at most the largest distance found, which no later pair can
-then exceed. On the symmetric generator sets that the witness is stated
-for, |x^-1| = |x|, so D(g, p) = D(p, g).
+then exceed. The witness is stated for symmetric step sets, and
+`verify_cover` refuses any other: there |x^-1| = |x|, so D(g, p) = D(p, g).
 
 The thin-geodesics scan compares same-index points from the top index down
 and stops where the two geodesics meet: canonical geodesics are
@@ -60,12 +60,14 @@ since it reads a range of indices.
 
 All greedy choices (net points, cover centers) are ordered by norm then
 printed form, so witnesses are reproducible byte for byte. Ball translates
-are products, not neighbour-table walks: a greedy cover on a free group
-spends about one product per covered element, less than the |K|/2 per
-element that a table costs, and a reach map's walk from y back to z may
-leave the window, which is only sure to reach norm 2n+2ps. A reach map
-is made on the first request and kept on the cover, so the cross scan
-reads the maps that `verify_cover` built at radius ps.
+walk B(r)'s predecessor tree with step maps (Window.translator), not the
+neighbour table: a greedy cover on a free group spends about one step
+product per covered element, less than the |K|/2 per element that a table
+costs, and a translate y*B(r) may leave the window, which is only sure to
+reach norm 2n+2ps. Distances D(g, h) come from Group.divide, which forms
+g^-1 h without forming g^-1. A reach map is made on the first request and
+kept on the cover, so the cross scan reads the maps that `verify_cover`
+built at radius ps.
 perfbench/spans.py wraps `greedy_ball_cover`, `build_annulus_cover` and
 `verify_cover` by name.
 """
@@ -140,14 +142,14 @@ def greedy_ball_cover(window: Window, target: Iterable, s: int) -> list:
     if s < 0:
         raise ParameterError("covering radius must be nonnegative")
     grp = window.group
-    mul, norms = grp.mul, window.norms
+    norms = window.norms
     by_norm: dict = {}
     for g in target:
         k = norms.get(g)
         if k is None:
             window.knorm(g)  # raises, naming the first outside element in target order
         by_norm.setdefault(k, []).append(g)
-    ball = window.ball(min(s, window.radius))
+    translate = window.translator(min(s, window.radius))
     centers = []
     # every product is kept, but covered is read only for target elements
     covered = set()
@@ -161,7 +163,7 @@ def greedy_ball_cover(window: Window, target: Iterable, s: int) -> list:
             for _ in range(min(s, k)):
                 center = window.predecessor(center)
             centers.append(center)
-            covered.update([mul(center, v) for v in ball])
+            covered.update(translate(center))
     return centers
 
 
@@ -236,7 +238,7 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
     best = 0
     informative = 0
     for g, h in pairs:
-        rel = grp.mul(grp.inv(g), h)
+        rel = grp.divide(g, h)
         if rel not in window.norms:
             continue
         d = window.norms[rel]
@@ -253,7 +255,7 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
         for i in range(top, 0, -1):
             if 2 * i <= best or cg[i] == ch[i]:
                 break
-            y = grp.mul(grp.inv(cg[i]), ch[i])
+            y = grp.divide(cg[i], ch[i])
             val = window.norms.get(y, window.radius + 1)
             if val > best:
                 best = val
@@ -321,19 +323,16 @@ def build_annulus_cover(window: Window, n: int, p: int, s: int) -> AnnulusCover:
         raise EmptyShellError(f"the norm-{2 * n} sphere is empty; the group is exhausted")
     sep = 2 * ps
     shell_set = set(shell)
-    block_ball = window.ball(sep - 1)
+    block = window.translator(sep - 1)
     net_points = []
     blocked = set()
     for x in sorted(shell, key=grp.show):
         if x in blocked:
             continue
         net_points.append(x)
-        for u in block_ball:
-            y = grp.mul(x, u)
-            if y in shell_set:
-                blocked.add(y)
+        blocked.update(shell_set.intersection(block(x)))
     net_index = {x: i for i, x in enumerate(net_points)}
-    assign_ball = window.ball(sep)
+    near = window.translator(sep)
     near_cache = {}
     assignment = {}
     sets = [[] for _ in net_points]
@@ -344,13 +343,7 @@ def build_annulus_cover(window: Window, n: int, p: int, s: int) -> AnnulusCover:
             rho = window.predecessor(rho)
         ids = near_cache.get(rho)
         if ids is None:
-            hits = set()
-            for u in assign_ball:
-                y = grp.mul(rho, u)
-                i = net_index.get(y)
-                if i is not None:
-                    hits.add(i)
-            ids = tuple(sorted(hits))
+            ids = tuple(sorted({net_index[y] for y in near(rho) if y in net_index}))
             near_cache[rho] = ids
         if not ids:
             raise CoverVerificationError(
@@ -375,19 +368,19 @@ def _reach_map(cover: AnnulusCover, radius: int) -> dict:
     for every window element z whose ball meets one.
 
     Read from the assigned side: z*u = y for u in B(radius) exactly when
-    z = y*u^-1, so one product per assigned y and ball element, kept when
-    z lies in the window. Kept on the cover, one map per radius.
+    z = y*u^-1. The step set is symmetric (verify_cover checks it), so
+    B(radius)^-1 = B(radius) as a set, and the z are the translate
+    y*B(radius), kept where they lie in the window. Kept on the cover, one
+    map per radius.
     """
     counts = cover._reach.get(radius)
     if counts is None:
         window = cover.window
-        grp = window.group
-        mul, norms = grp.mul, window.norms
-        back = [grp.inv(u) for u in window.ball(radius)]
+        norms = window.norms
+        translate = window.translator(radius)
         hits: dict = {}
         for y, ids in cover.assignment.items():
-            for v in back:
-                z = mul(y, v)
+            for z in translate(y):
                 if z in norms:
                     seen = hits.get(z)
                     if seen is None:
@@ -408,31 +401,35 @@ def verify_cover(cover: AnnulusCover, probe_radius: int, n2delta: int) -> CoverS
     centers and meets no more sets, so that one scan gives the largest
     multiplicity over probe radii up to probe_radius. Passing means max
     diameter <= 8ps and multiplicity <= n2delta; a failing multiplicity
-    names the first center, in window order, reaching it.
+    names the first center, in window order, reaching it. A step set that
+    is not closed under inverses raises ParameterError: the pivot bound
+    and the reach map both read |x^-1| = |x|.
     """
     window = cover.window
     grp = window.group
-    mul, norms, far = grp.mul, window.norms, window.radius + 1
+    divide, norms, far = grp.divide, window.norms, window.radius + 1
     ps = cover.p * cover.s
     if not 1 <= probe_radius <= ps:
         raise ParameterError(f"probe radius must lie in 1..{ps}")
+    if not window.symmetric:
+        raise ParameterError("step set is not closed under inverses")
     max_diam = 0
     # a maximum over the sets with a pair: an equal set met again cannot raise it
     for members in dict.fromkeys(filter(None, cover.sets)):
         # members by their distance from the pivot members[0], which bounds
         # each pair: D(g, h) <= D(g, p) + D(p, h)
-        pivot = grp.inv(members[0])
+        pivot = members[0]
         level: dict = {}
         for g in members[1:]:
-            level.setdefault(norms.get(mul(pivot, g), far), []).append((grp.inv(g), g))
+            level.setdefault(norms.get(divide(pivot, g), far), []).append(g)
         max_diam = max((max_diam, *level))  # the pivot's own pairs
         bounds = sorted(((a + b, a, b) for a in level for b in level if b <= a), reverse=True)
         for bound, a, b in bounds:
             if bound <= max_diam:
                 break
             pairs = combinations(level[a], 2) if a == b else product(level[a], level[b])
-            for (g_inv, _), (_, h) in pairs:
-                d = norms.get(mul(g_inv, h), far)
+            for g, h in pairs:
+                d = norms.get(divide(g, h), far)
                 if d > max_diam:
                     max_diam = d
                     if d == bound:

@@ -49,10 +49,13 @@ Every command that reads a neighbour (ends, tree, clopen) asks for one; a
 plain window builds no id map unless a caller reads it, and reads a table
 search's table.
 
-Every product p*s by a fixed step s, in both searches and in the
-predecessor walk, goes through the step's map Group.step_map(s), built
-once per step; only the |K|^2 products of two steps that a plain search
-pairs up go through Group.mul.
+Every product p*s by a fixed step s, in both searches, in the
+predecessor walk and in a ball translate, goes through the step's map
+Group.step_map(s), built once per step; only the |K|^2 products of two
+steps that a plain search pairs up go through Group.mul. A ball translate
+(see translator) forms x*v for every v in B(r) by walking B(r)'s
+canonical predecessor tree: x*v = (x*p)*s for v's predecessor p = v*s^-1,
+one step-map product per ball element.
 
 perfbench/spans.py wraps `build_window` and `Window.geodesic` by name and
 reads `Window.spheres`, so those names stay.
@@ -102,6 +105,9 @@ class Window:
     cap: int
     table: bool = False  # the search writes the generator table (see at)
     _pred: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (id of the predecessor, step map) per element of B(r) but the identity,
+    # in window order, for the largest r a translator was asked for
+    _plan: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __contains__(self, g) -> bool:
         return g in self.norms
@@ -159,8 +165,10 @@ class Window:
             raise ValueError("the identity has no predecessor")
         # by products, not the neighbour table: geodesics are walked for few
         # elements, and a table costs |K|/2 products per element of the window
-        below = [back(g) for back in self._backs]
-        best = min((p for p in below if self.norms.get(p) == r - 1), key=self.group.show)
+        norms = self.norms
+        below = [p for p in (back(g) for back in self._backs) if norms.get(p) == r - 1]
+        # most elements have one candidate, which needs no printed form
+        best = below[0] if len(below) == 1 else min(below, key=self.group.show)
         self._pred[g] = best
         return best
 
@@ -169,6 +177,36 @@ class Window:
         """The maps x -> x*s^-1, one per step, in step order."""
         grp = self.group
         return tuple(grp.step_map(grp.inv(s)) for s in self.steps)
+
+    def translator(self, r: int):
+        """The map x -> [x*v for v in ball(r)], in window order.
+
+        Each v but the identity is (x*p)*s for its canonical predecessor p
+        and the step s = p^-1*v, so a translate costs one step-map product
+        per ball element. The plan, one (id of p, map of s) pair per
+        element, is read off the predecessor tree once; B(r)'s plan is a
+        prefix of B(r+1)'s, so a larger radius only extends it.
+        """
+        if not 0 <= r <= self.radius:
+            raise OutOfWindowError(f"ball radius {r} outside window radius {self.radius}")
+        end = self.offsets[r + 1]
+        plan = self._plan
+        if len(plan) < end - 1:
+            grp, ball = self.group, self.elements[:end]
+            ids = dict(zip(ball, range(end)))
+            for v in ball[len(plan) + 1 :]:
+                p = self.predecessor(v)
+                plan.append((ids[p], grp.step_map(grp.divide(p, v))))
+        plan = plan[: end - 1]
+
+        def translate(x) -> list:
+            out = [x]
+            put = out.append
+            for i, step in plan:
+                put(step(out[i]))
+            return out
+
+        return translate
 
     def geodesic(self, g) -> tuple:
         """The canonical geodesic from the identity to g (least-predecessor
@@ -334,10 +372,15 @@ class Window:
         """
         return self._cols
 
+    @property
+    def symmetric(self) -> bool:
+        """Whether the step set is closed under inverses."""
+        return all(self.group.inv(s) in self.gens for s in self.steps)
+
     @cached_property
     def _cols(self) -> tuple:
         grp = self.group
-        if any(grp.inv(s) not in self.gens for s in self.steps):
+        if not self.symmetric:
             raise ParameterError("step set is not closed under inverses")
         return build_window(grp, self.gens, self.radius, self.cap, table=True)._cols
 
@@ -363,10 +406,10 @@ def build_window(
     steps = tuple(
         sorted((g for g in gens if g != group.identity), key=group.show)
     )
+    seed = Window(group, gens, 0, {group.identity: 0}, [group.identity], (0, 1), steps, cap)
     # a step set that is not closed under inverses has no table to write,
     # and neighbours rejects it
-    table = table and all(group.inv(s) in gens for s in steps)
-    seed = Window(group, gens, 0, {group.identity: 0}, [group.identity], (0, 1), steps, cap, table)
-    if table:
+    seed.table = table and seed.symmetric
+    if seed.table:
         seed.__dict__["_cols"] = tuple(array("i", [-1]) for _ in steps)
     return seed.at(radius)

@@ -275,22 +275,25 @@ def _step_maps(build):
 # Families: each factory below is the one definition of its family. Once
 # per Group it binds the family's parts on the group (its letters, or its
 # factors left and right) and returns, in this order: the identity; the
-# kernels mul, inv, show (of a non-identity payload) and step_map (see
-# Group.step_map, built once per step); parity (see Group.parity); the
-# parser of a stripped printed form other than "e"; and the standard
-# generators. So no product, parse or generator set re-dispatches on the
-# family, and Group.__init__ picks the factory by the spec's type.
-# mul and inv check only a payload's outer shape (type, a pair's arity, a
-# free abelian rank), once per call, and raise MismatchError on a wrong
-# one; a payload malformed inside can give a non-payload or another error.
-# A step map checks its step deeply, once, when it is built, and never
-# checks the payloads it is applied to.
+# kernels mul, divide (a^-1*b), inv, show (of a non-identity payload) and
+# step_map (see Group.step_map, built once per step); parity (see
+# Group.parity); the parser of a stripped printed form other than "e"; and
+# the standard generators. So no product, parse or generator set
+# re-dispatches on the family, and Group.__init__ picks the factory by the
+# spec's type.
+# mul, divide and inv check only a payload's outer shape (type, a pair's
+# arity, a free abelian rank), once per call, and raise MismatchError on a
+# wrong one; a payload malformed inside can give a non-payload or another
+# error. A step map checks its step deeply, once, when it is built, and
+# never checks the payloads it is applied to.
 # Payloads from parse are well formed; tests/oracles.validate checks deeply.
-# Nested products go through child.mul, child.step_map and child.show, the
-# class entry points (see Group.mul); a free product calls child.mul only
-# at the seam, and child.inv and child.show once per distinct syllable,
-# through per-syllable tables that also check the syllable's shape and
-# side. A direct product's step map applies both factors' maps.
+# Nested products go through child.mul, child.divide, child.step_map and
+# child.show, the class entry points (see Group.mul), so a wrapper patched
+# onto Group sees divide as it sees mul. A free product calls child.mul
+# only at the seam and child.divide only where the first differing
+# syllables share a side, and child.inv and child.show once per distinct
+# syllable, through per-syllable tables that also check the syllable's
+# shape and side. A direct product's step map applies both factors' maps.
 
 
 def _free_abelian(grp: "Group", spec: FreeAbelian, cursor: list):
@@ -304,16 +307,23 @@ def _free_abelian(grp: "Group", spec: FreeAbelian, cursor: list):
     rank = spec.rank
     mismatch = "free abelian payload must be an int tuple of the right rank"
     slots = range(rank)
+
+    def binary(name, term):
+        return (
+            f"def {name}(a, b):\n"
+            "    if not (isinstance(a, tuple) and isinstance(b, tuple)"
+            f" and len(a) == len(b) == {rank}):\n"
+            "        raise MismatchError(mismatch)\n"
+            "    try:\n"
+            f"        return ({''.join(term.format(i=i) for i in slots)})\n"
+            "    except TypeError:\n"
+            "        raise MismatchError(mismatch) from None\n"
+        )
+
     source = (
-        "def mul(a, b):\n"
-        "    if not (isinstance(a, tuple) and isinstance(b, tuple)"
-        f" and len(a) == len(b) == {rank}):\n"
-        "        raise MismatchError(mismatch)\n"
-        "    try:\n"
-        f"        return ({''.join(f'a[{i}] + b[{i}], ' for i in slots)})\n"
-        "    except TypeError:\n"
-        "        raise MismatchError(mismatch) from None\n"
-        "def inv(a):\n"
+        binary("mul", "a[{i}] + b[{i}], ")
+        + binary("divide", "b[{i}] - a[{i}], ")
+        + "def inv(a):\n"
         f"    if not (isinstance(a, tuple) and len(a) == {rank}):\n"
         "        raise MismatchError(mismatch)\n"
         "    try:\n"
@@ -323,7 +333,7 @@ def _free_abelian(grp: "Group", spec: FreeAbelian, cursor: list):
     )
     kernels = {"MismatchError": MismatchError, "mismatch": mismatch}
     exec(compile(source, f"<free abelian rank {rank}>", "exec"), kernels)
-    mul, inv = kernels["mul"], kernels["inv"]
+    mul, divide, inv = kernels["mul"], kernels["divide"], kernels["inv"]
 
     def show(a):
         return "(" + ",".join(map(str, a)) + ")"
@@ -358,7 +368,7 @@ def _free_abelian(grp: "Group", spec: FreeAbelian, cursor: list):
     for i in slots:
         unit = tuple(1 if j == i else 0 for j in slots)
         gens.update((unit, inv(unit)))
-    return identity, mul, inv, show, _step_maps(step), parity, parse, frozenset(gens)
+    return identity, mul, divide, inv, show, _step_maps(step), parity, parse, frozenset(gens)
 
 
 def _cyclic(grp: "Group", spec: Cyclic, cursor: list):
@@ -371,6 +381,11 @@ def _cyclic(grp: "Group", spec: Cyclic, cursor: list):
         if not (isinstance(a, int) and isinstance(b, int)):
             raise MismatchError(mismatch)
         return (a + b) % order
+
+    def divide(a, b):
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise MismatchError(mismatch)
+        return (b - a) % order
 
     def inv(a):
         if not isinstance(a, int):
@@ -391,7 +406,7 @@ def _cyclic(grp: "Group", spec: Cyclic, cursor: list):
     # an odd-order cyclic group has no homomorphism onto Z/2 but the zero one
     parity = (lambda a: a % 2) if order % 2 == 0 else (lambda a: 0)
     gens = frozenset((0, 1 % order, (order - 1) % order))
-    return 0, mul, inv, show, _step_maps(step), parity, parse, gens
+    return 0, mul, divide, inv, show, _step_maps(step), parity, parse, gens
 
 
 class _Memo(dict):
@@ -424,6 +439,16 @@ def _free(grp: "Group", spec: Free, cursor: list):
         if a and b and a[-1] == b[0].swapcase():
             return _free_concat(a, b)
         return a + b
+
+    def divide(a, b):
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise MismatchError(mismatch)
+        # a^-1 b cancels the common prefix of the two reduced words, and
+        # nothing past the first letter where they differ
+        k, n = 0, min(len(a), len(b))
+        while k < n and a[k] == b[k]:
+            k += 1
+        return a[k:][::-1].swapcase() + b[k:]
 
     def inv(a):
         if not isinstance(a, str):
@@ -465,7 +490,7 @@ def _free(grp: "Group", spec: Free, cursor: list):
     gens = {""}
     for c in letters:
         gens.update((c, c.upper()))
-    return "", mul, inv, show, _step_maps(step), parity, parse, frozenset(gens)
+    return "", mul, divide, inv, show, _step_maps(step), parity, parse, frozenset(gens)
 
 
 def _direct(grp: "Group", spec: DirectProduct, cursor: list):
@@ -477,6 +502,11 @@ def _direct(grp: "Group", spec: DirectProduct, cursor: list):
         if not (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b) == 2):
             raise MismatchError(mismatch)
         return (left.mul(a[0], b[0]), right.mul(a[1], b[1]))
+
+    def divide(a, b):
+        if not (isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b) == 2):
+            raise MismatchError(mismatch)
+        return (left.divide(a[0], b[0]), right.divide(a[1], b[1]))
 
     def inv(a):
         if not (isinstance(a, tuple) and len(a) == 2):
@@ -507,7 +537,7 @@ def _direct(grp: "Group", spec: DirectProduct, cursor: list):
     gens = {identity}
     gens.update((u, right.identity) for u in standard_generators(left))
     gens.update((left.identity, v) for v in standard_generators(right))
-    return identity, mul, inv, show, _step_maps(step), parity, parse, frozenset(gens)
+    return identity, mul, divide, inv, show, _step_maps(step), parity, parse, frozenset(gens)
 
 
 def _free_product(grp: "Group", spec: FreeProduct, cursor: list):
@@ -556,6 +586,22 @@ def _free_product(grp: "Group", spec: FreeProduct, cursor: list):
             j += 1
             if not i or j == len(b) or a[i - 1][0] != b[j][0]:
                 return a[:i] + b[j:]
+
+    def divide(a, b):
+        if not (isinstance(a, tuple) and isinstance(b, tuple)):
+            raise MismatchError(mismatch)
+        # a^-1 b cancels the common syllable prefix. The first syllables
+        # that differ merge when they lie on one side, into x^-1 y, which is
+        # not the identity since x != y; past them the sides alternate, so
+        # nothing else cancels.
+        k, n = 0, min(len(a), len(b))
+        while k < n and a[k] == b[k]:
+            k += 1
+        if k < n and a[k][0] == b[k][0]:
+            side = b[k][0]
+            merged = children[side].divide(a[k][1], b[k][1])
+            return inv(a[k + 1 :]) + ((side, merged),) + b[k + 1 :]
+        return inv(a[k:]) + b[k:]
 
     def inv(a):
         if not isinstance(a, tuple):
@@ -623,7 +669,7 @@ def _free_product(grp: "Group", spec: FreeProduct, cursor: list):
     gens = {()}
     for side, child in enumerate(children):
         gens.update(((side, x),) for x in standard_generators(child) if x != child.identity)
-    return (), mul, inv, show, _step_maps(step), parity, parse, frozenset(gens)
+    return (), mul, divide, inv, show, _step_maps(step), parity, parse, frozenset(gens)
 
 
 _FAMILIES = {
@@ -654,7 +700,7 @@ class Group:
         if family is None:
             raise MismatchError(f"not a group spec: {spec!r}")
         (
-            self.identity, self._mul, self._inv, self._show, self._step_map,
+            self.identity, self._mul, self._divide, self._inv, self._show, self._step_map,
             self._parity, self._parse, self._generators,
         ) = family(self, spec, [0] if _cursor is None else _cursor)
 
@@ -663,16 +709,23 @@ class Group:
 
     # -- arithmetic -------------------------------------------------------
 
-    # mul, inv, step_map and show stay methods of the class, each delegating
-    # to the family's kernel, so that a wrapper patched onto Group sees every
-    # call, nested ones included. A product formed by a step map does not
-    # pass through mul: a tracer that counts products by patching mul alone
-    # sees only general products, and must also wrap the maps that step_map
-    # returns to see the step products of a search.
+    # mul, divide, inv, step_map and show stay methods of the class, each
+    # delegating to the family's kernel, so that a wrapper patched onto
+    # Group sees every call, nested ones included. A quotient formed by
+    # divide, or a product formed by a step map, does not pass through mul:
+    # a tracer that counts products by patching mul alone sees only general
+    # products, and must also wrap divide, and the maps that step_map
+    # returns, to see the quotients of the asdim scans and the step
+    # products of a search or a ball translate.
 
     def mul(self, a, b):
         """Product a*b in canonical form."""
         return self._mul(a, b)
+
+    def divide(self, a, b):
+        """a^-1*b in canonical form, without forming a^-1 first (see the
+        kernels); it checks a payload's outer shape as mul does."""
+        return self._divide(a, b)
 
     def inv(self, a):
         """Inverse of a in canonical form."""

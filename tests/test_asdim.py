@@ -296,6 +296,16 @@ def test_verify_cover_z():
         verify_cover(cover, 2, 2)
 
 
+def test_verify_cover_refuses_a_one_way_step_set():
+    # the pivot bound and the reach map both rest on |x^-1| = |x|
+    w = build_window(get_group("Z"), frozenset({(0,), (1,)}), 12)
+    cover = build_annulus_cover(w, 2, 1, 1)
+    with pytest.raises(ParameterError, match="^step set is not closed under inverses$"):
+        verify_cover(cover, 1, 2)
+    with pytest.raises(ParameterError, match="^step set is not closed under inverses$"):
+        asdim_upper_bound(w)
+
+
 def test_verify_cover_empty_annulus():
     # C8 ends at norm 4: the n=2 annulus, norms 5 and 6, is empty, and so is its one set
     cover = build_annulus_cover(get_window("C8", 8), 2, 1, 1)

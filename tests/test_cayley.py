@@ -266,6 +266,27 @@ def test_geodesic_is_canonical_and_valid():
                 assert grp.mul(grp.inv(p), q) in steps
 
 
+def test_predecessor_prints_only_to_break_ties(monkeypatch):
+    # every element of a free group has one predecessor candidate, so a
+    # geodesic walk prints nothing; on Z^2, (1,1) has two, (0,1) and (1,0)
+    shows = [0]
+    show = Group.show
+
+    def counting_show(self, a):
+        shows[0] += 1
+        return show(self, a)
+
+    f2 = build_window(Group(parse_spec("F2")), get_gens("F2"), 5)
+    z2 = build_window(get_group("Z^2"), get_gens("Z^2"), 4)
+    monkeypatch.setattr(Group, "show", counting_show)
+    for g in f2.sphere(5):
+        f2.geodesic(g)
+    assert shows[0] == 0
+    assert z2.predecessor((1, 1)) == (0, 1) and shows[0] == 2
+    assert z2.predecessor((-1, 1)) == (-1, 0)  # "(-1,0)" < "(0,1)"
+    assert z2.predecessor((0, 2)) == (0, 1) and shows[0] == 4
+
+
 def test_geodesic_identity_and_errors():
     w = get_window("Z", 5)
     geo = w.geodesic((0,))
@@ -335,14 +356,17 @@ def test_at_equals_a_fresh_build(text, radius, power):
 def test_at_shares_no_lazy_state():
     grp, gens = get_group("(C2 * C3)"), get_gens("(C2 * C3)")
     source = build_window(grp, gens, 6)
-    # fill the id map, predecessors and the neighbour table
+    # fill the id map, predecessors, the neighbour table and a translate plan
     source.ids, source.geodesic(source.elements[-1])
     source.neighbours()
+    source.translator(3)
     for r in (3, 6, 8):
         w = source.at(r)
         assert w.elements is not source.elements and w.norms is not source.norms
         assert "ids" not in vars(w) and "_cols" not in vars(w) and w._pred == {}
+        assert w._plan == []
     assert len(source.ids) == len(source) and "_cols" in vars(source) and source._pred
+    assert len(source._plan) == len(source.ball(3)) - 1
     with pytest.raises(ValueError):
         source.at(-1)
 
@@ -416,20 +440,67 @@ def test_grown_table_window_shares_no_table():
     assert ([list(c) for c in cols], list(source.ids.items()), list(source.norms.items())) == before
 
 
+# ---------------------------------------------------------------------------
+# Ball translates
+
+
+@pytest.mark.parametrize(
+    "text,radius,power,gens",
+    [(text, 4, 1, None) for text in ZOO]
+    + [
+        ("Z", 4, 1, _one_way_z()),
+        ("Z^2", 4, 1, _one_way_z2()),
+        ("Z^2", 2, 3, None),
+        ("(C2 * C3)", 2, 3, None),
+        ("F2", 1, 3, None),
+    ],
+)
+def test_translator_matches_products(text, radius, power, gens):
+    grp = get_group(text)
+    window = build_window(grp, gens or get_gens(text, power), radius)
+    # radius 1 plans a prefix, the window radius extends it, and the rest read prefixes
+    for r in [1, *range(radius, -1, -1)]:
+        translate = window.translator(r)
+        ball = window.ball(r)
+        for x in window:
+            assert translate(x) == [grp.mul(x, v) for v in ball], (text, r, x)
+    assert len(window._plan) == len(window) - 1
+    for r in (-1, radius + 1):
+        with pytest.raises(OutOfWindowError):
+            window.translator(r)
+
+
+@pytest.mark.parametrize("text", ["F2", "(Z x C2)", "(C2 * C3)"])
+def test_translate_forms_one_step_product_per_ball_element(monkeypatch, text):
+    grp = Group(parse_spec(text))
+    window = build_window(grp, standard_generators(grp), 4)
+    calls = _count_products(monkeypatch, grp)
+    translate = window.translator(3)
+    x = window.elements[-1]
+    calls[0] = 0
+    assert len(translate(x)) == len(window.ball(3))
+    assert calls[0] == len(window.ball(3)) - 1
+
+
 def _count_products(monkeypatch, only=None):
-    """Count the products formed through Group.mul and through the maps that
-    Group.step_map returns, those of the group `only` alone when it is given.
+    """Count the products formed through Group.mul, Group.divide and the
+    maps that Group.step_map returns, those of the group `only` alone when
+    it is given.
 
     A product's step map takes its factors' maps when it is built, so the
     groups counted must be fresh: a map built before the patch counts none
     of its nested products.
     """
     calls = [0]
-    mul, step_map = Group.mul, Group.step_map
+    mul, divide, step_map = Group.mul, Group.divide, Group.step_map
 
     def counting_mul(self, a, b):
         calls[0] += only is None or self is only
         return mul(self, a, b)
+
+    def counting_divide(self, a, b):
+        calls[0] += only is None or self is only
+        return divide(self, a, b)
 
     def counting_step_map(self, s):
         step = step_map(self, s)
@@ -443,6 +514,7 @@ def _count_products(monkeypatch, only=None):
         return counted
 
     monkeypatch.setattr(Group, "mul", counting_mul)
+    monkeypatch.setattr(Group, "divide", counting_divide)
     monkeypatch.setattr(Group, "step_map", counting_step_map)
     return calls
 
@@ -465,9 +537,10 @@ def test_table_search_forms_each_entry_once(monkeypatch, text):
 
 @pytest.mark.parametrize("text,per_product", [("Z^2", 1), ("F2", 1), ("(Z x C2)", 3)])
 def test_class_entry_points_see_every_product(monkeypatch, text, per_product):
-    # a tracer counts products by patching Group.mul and Group.step_map; a
-    # family's kernel and step maps, and a direct product's two nested child
-    # products, must all pass through them
+    # a tracer counts products by patching Group.mul, Group.divide and
+    # Group.step_map; a family's kernels and step maps, and a direct
+    # product's two nested child products or quotients, must all pass
+    # through them
     grp = Group(parse_spec(text))
     calls = _count_products(monkeypatch)
     radius = 4
@@ -476,6 +549,10 @@ def test_class_entry_points_see_every_product(monkeypatch, text, per_product):
     # the |K|^2 products of two steps, then each element of norm < R against
     # the steps that can extend its shortlex-least word
     assert formed == per_product * plain_search_products(window)
+    calls[0] = 0
+    for a, b in zip(window, reversed(window.elements)):
+        grp.divide(a, b)
+    assert calls[0] == per_product * len(window)
 
 
 def test_cap_bounds_the_work_of_a_large_step_set(monkeypatch):

@@ -169,6 +169,17 @@ _FROZEN = [
      "205ff6c427f90f64840a9b6df5793906e9857ffe0d2401ea497c467cf18d977f", ""),
     ('asdim --group "(C2 * C3)" --window 12 --pair-budget 500 --n-list 2,3 --format text', 0,
      "7edf767f3ad393a2234b53a8d2933e3a5ce28ca829378811804a38c783c238bc", ""),
+    # the three larger benchmark asdim jobs, and two direct products
+    ("asdim --group F2 --window 9 --n-list 2 --pair-budget 4000 --seed 11", 0,
+     "ae3cb4598185be9e7a2e193731985d1e4911c6947a3fb2c49776a33286f93dc3", ""),
+    ('asdim --group "(C2 * C3)" --window 16 --pair-budget 4000 --seed 11', 0,
+     "bda4d0cd8368fffa921526e50f3128b6d689abcdb7dad184146fe62390aedd7d", ""),
+    ('asdim --group "(C2 * C2)" --window 30 --seed 11', 0,
+     "04d8328c107f18a3481efccf5bbbda307652e61d5fa95b12130799bf0afffc84", ""),
+    ('asdim --group "(Z x C2)"', 0,
+     "761d2e1d2d7ba05e4c6a5823739457881232901809c93d4b7bfc8c99b3e2983e", ""),
+    ('asdim --group "(Z x C3)" --gen-power 2', 0,
+     "7f5c760059a3737697f3fbe09e7ec983337d6f3059eb11ea793c387b908fdd16", ""),
     ("growth --group Z --window 4 --format csv --out report.csv", 0,
      "007d4eed33b686e66f26a79e301b14decde0d49fd1523b8f8bbd6ede0a4c876a", ""),
     ('tree --group "(C2 * C3)" --rmax 3 --format dot --out tree.dot', 0,

@@ -199,10 +199,12 @@ def test_validate_rejects_foreign_payloads():
     ],
 )
 def test_mul_rejects_foreign_payloads(text, a, b, message):
+    # divide checks a payload's outer shape as mul does
     grp = get_group(text)
-    for x, y in ((a, b), (b, a)):
-        with pytest.raises(MismatchError, match=f"^{re.escape(message)}$"):
-            grp.mul(x, y)
+    for op in (grp.mul, grp.divide):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(MismatchError, match=f"^{re.escape(message)}$"):
+                op(x, y)
 
 
 @pytest.mark.parametrize(
@@ -258,6 +260,59 @@ def test_free_product_matches_syllable_oracle(text):
             assert grp.show(x) == ref.show(x)
     # some seams cancelled several syllables before they stopped
     assert deepest >= 3
+
+
+# ---------------------------------------------------------------------------
+# Left division
+
+
+@given(nested_specs(2), st.sampled_from([1, 2]))
+def test_divide_matches_mul_of_the_inverse(text, power):
+    grp = Group(parse_spec(text))
+    gens = standard_generators(grp)
+    if power > 1:
+        gens = power_generators(grp, gens, power)
+    try:
+        window = build_window(grp, gens, 3, 300)
+    except WindowCapError as err:
+        window = build_window(grp, gens, err.radius_reached, 300)
+    rng = random.Random(f"divide:{text}:{power}")
+    els = window.elements
+    for _ in range(100):
+        a, w = rng.choice(els), rng.choice(els)
+        # a*w shares a prefix with a; a shares all of itself
+        for b in (w, grp.mul(a, w), a):
+            assert grp.divide(a, b) == grp.mul(grp.inv(a), b), (a, b)
+    # no family takes these as payloads
+    for bad in (None, [], 1.5):
+        for x, y in ((bad, a), (a, bad)):
+            with pytest.raises(MismatchError) as refused:
+                grp.mul(x, y)
+            with pytest.raises(MismatchError, match=f"^{re.escape(str(refused.value))}$"):
+                grp.divide(x, y)
+
+
+@pytest.mark.parametrize(
+    "text,a,b,want",
+    [
+        ("Z^2", (1, 2), (0, 5), (-1, 3)),
+        ("C6", 5, 2, 3),
+        ("F2", "ab", "aB", "BB"),
+        ("F2", "abA", "ab", "a"),
+        ("F2", "ab", "ab", ""),
+        ("(Z x F2)", ((3,), "bA"), ((1,), "ba"), ((-2,), "aa")),
+        # the first differing syllables share a side, and merge
+        ("(C2 * C3)", ((1, 1),), ((1, 2),), ((1, 1),)),
+        ("(C2 * C3)", ((0, 1), (1, 1)), ((0, 1), (1, 2), (0, 1)), ((1, 1), (0, 1))),
+        ("(F2 * C3)", ((0, "ab"), (1, 1)), ((0, "aB"),), ((1, 2), (0, "BB"))),
+        # they lie on two sides, and only join
+        ("(C2 * C3)", ((1, 1), (0, 1)), ((0, 1),), ((0, 1), (1, 2), (0, 1))),
+        ("(C2 * C3)", ((0, 1), (1, 1)), ((0, 1),), ((1, 2),)),
+    ],
+)
+def test_divide_cancels_only_the_common_prefix(text, a, b, want):
+    grp = get_group(text)
+    assert grp.divide(a, b) == want == grp.mul(grp.inv(a), b)
 
 
 # ---------------------------------------------------------------------------
