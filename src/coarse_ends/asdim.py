@@ -59,7 +59,10 @@ to read one point of it. The thin-geodesics scan keeps whole geodesics,
 since it reads a range of indices.
 
 All greedy choices (net points, cover centers) are ordered by norm then
-printed form, so witnesses are reproducible byte for byte. Ball translates
+printed form, so witnesses are reproducible byte for byte; the printed
+keys come in one batch per sphere (Group.sort_printed, through
+Group.show_many), one for the uncovered part of each target sphere and
+one for the net's shell. Ball translates
 walk B(r)'s predecessor tree with step maps (Window.translator), not the
 neighbour table: a greedy cover on a free group spends about one step
 product per covered element, less than the |K|/2 per element that a table
@@ -155,7 +158,7 @@ def greedy_ball_cover(window: Window, target: Iterable, s: int) -> list:
     covered = set()
     for k in sorted(by_norm, reverse=True):
         # covered only grows, so what is covered now would be skipped anyway
-        for u in sorted((g for g in by_norm[k] if g not in covered), key=grp.show):
+        for u in grp.sort_printed([g for g in by_norm[k] if g not in covered]):
             if u in covered:
                 continue
             # point max(k - s, 0) of u's canonical geodesic
@@ -326,7 +329,7 @@ def build_annulus_cover(window: Window, n: int, p: int, s: int) -> AnnulusCover:
     block = window.translator(sep - 1)
     net_points = []
     blocked = set()
-    for x in sorted(shell, key=grp.show):
+    for x in grp.sort_printed(shell):
         if x in blocked:
             continue
         net_points.append(x)

@@ -403,9 +403,7 @@ def build_window(
     """
     if cap < 1:
         raise ParameterError(f"window element cap must be at least 1, got {cap}")
-    steps = tuple(
-        sorted((g for g in gens if g != group.identity), key=group.show)
-    )
+    steps = tuple(group.sort_printed([g for g in gens if g != group.identity]))
     seed = Window(group, gens, 0, {group.identity: 0}, [group.identity], (0, 1), steps, cap)
     # a step set that is not closed under inverses has no table to write,
     # and neighbours rejects it

@@ -42,9 +42,12 @@ def _bind(args, default_radius: int):
     """The group, generator set and window radius a command reads."""
     group = Group(parse_spec(args.group))
     gens = standard_generators(group)
-    if args.gen_power > 1:
-        gens = power_generators(group, gens, args.gen_power)
     radius = args.window if args.window is not None else default_radius
+    if args.gen_power > 1:
+        # K^t is B(1) of the window, so a window of radius 1 or more stops
+        # at the cap before K^t is complete
+        cap = args.cap if radius >= 1 else None
+        gens = power_generators(group, gens, args.gen_power, cap)
     return group, gens, radius
 
 

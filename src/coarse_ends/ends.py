@@ -154,7 +154,7 @@ def _anchored(roots: list, window: Window, r: int) -> list:
     generator steps.
     """
     lo, hi = window.offsets[r], window.offsets[r + 1]
-    shown = map(window.group.show, window.elements[lo:hi])
+    shown = window.group.show_many(window.elements[lo:hi])
     # in descending printed order, the last value written for a root is its least
     least = dict(sorted(zip(roots[: hi - lo], shown), key=itemgetter(1), reverse=True))
     return sorted(zip(least.values(), least))

@@ -29,6 +29,7 @@ from .errors import (
     MismatchError,
     SpecSyntaxError,
     UnsupportedSpecError,
+    WindowCapError,
 )
 
 __all__ = [
@@ -225,12 +226,19 @@ def _free_concat(a: str, b: str) -> str:
     return a[:i] + b[j:]
 
 
+# "e" prints the identity, so no generator is named by it
+_LETTERS = string.ascii_lowercase.replace("e", "")
+
+
 def _claim_letters(cursor: list[int], count: int) -> tuple[str, ...]:
     start = cursor[0]
-    if start + count > len(string.ascii_lowercase):
-        raise UnsupportedSpecError("spec needs more than 26 generator letters; not supported")
+    if start + count > len(_LETTERS):
+        raise UnsupportedSpecError(
+            f"spec needs more than {len(_LETTERS)} generator letters"
+            " (a to z without e, which prints the identity); not supported"
+        )
     cursor[0] += count
-    return tuple(string.ascii_lowercase[start : start + count])
+    return tuple(_LETTERS[start : start + count])
 
 
 def _letter_runs(s: str, letters: tuple):
@@ -274,7 +282,8 @@ def _step_maps(build):
 
 # Families: each factory below is the one definition of its family. Once
 # per Group it binds the family's parts on the group (its letters, or its
-# factors left and right) and returns, in this order: the identity; the
+# factors left and right, and a free group's batch printer, see
+# Group.show_many) and returns, in this order: the identity; the
 # kernels mul, divide (a^-1*b), inv, show (of a non-identity payload) and
 # step_map (see Group.step_map, built once per step); parity (see
 # Group.parity); the parser of a stripped printed form other than "e"; and
@@ -294,6 +303,8 @@ def _step_maps(build):
 # syllables share a side, and child.inv and child.show once per distinct
 # syllable, through per-syllable tables that also check the syllable's
 # shape and side. A direct product's step map applies both factors' maps.
+# A free group's batch printer returns exactly its per-word show without
+# calling show, so a wrapper patched onto Group.show does not see it.
 
 
 def _free_abelian(grp: "Group", spec: FreeAbelian, cursor: list):
@@ -458,6 +469,32 @@ def _free(grp: "Group", spec: Free, cursor: list):
     def show(a):
         return "".join(map(printed.__getitem__, runs(a)))
 
+    # a run of m >= 2 letters x prints x<m>, or x-<m> for an inverse letter
+    cases = [(c, c) for c in letters] + [(c.upper(), c + "-") for c in letters]
+    singles = [(c.upper(), c + "-1") for c in letters]
+
+    def show_many(words):
+        # One text for the whole batch. Per letter case, runs are rewritten
+        # longest first, from the longest run that occurs, so a shorter
+        # pattern never matches part of a longer run; runs are maximal, so
+        # no token is next to the same letter again. The inverse letters
+        # left are single, and the identity's empty line prints "e".
+        if not words:
+            return []
+        text = "\n".join(words)
+        for x, head in cases:
+            if x * 2 not in text:
+                continue
+            n = 2
+            while x * (n + 1) in text:
+                n += 1
+            for m in range(n, 1, -1):
+                text = text.replace(x * m, head + str(m))
+        for x, token in singles:
+            text = text.replace(x, token)
+        shown = text.split("\n")
+        return [s or "e" for s in shown] if "" in shown else shown
+
     alphabet = frozenset("".join(letters).swapcase() + "".join(letters))
 
     def step(s):
@@ -487,6 +524,7 @@ def _free(grp: "Group", spec: Free, cursor: list):
     def parity(a):
         return len(a) % 2
 
+    grp._show_many = show_many
     gens = {""}
     for c in letters:
         gens.update((c, c.upper()))
@@ -696,6 +734,7 @@ class Group:
         self.letters: tuple[str, ...] = ()
         self.left: Group | None = None
         self.right: Group | None = None
+        self._show_many = None  # a family's batch printer, where it has one
         family = _FAMILIES.get(type(spec))
         if family is None:
             raise MismatchError(f"not a group spec: {spec!r}")
@@ -755,9 +794,34 @@ class Group:
 
     # -- printing ---------------------------------------------------------
 
+    # show prints one element; show_many prints a list of them, the sort
+    # keys of a whole sphere, and returns per-word show exactly, and
+    # sort_printed orders a list by them. Only the free family prints a
+    # batch at once (see _free); a tracer that wraps show counts the
+    # elements of other families' batches, not a free one's.
+
     def show(self, a) -> str:
         """Canonical printed form; the identity of any group prints "e"."""
         return "e" if a == self.identity else self._show(a)
+
+    def show_many(self, items: list) -> list:
+        """[show(x) for x in items], exactly, for a list of payloads.
+
+        A free group prints the whole batch with a few C-level string
+        passes per letter instead of a Python call per word.
+        """
+        if self._show_many is None:
+            return [self.show(x) for x in items]
+        return self._show_many(items)
+
+    def sort_printed(self, items: list) -> list:
+        """items sorted by printed form, ties in list order.
+
+        The printed keys come from one show_many batch, and none outlives
+        the sort: a caller that walks the result holds only the items.
+        """
+        keys = self.show_many(items)
+        return [items[i] for i in sorted(range(len(items)), key=keys.__getitem__)]
 
     # -- parsing ----------------------------------------------------------
 
@@ -785,12 +849,24 @@ def standard_generators(group: Group) -> frozenset:
     return group._generators
 
 
-def power_generators(group: Group, gens: frozenset, t: int) -> frozenset:
+def power_generators(group: Group, gens: frozenset, t: int, cap: int | None = None) -> frozenset:
     """All products of up to t factors from gens (gens contains the identity,
-    so the t-fold product set is exactly the union of shorter products)."""
+    so the t-fold product set is exactly the union of shorter products).
+
+    With a cap, it stops as soon as the set holds more than cap elements
+    and raises WindowCapError(cap, 0): the set is the ball B(1) of the
+    generators it returns, so no window of radius 1 or more fits the cap.
+    """
     if t < 1:
         raise ValueError("power must be at least 1")
     current = set(gens)
+    if cap is not None and len(current) > cap:
+        raise WindowCapError(cap, 0)
     for _ in range(t - 1):
-        current = {group.mul(a, b) for a in current for b in gens}
+        grown = set()
+        for a in current:
+            grown.update([group.mul(a, b) for b in gens])
+            if cap is not None and len(grown) > cap:
+                raise WindowCapError(cap, 0)
+        current = grown
     return frozenset(current)

@@ -367,7 +367,7 @@ class SyllableGroup:
         if isinstance(spec, FreeAbelian):
             self.identity = (0,) * spec.rank
         elif isinstance(spec, Cyclic):
-            self.letter = string.ascii_lowercase[cursor[0]]
+            self.letter = string.ascii_lowercase.replace("e", "")[cursor[0]]
             cursor[0] += 1
             self.identity = 0
         elif isinstance(spec, (DirectProduct, FreeProduct)):

@@ -18,6 +18,7 @@ from coarse_ends import (
     CoverVerificationError,
     ElementSyntaxError,
     EmptyShellError,
+    Group,
     MismatchError,
     NonHyperbolicError,
     OutOfWindowError,
@@ -635,6 +636,23 @@ def test_exit_cap(capsys):
             f"coarse-ends: resource cap: window element cap {argv[-1]} exceeded; "
             f"last fully built radius {radius}\n"
         )
+
+
+def test_exit_cap_before_a_large_step_set(capsys, monkeypatch):
+    # B(1) is K^t, so a radius-1 window stops at the cap while K^t is formed
+    # (K^6 of F2 has 1,457 elements); a radius-0 window needs no K^t to fit
+    calls = []
+    mul = Group.mul
+    monkeypatch.setattr(Group, "mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    code, out, err = run_cli(capsys, ["growth", "--group", "F2", "--window", "1",
+                                      "--gen-power", "6", "--cap", "10"])
+    assert (code, out) == (2, "")
+    assert err == "coarse-ends: resource cap: window element cap 10 exceeded; last fully built radius 0\n"
+    assert len(calls) <= 5 * 10 * 5
+    code, out, _ = run_cli(capsys, ["growth", "--group", "F2", "--window", "0",
+                                    "--gen-power", "6", "--cap", "10"])
+    assert code == 0
+    assert json.loads(out)["result"]["rows"] == [{"r": 0, "sphere": 1, "ball": 1}]
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from coarse_ends import (
     standard_generators,
 )
 from helpers import ZOO, get_group, get_window, nested_specs, random_element
-from oracles import SyllableGroup, reduce_word, validate
+from oracles import SyllableGroup, reduce_word, show_free_word, validate
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +85,14 @@ def test_spec_nesting_depth_is_bounded():
 
 
 def test_letter_budget():
+    # 25 letters: a to z without e, which prints the identity
     text = "C2"
-    for _ in range(26):
+    for _ in range(24):
         text = f"({text} x C2)"
-    with pytest.raises(UnsupportedSpecError):
-        Group(parse_spec(text))
+    Group(parse_spec(text))
+    with pytest.raises(UnsupportedSpecError, match="more than 25 generator letters"):
+        Group(parse_spec(f"({text} x C2)"))
+    assert "e" not in Group(parse_spec("(F3 x F22)")).right.letters
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +126,65 @@ def test_pinned_forms():
     d = get_group("(Z x C2)")
     assert d.show(((3,), 1)) == "((3),a)"
     assert d.parse("((3),a)") == ((3,), 1)
+
+
+@pytest.mark.parametrize("text", ["F5", "(F2 x F3)", "((C2 x C3) x (C4 x (C2 x C5)))"])
+def test_printed_forms_are_injective(text):
+    # the fifth letter is f, not e, which prints the identity
+    grp = Group(parse_spec(text))
+    window = build_window(grp, standard_generators(grp), 2)
+    shown = [grp.show(g) for g in window]
+    assert len(set(shown)) == len(shown)
+    for g, form in zip(window, shown):
+        assert grp.parse(form) == g
+
+
+@given(nested_specs(2), st.sampled_from([1, 2]))
+def test_show_many_matches_show_on_windows(text, power):
+    grp = Group(parse_spec(text))
+    gens = standard_generators(grp)
+    if power > 1:
+        gens = power_generators(grp, gens, power)
+    try:
+        window = build_window(grp, gens, 3, 300)
+    except WindowCapError as err:
+        window = build_window(grp, gens, err.radius_reached, 300)
+    items = list(window)  # the identity first
+    assert grp.show_many(items) == [grp.show(g) for g in items]
+    assert grp.sort_printed(items) == sorted(items, key=grp.show)
+
+
+def _reduced_word(rng, letters, runs):
+    """A reduced free word of the given number of runs, each 1 to 25 long."""
+    word, last = "", None
+    for _ in range(runs):
+        c = rng.choice([x for x in letters if x != last])
+        last = c
+        word += (c if rng.random() < 0.5 else c.upper()) * rng.randint(1, 25)
+    return word
+
+
+@pytest.mark.parametrize("text", ["F2", "F3"])
+def test_show_many_matches_show_on_long_runs(text):
+    grp = get_group(text)
+    rng = random.Random(25)
+    for _ in range(40):
+        words = [_reduced_word(rng, grp.letters, rng.randint(0, 6)) for _ in range(rng.randint(1, 30))]
+        shown = grp.show_many(words)
+        assert shown == [grp.show(w) for w in words]
+        assert shown == [show_free_word(w) for w in words]
+        assert [grp.parse(form) for form in shown] == words
+
+
+def test_show_many_edge_batches():
+    f2 = get_group("F2")
+    assert f2.show_many([]) == []
+    assert f2.show_many([""]) == ["e"]
+    assert f2.show_many(["aaB"]) == ["a2b-1"]
+    assert f2.show_many(["B", "", "bbbbbbbbbbbbbbb"]) == ["b-1", "e", "b15"]
+    z2 = get_group("Z^2")
+    assert z2.show_many([]) == []
+    assert z2.show_many([(0, 0), (3, -1)]) == ["e", "(3,-1)"]
 
 
 def test_tagged_free_product_forms():
@@ -549,3 +611,19 @@ def test_power_generators_are_products():
         assert power_generators(grp, k, 4) == k4
     with pytest.raises(ValueError):
         power_generators(get_group("Z"), standard_generators(get_group("Z")), 0)
+
+
+def test_power_generators_stop_at_the_cap(monkeypatch):
+    grp = Group(parse_spec("F2"))
+    k = standard_generators(grp)
+    # |K^3| = 53: a cap it fits gives the same set
+    assert power_generators(grp, k, 3, cap=53) == power_generators(grp, k, 3)
+    calls = []
+    mul = Group.mul
+    monkeypatch.setattr(Group, "mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    with pytest.raises(WindowCapError) as err:
+        power_generators(grp, k, 6, cap=10)
+    assert (err.value.cap, err.value.radius_reached) == (10, 0)
+    # each set holds the one before it, so no round starts above the cap, and
+    # K^6 would take (5 + 17 + 53 + 161 + 485) * 5 = 3,605 products
+    assert len(calls) <= 5 * 10 * len(k)
