@@ -31,7 +31,7 @@ def main() -> None:
         rmax = args.rmax if args.rmax is not None else rmax
         group = Group(parse_spec(spec_text))
         gens = standard_generators(group)
-        verdict = end_count(group, gens, rmax)
+        verdict = end_count(build_window(group, gens, 2 * rmax + 4, table=True), rmax)
         outer = ",".join(str(c.outer) for c in verdict.evidence.counts)
         window = build_window(group, gens, rmax + 2)
         balls = ",".join(str(row.ball) for row in growth_series(window))

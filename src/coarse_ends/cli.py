@@ -3,9 +3,9 @@
 Reports are deterministic given (command, config, seed): no timestamps,
 no timings, stable ordering everywhere. JSON is the canonical format;
 csv and text are projections of it, and dot exists for trees only. Each
-command parses the group once, runs its analysis and hands the result,
-its text lines and its csv rows to one builder, `_report`, which renders
-only the format asked for.
+command builds its window once, in `_bind`, runs its analysis on it and
+hands the result, its text lines and its csv rows to one builder,
+`_report`, which renders only the format asked for.
 
 Exit codes: 0 determinate result, 1 usage or parse error, 2 element cap
 exceeded, 3 Undetermined end verdict, 4 precondition refusal (window too
@@ -38,8 +38,11 @@ class _ArgumentError(CoarseEndsError):
 _LABELS = {1: "error", 2: "resource cap", 4: "refusing"}
 
 
-def _bind(args, default_radius: int):
-    """The group, generator set and window radius a command reads."""
+def _bind(args, default_radius: int, table: bool = False):
+    """The window a command reads, built from the common flags.
+
+    table has the search write the generator table, for the commands that
+    read neighbours."""
     group = Group(parse_spec(args.group))
     gens = standard_generators(group)
     radius = args.window if args.window is not None else default_radius
@@ -48,7 +51,7 @@ def _bind(args, default_radius: int):
         # at the cap before K^t is complete
         cap = args.cap if radius >= 1 else None
         gens = power_generators(group, gens, args.gen_power, cap)
-    return group, gens, radius
+    return build_window(group, gens, radius, cap=args.cap, table=table)
 
 
 def _check_common(args) -> None:
@@ -79,7 +82,7 @@ def _bool(b) -> str:
     return "true" if b else "false"
 
 
-def _report(args, group, radius, config, result, lines, header, rows, *, csv_config=(),
+def _report(args, window, config, result, lines, header, rows, *, csv_config=(),
             warnings=(), tree=None, exit_code=0) -> tuple:
     """(payload, exit code) of a command's report, rendered in args.format only.
 
@@ -89,9 +92,9 @@ def _report(args, group, radius, config, result, lines, header, rows, *, csv_con
     a `group:` line, then lines. dot writes the tree's graph.
     """
     config = {
-        "group": spec_to_string(group.spec),
+        "group": spec_to_string(window.group.spec),
         "gen_power": args.gen_power,
-        "window": radius,
+        "window": window.radius,
         "cap": args.cap,
         "seed": args.seed,
         **config,
@@ -128,20 +131,12 @@ def cmd_ends(args) -> tuple:
     _at_least("--rmax", args.rmax, 1)
     _at_least("--span", args.span, 1)
     _at_least("--growth-span", args.growth_span, 2)
-    group, gens, radius = _bind(args, 2 * args.rmax + 4)
-    verdict = end_count(
-        group,
-        gens,
-        args.rmax,
-        stab_span=args.span,
-        growth_span=args.growth_span,
-        window_radius=radius,
-        cap=args.cap,
-    )
+    window = _bind(args, 2 * args.rmax + 4, table=True)
+    verdict = end_count(window, args.rmax, stab_span=args.span, growth_span=args.growth_span)
     lines = [
         f"verdict: {verdict.verdict}",
         f"note: {verdict.note}",
-        f"window radius: {radius}"
+        f"window radius: {window.radius}"
         + (
             f" (rechecked at {verdict.evidence.recheck_radius})"
             if verdict.evidence.recheck_radius is not None
@@ -154,7 +149,7 @@ def cmd_ends(args) -> tuple:
         lines.append(f"exhausted at r={verdict.evidence.exhausted_at}")
     config = dict(rmax=args.rmax, span=args.span, growth_span=args.growth_span)
     rows = [(c.r, c.outer, c.inner) for c in verdict.evidence.counts]
-    return _report(args, group, radius, config, verdict.to_json_dict(), lines, "r,outer,inner",
+    return _report(args, window, config, verdict.to_json_dict(), lines, "r,outer,inner",
                    rows, csv_config={"verdict": verdict.verdict},
                    exit_code=3 if verdict.verdict == "Undetermined" else 0)
 
@@ -162,8 +157,7 @@ def cmd_ends(args) -> tuple:
 def cmd_tree(args) -> tuple:
     _at_least("--rmin", args.rmin, 0)
     _at_least("--rmax", args.rmax, args.rmin)
-    group, gens, radius = _bind(args, 2 * args.rmax + 4)
-    window = build_window(group, gens, radius, cap=args.cap, table=True)
+    window = _bind(args, 2 * args.rmax + 4, table=True)
     tree = component_tree(window, args.rmin, args.rmax)
     lines = [f"verdict: {tree.verdict}"]
     rows = []
@@ -179,7 +173,7 @@ def cmd_tree(args) -> tuple:
                 (lv.r, n.id, n.size, _bool(n.outer), "" if n.parent is None else n.parent)
             )
     config = dict(rmin=args.rmin, rmax=args.rmax)
-    return _report(args, group, radius, config, tree.to_json_dict(), lines,
+    return _report(args, window, config, tree.to_json_dict(), lines,
                    "r,id,size,outer,parent", rows, csv_config={"verdict": tree.verdict}, tree=tree)
 
 
@@ -214,7 +208,7 @@ def _parse_selector(text: str) -> Callable:
     return resolve
 
 
-def _load_elements(path: str, group: Group, window) -> set:
+def _load_elements(path: str, window) -> set:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -226,7 +220,7 @@ def _load_elements(path: str, group: Group, window) -> set:
         if not text or text.startswith("#"):
             continue
         try:
-            g = group.parse(text)
+            g = window.group.parse(text)
         except ElementSyntaxError as exc:
             raise SelectorError(f"{path}:{lineno}: {exc}") from None
         if g not in window:
@@ -239,13 +233,12 @@ def _load_elements(path: str, group: Group, window) -> set:
 
 def cmd_clopen(args) -> tuple:
     _at_least("--tmax", args.tmax, 1)
-    group, gens, radius = _bind(args, 4 * args.tmax + 4)
-    window = build_window(group, gens, radius, cap=args.cap, table=True)
+    window = _bind(args, 4 * args.tmax + 4, table=True)
     if args.select is not None:
         chosen_set = _parse_selector(args.select)
         chosen = f"select={args.select}"
     else:
-        chosen_set = _load_elements(args.elements_file, group, window)
+        chosen_set = _load_elements(args.elements_file, window)
         chosen = f"elements_file={args.elements_file}"
     cert = clopen_scale_test(window, chosen_set, args.tmax)
     lines = [
@@ -261,7 +254,7 @@ def cmd_clopen(args) -> tuple:
         (e.scale_t, e.rho, e.core_radius, _bool(e.stable), _bool(e.verdict))
         for e in cert.entries
     ]
-    return _report(args, group, radius, dict(tmax=args.tmax, set=chosen), asdict(cert), lines,
+    return _report(args, window, dict(tmax=args.tmax, set=chosen), asdict(cert), lines,
                    "scale_t,rho,core_radius,stable,verdict", rows,
                    csv_config={"verdict": _bool(cert.verdict)})
 
@@ -270,8 +263,7 @@ def cmd_growth(args) -> tuple:
     offsets = _int_list(args.cover_offsets, "--cover-offsets")
     for t in offsets:
         _at_least("--cover-offsets", t, 1)
-    group, gens, radius = _bind(args, 8)
-    window = build_window(group, gens, radius, cap=args.cap)
+    window = _bind(args, 8)
     series = growth_series(window)
     warnings = []
     samples = []
@@ -281,7 +273,7 @@ def cmd_growth(args) -> tuple:
             warnings.append(f"offset {t} does not fit the window; skipped")
         samples.extend(fits)
     bg = None
-    if radius >= 3:
+    if window.radius >= 3:
         # K holds the identity, so K*K is the ball B(2)
         bg = covering_number(window, 1, 1)
     else:
@@ -300,7 +292,7 @@ def cmd_growth(args) -> tuple:
     if bg is not None:
         lines.append(f"bounded geometry count: {bg}")
         rows.append(("bounded_geometry", bg, "", ""))
-    return _report(args, group, radius, dict(cover_offsets=args.cover_offsets), result, lines,
+    return _report(args, window, dict(cover_offsets=args.cover_offsets), result, lines,
                    "kind,a,b,c", rows, warnings=warnings)
 
 
@@ -308,8 +300,7 @@ def cmd_asdim(args) -> tuple:
     _at_least("--p", args.p, 1)
     _at_least("--s", args.s, 1)
     _at_least("--pair-budget", args.pair_budget, 1)
-    group, gens, radius = _bind(args, 14)
-    window = build_window(group, gens, radius, cap=args.cap)
+    window = _bind(args, 14)
     n_list = None if args.n_list is None else _int_list(args.n_list, "--n-list")
     witness = asdim_upper_bound(
         window,
@@ -345,7 +336,7 @@ def cmd_asdim(args) -> tuple:
          st.multiplicity)
         for st in witness.annuli
     ]
-    return _report(args, group, radius, config, witness.to_json_dict(), lines,
+    return _report(args, window, config, witness.to_json_dict(), lines,
                    "n,net_size,sets,max_diameter,max_multiplicity", rows,
                    csv_config=dict(delta_hat=witness.delta_hat, delta=witness.delta,
                                    n2delta=witness.n2delta, bound=witness.bound))

@@ -34,9 +34,8 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .cayley import DEFAULT_CAP, ENLARGE_BY, Window, build_window
+from .cayley import ENLARGE_BY, Window
 from .errors import ParameterError
-from .groups import Group
 
 __all__ = [
     "Component",
@@ -272,13 +271,13 @@ def component_tree(window: Window, r_min: int, r_max: int, margin: int = 4) -> E
     offsets = window.offsets
     uf = _UnionFind(window)
     labels = {}
+    outer_counts = []  # from r_max down to r_min
     for r in range(window.radius, r_min - 1, -1):
         uf.add(range(offsets[r], offsets[r + 1]))
         if r <= r_max:
             labels[r] = uf.labels(offsets[r])
+            outer_counts.append(uf.outer)
     levels = []
-    outer_counts = []
-    exhausted = False
     owner = None  # root label at the previous radius -> node id
     for r in range(r_min, r_max + 1):
         roots = labels[r]
@@ -296,11 +295,8 @@ def component_tree(window: Window, r_min: int, r_max: int, margin: int = 4) -> E
             for idx, root in enumerate(anchored)
         )
         levels.append(TreeLevel(r=r, nodes=nodes))
-        outer_counts.append(sum(1 for n in nodes if n.outer))
-        if not nodes:
-            exhausted = True
         owner = {root: idx for idx, root in enumerate(anchored)}
-    verdict, _, _ = classify_counts(outer_counts, exhausted=exhausted)
+    verdict, _, _ = classify_counts(outer_counts[::-1], exhausted=offsets[r_max] == len(window))
     if sphere_guard(verdict, _sphere_sizes(window)):
         verdict = "Undetermined"
     return EndTree(levels=tuple(levels), verdict=verdict)
@@ -467,23 +463,21 @@ def _count_rows(window: Window, r_max: int):
     return rows, None
 
 
-def end_count(
-    group: Group,
-    gens: frozenset,
-    r_max: int,
-    stab_span: int = 3,
-    growth_span: int = 3,
-    window_radius: Optional[int] = None,
-    cap: int = DEFAULT_CAP,
-) -> EndVerdict:
-    """End-count verdict from component counts at radii 1..r_max."""
+def end_count(window: Window, r_max: int, stab_span: int = 3, growth_span: int = 3) -> EndVerdict:
+    """End-count verdict from component counts at radii 1..r_max of window.
+
+    window should be a table window (build_window(..., table=True)); a plain
+    one reads its table through neighbours(). A candidate One or Two is
+    rechecked on window.at(window.radius + ENLARGE_BY), which grows under
+    the window's own cap, so a cap that fits B(R) but not B(R + 4) raises
+    WindowCapError there.
+    """
     if r_max < 1:
         raise ParameterError("r_max must be at least 1")
     _check_spans(stab_span, growth_span)
-    radius = window_radius if window_radius is not None else 2 * r_max + 4
+    radius = window.radius
     if r_max >= radius:
         raise ParameterError(f"r_max {r_max} must be smaller than the window radius {radius}")
-    window = build_window(group, gens, radius, cap=cap, table=True)
     rows, exhausted_at = _count_rows(window, r_max)
     outer = [c.outer for c in rows]
     candidate, anomaly, growth_flag = classify_counts(

@@ -19,7 +19,6 @@ direct products as pairs. The identity of any group prints as "e".
 
 from __future__ import annotations
 
-import re
 import string
 from dataclasses import dataclass
 from typing import Union
@@ -432,16 +431,8 @@ class _Memo(dict):
         return value
 
 
-def _printed_run(run: str) -> str:
-    """Printed form of a run of one letter ("aaa" -> "a3", "BB" -> "b-2")."""
-    exp = len(run) if run[0].islower() else -len(run)
-    return run[0].lower() + ("" if exp == 1 else str(exp))
-
-
 def _free(grp: "Group", spec: Free, cursor: list):
     letters = grp.letters = _claim_letters(cursor, spec.rank)
-    runs = re.compile("|".join(f"{c}+|{c.upper()}+" for c in letters)).findall
-    printed = _Memo(_printed_run)
     mismatch = "free payload must be a letter string"
 
     def mul(a, b):
@@ -465,9 +456,6 @@ def _free(grp: "Group", spec: Free, cursor: list):
         if not isinstance(a, str):
             raise MismatchError(mismatch)
         return a[::-1].swapcase()
-
-    def show(a):
-        return "".join(map(printed.__getitem__, runs(a)))
 
     # a run of m >= 2 letters x prints x<m>, or x-<m> for an inverse letter
     cases = [(c, c) for c in letters] + [(c.upper(), c + "-") for c in letters]
@@ -494,6 +482,9 @@ def _free(grp: "Group", spec: Free, cursor: list):
             text = text.replace(x, token)
         shown = text.split("\n")
         return [s or "e" for s in shown] if "" in shown else shown
+
+    def show(a):
+        return show_many([a])[0]
 
     alphabet = frozenset("".join(letters).swapcase() + "".join(letters))
 

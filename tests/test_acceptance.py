@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from coarse_ends import (
     asdim_upper_bound,
     build_annulus_cover,
+    build_window,
     classify_counts,
     clopen_scale_test,
     component_tree,
@@ -65,7 +66,8 @@ def test_acceptance_01_end_verdicts(capsys):
         }
         for text, (want, rmax) in table.items():
             start = time.monotonic()
-            verdict = end_count(get_group(text), get_gens(text), rmax)
+            window = build_window(get_group(text), get_gens(text), 2 * rmax + 4, table=True)
+            verdict = end_count(window, rmax)
             elapsed = time.monotonic() - start
             assert verdict.verdict == want, (text, verdict.verdict)
             assert elapsed < 30.0, (text, elapsed)
@@ -304,8 +306,8 @@ def test_acceptance_10_window_stability(capsys):
         }
         for text, want in finite_verdicts.items():
             group, gens = get_group(text), get_gens(text)
-            base = end_count(group, gens, 4, window_radius=12)
-            wider = end_count(group, gens, 4, window_radius=16)
+            base = end_count(build_window(group, gens, 12, table=True), 4)
+            wider = end_count(build_window(group, gens, 16, table=True), 4)
             assert base.verdict == wider.verdict == want, text
 
         half_fn = lambda w: {g for g in w if g[0] >= 1}

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +191,9 @@ _FROZEN = [
     ("asdim --group Z --out report.json", 0,
      "a17f04294928566140e93f6b5f66da5ff88df03f173b582567d55909011363bf", ""),
     ("ends --group F2 --cap 100", 2, None,
+     "resource cap: window element cap 100 exceeded; last fully built radius 3"),
+    # the window is built, under its cap, before --rmax is checked against it
+    ("ends --group F2 --rmax 9 --window 8 --cap 100", 2, None,
      "resource cap: window element cap 100 exceeded; last fully built radius 3"),
     ("ends --group Z^3 --rmax 3 --cap 3000", 2, None,
      "resource cap: window element cap 3000 exceeded; last fully built radius 12"),
@@ -931,6 +935,13 @@ def test_greedy_cover_refusal_ignores_hash_seed():
 
 # ---------------------------------------------------------------------------
 # Package surface
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "Two"
 
 
 def test_public_names_resolve():

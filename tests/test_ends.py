@@ -6,6 +6,7 @@ import random
 import pytest
 
 from coarse_ends import (
+    DEFAULT_CAP,
     ParameterError,
     WindowCapError,
     build_window,
@@ -109,9 +110,8 @@ def test_partition_laws_randomized():
         window = get_window(text, radius, power)
         grp = window.group
         if (text, radius, power) not in sweeps:
-            gens = get_gens(text, power)
             sweeps[text, radius, power] = (
-                end_count(grp, gens, radius - 1, window_radius=radius).evidence,
+                end_count(window, radius - 1).evidence,
                 component_tree(window, 0, radius - 1, margin=1),
             )
         evidence, tree = sweeps[text, radius, power]
@@ -255,6 +255,14 @@ def test_tree_window_too_small():
 # Verdict classification
 
 
+def _ends(text, r_max, *spans, radius=None, cap=DEFAULT_CAP):
+    """end_count on the table window the ends command builds, of radius
+    2 r_max + 4 unless given."""
+    radius = 2 * r_max + 4 if radius is None else radius
+    window = build_window(get_group(text), get_gens(text), radius, cap, table=True)
+    return end_count(window, r_max, *spans)
+
+
 def test_classify_counts():
     assert classify_counts([2, 2, 2])[0] == "Two"
     assert classify_counts([1, 1, 1])[0] == "One"
@@ -279,7 +287,7 @@ def test_end_count_verdicts():
         "(C2 * C3)": "Infinite",
     }
     for text, want in expected.items():
-        verdict = end_count(get_group(text), get_gens(text), 5)
+        verdict = _ends(text, 5)
         assert verdict.verdict == want, text
         if want in ("One", "Two"):
             assert verdict.evidence.stable is True
@@ -293,13 +301,13 @@ def test_end_count_verdicts():
 
 def test_end_count_undetermined_on_large_finite_group():
     # window too small to exhaust C30, and no component reaches the boundary
-    verdict = end_count(get_group("C30"), get_gens("C30"), 5, window_radius=14)
+    verdict = _ends("C30", 5, radius=14)
     assert verdict.verdict == "Undetermined"
     assert "window" in verdict.note
 
 
 def test_end_count_evidence_json():
-    verdict = end_count(get_group("Z"), get_gens("Z"), 4)
+    verdict = _ends("Z", 4)
     d = verdict.to_json_dict()
     assert d["verdict"] == "Two"
     assert [row["outer"] for row in d["counts"]] == [2, 2, 2, 2]
@@ -309,14 +317,31 @@ def test_end_count_evidence_json():
 
 def test_end_count_parameter_errors():
     with pytest.raises(ParameterError):
-        end_count(get_group("Z"), get_gens("Z"), 0)
+        _ends("Z", 0)
     with pytest.raises(ParameterError):
-        end_count(get_group("Z"), get_gens("Z"), 8, window_radius=8)
+        _ends("Z", 8, radius=8)
     # a span of 0 made the whole sequence its tail; a growth span of 1
     # certified Infinite from an empty run of comparisons
     for spans in [(0, 3), (-1, 3), (3, 1), (5, 0)]:
         with pytest.raises(ParameterError):
-            end_count(get_group("Z^2"), get_gens("Z^2"), 4, *spans)
+            _ends("Z^2", 4, *spans)
+
+
+@pytest.mark.parametrize("text", ZOO)
+def test_end_count_reads_a_plain_window_as_a_table_window(text):
+    # a plain window reads its generator table through neighbours()
+    grp, gens = get_group(text), get_gens(text)
+    plain = end_count(build_window(grp, gens, 10), 3)
+    assert plain == end_count(build_window(grp, gens, 10, table=True), 3)
+
+
+def test_end_count_recheck_grows_under_the_window_cap():
+    # |B(12)| = 313 fits a cap of 400 and |B(16)| = 545 does not; the One
+    # candidate's recheck window stops where B(14) = 421 passes the cap
+    window = build_window(get_group("Z^2"), get_gens("Z^2"), 12, 400, table=True)
+    with pytest.raises(WindowCapError) as err:
+        end_count(window, 4)
+    assert (err.value.cap, err.value.radius_reached) == (400, 13)
 
 
 def test_sphere_guard():
@@ -348,7 +373,7 @@ def test_sphere_guard():
 def test_sphere_guard_refuses_one_for_two_ended(text, r_max):
     # up to the diameter of the finite factor, an element of it joins the two
     # sides, so the counts read 1 at every radius and on the recheck too
-    verdict = end_count(get_group(text), get_gens(text), r_max)
+    verdict = _ends(text, r_max)
     assert [c.outer for c in verdict.evidence.counts] == [1] * r_max
     assert verdict.evidence.stable is True
     assert verdict.verdict == "Undetermined" and "sphere sizes" in verdict.note
@@ -357,10 +382,10 @@ def test_sphere_guard_refuses_one_for_two_ended(text, r_max):
 
 
 def test_sphere_guard_keeps_verdicts():
-    assert end_count(get_group("(Z x C8)"), get_gens("(Z x C8)"), 8).verdict == "Two"
+    assert _ends("(Z x C8)", 8).verdict == "Two"
     # the guard's limit: below r = 20 the spheres of (Z x C40) grow as Z^2's do
     for r_max in (4, 8):
-        assert end_count(get_group("(Z x C40)"), get_gens("(Z x C40)"), r_max).verdict == "One"
+        assert _ends("(Z x C40)", r_max).verdict == "One"
 
 
 def test_spec_ends_closed_form():
@@ -414,7 +439,7 @@ def test_end_count_against_closed_form():
             if 2 * finite_diameter(spec) > 2 * r_max + 4:
                 continue
             try:
-                verdict = end_count(get_group(text), get_gens(text), r_max, cap=3000)
+                verdict = _ends(text, r_max, cap=3000)
             except WindowCapError:
                 continue
             read += 1
