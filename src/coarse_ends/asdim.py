@@ -23,7 +23,9 @@ The greedy cover sorts one sphere at a time, outermost first, and only the
 elements still uncovered when their sphere comes up: covered only grows,
 so it picks the centres that one sort of the whole target would. It keeps
 every product of a translate, since covered is read only at target
-elements.
+elements. Its norm buckets are filled a run of equal norms at a time
+(itertools.groupby), so a ball, which is in norm order, costs one run per
+sphere, and any target keeps its order and repeats within a bucket.
 
 The multiplicity scans read a reach map per cover: for every window
 element z, how many sets the probe ball z*B(r) meets. The map is built
@@ -36,12 +38,22 @@ counts at one z. The worst centre, the first probe centre in window order
 whose count is the maximum, is found by lookups alone.
 
 The diameter scan visits each distinct cover set once, since a maximum
-over sets cannot be raised by a set met again. In a set it takes the first
-member p as pivot, forms D(p, g) for every member (the pivot's own pairs),
-and scans the other pairs in descending D(g, p) + D(p, h), stopping where
-that bound is at most the largest distance found, which no later pair can
-then exceed. The witness is stated for symmetric step sets, and
-`verify_cover` refuses any other: there |x^-1| = |x|, so D(g, p) = D(p, g).
+over sets cannot be raised by a set met again. It bounds pairs through
+exit points. For a member x let k = min(2n, |x|) and let rho_x, its exit,
+be point k of x's canonical geodesic; then D(x, rho_x) = |x| - k, the
+rise of x. So D(g, h) <= rise_g + D(rho_g, rho_h) + rise_h, and
+D(rho_g, rho_h) <= D(rho_g, pi) + D(pi, rho_h) for a pivot exit pi, the
+first member's. A set's members are grouped by (exit, rise); one distance
+to pi per distinct exit ranks the pairs of groups by the bound through
+pi, and they are taken in descending order until that bound is at most
+the largest distance found, which no later pair can then exceed. A pair
+of groups that passes forms its exact exit distance, memoised across the
+cover's sets, and is skipped if the bound through it is at most the
+maximum; otherwise its member pairs are scanned until one reaches that
+bound. The build keeps each annulus element's exit; any other member walks
+its predecessors. The witness is stated for symmetric step sets, and
+`verify_cover` refuses any other: there |x^-1| = |x|, so D(rho, pi) =
+D(pi, rho).
 
 The thin-geodesics scan compares same-index points from the top index down
 and stops where the two geodesics meet: canonical geodesics are
@@ -49,14 +61,21 @@ predecessor walks, so they agree at every lower index, where the distance
 is 0. It also stops at the first index i with 2i <= the largest value so
 far: point i of a canonical geodesic has norm i, so D(cg[i], ch[i]) <= 2i.
 A pair whose top index already fails that builds no geodesic, though it
-still counts as informative.
+still counts as informative. The scan at radius r reads B(r) off any
+window of radius at least r: its elements but the identity are a prefix of
+window order, a distance is visible when it is at most r, and an escape
+counts as r + 1. So the probes at 4, 6 and 8 and delta_hat at R read one
+window, the window itself or its growth to radius 8 when it is smaller,
+and share one geodesic memo, since a canonical geodesic is the same in
+every window that holds its end.
 
 Cover centres and last-exit points come from predecessor walks. Point i
 of g's canonical geodesic is |g| - i predecessor steps back from g, so
 the greedy cover walks min(s, |u|) steps back from u, and the annulus
-cover |g| - 2n steps back from g, instead of building a whole geodesic
-to read one point of it. The thin-geodesics scan keeps whole geodesics,
-since it reads a range of indices.
+cover |g| - 2n steps back from g, keeping that exit for the diameter
+scan, instead of building a whole geodesic to read one point of it. The
+thin-geodesics scan keeps whole geodesics, since it reads a range of
+indices.
 
 All greedy choices (net points, cover centers) are ordered by norm then
 printed form, so witnesses are reproducible byte for byte; the printed
@@ -72,14 +91,21 @@ g^-1 h without forming g^-1. A reach map is made on the first request and
 kept on the cover, so the cross scan reads the maps that `verify_cover`
 built at radius ps.
 perfbench/spans.py wraps `greedy_ball_cover`, `build_annulus_cover` and
-`verify_cover` by name.
+`verify_cover` by name. The witness's thin-geodesics scans run inside
+`asdim_upper_bound`, not through `estimate_delta`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    filterfalse,
+    groupby,
+    product,
+)
 from typing import Iterable, Optional, Sequence
 
 from .cayley import Window
@@ -88,6 +114,7 @@ from .errors import (
     EmptyShellError,
     NonHyperbolicError,
     ParameterError,
+    WindowCapError,
 )
 
 __all__ = [
@@ -146,12 +173,14 @@ def greedy_ball_cover(window: Window, target: Iterable, s: int) -> list:
         raise ParameterError("covering radius must be nonnegative")
     grp = window.group
     norms = window.norms
+    target = list(target)
+    outside = next(filterfalse(norms.__contains__, target), None)
+    if outside is not None:
+        window.knorm(outside)  # raises, naming the first outside element in target order
     by_norm: dict = {}
-    for g in target:
-        k = norms.get(g)
-        if k is None:
-            window.knorm(g)  # raises, naming the first outside element in target order
-        by_norm.setdefault(k, []).append(g)
+    # a ball is in norm order, so each of its spheres is one run
+    for k, run in groupby(target, norms.__getitem__):
+        by_norm.setdefault(k, []).extend(run)
     translate = window.translator(min(s, window.radius))
     centers = []
     # every product is kept, but covered is read only for target elements
@@ -211,8 +240,22 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
     """
     if pair_budget < 1:
         raise ParameterError(f"pair_budget must be at least 1, got {pair_budget}")
+    return _delta_scan(window, window.radius, pair_budget, seed, {})
+
+
+def _delta_scan(window: Window, r: int, pair_budget: int, seed: int, geos: dict) -> int:
+    """estimate_delta(window.at(r), pair_budget, seed), read off a window of
+    radius at least r.
+
+    B(r) is a prefix of the window, and so are its elements but the
+    identity, in window order. A distance is visible in B(r) when it is at
+    most r, and an escape counts as r + 1. A canonical geodesic is the same
+    in every window that holds its end, so geos, the memo of those built,
+    can serve scans at several radii.
+    """
     grp = window.group
-    els = [g for g in window if window.norms[g] > 0]
+    norms = window.norms
+    els = window.elements[1 : window.offsets[r + 1]]
     n = len(els)
     pairs: Iterable
     sampled = n * (n - 1) // 2 > pair_budget
@@ -229,7 +272,6 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
                     yield els[i], els[j]
 
         pairs = draw()
-    geos = {}
 
     def geo(g):
         cached = geos.get(g)
@@ -238,14 +280,14 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
             geos[g] = cached
         return cached
 
+    far = r + 1
     best = 0
     informative = 0
     for g, h in pairs:
-        rel = grp.divide(g, h)
-        if rel not in window.norms:
+        d = norms.get(grp.divide(g, h), far)
+        if d > r:
             continue
-        d = window.norms[rel]
-        top = (window.norms[g] + window.norms[h] - d) // 2
+        top = (norms[g] + norms[h] - d) // 2
         if top <= 0:
             continue
         informative += 1
@@ -258,19 +300,44 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
         for i in range(top, 0, -1):
             if 2 * i <= best or cg[i] == ch[i]:
                 break
-            y = grp.divide(cg[i], ch[i])
-            val = window.norms.get(y, window.radius + 1)
+            val = min(norms.get(grp.divide(cg[i], ch[i]), far), far)
             if val > best:
                 best = val
     if sampled and not informative:
         raise ParameterError(
-            f"no sampled pair in the radius-{window.radius} window compares geodesics;"
+            f"no sampled pair in the radius-{r} window compares geodesics;"
             f" pair budget {pair_budget} is too small"
         )
     return best
 
 
 PROBE_RADII = (4, 6, 8)  # windows whose delta_hat must not strictly increase
+
+
+def _thin_geodesics(window: Window, pair_budget: int, seed: int) -> tuple:
+    """The probe values at PROBE_RADII and delta_hat at the window's radius,
+    all read off one window with one geodesic memo: the window itself, or
+    window.at(8) when it is smaller. Raises NonHyperbolicError when the
+    probe values strictly increase.
+    """
+    geos: dict = {}
+    top = PROBE_RADII[-1]
+    probes = window
+    if window.radius < top:
+        try:
+            probes = window.at(top)
+        except WindowCapError as exc:
+            # a probe the cap lets fit is scanned before the cap is reported,
+            # as growing one probe window at a time would
+            fit = window.at(exc.radius_reached)
+            for r in PROBE_RADII:
+                if r <= fit.radius:
+                    _delta_scan(fit, r, pair_budget, seed, geos)
+            raise
+    values = tuple(_delta_scan(probes, r, pair_budget, seed, geos) for r in PROBE_RADII)
+    if all(a < b for a, b in zip(values, values[1:])):
+        raise NonHyperbolicError(PROBE_RADII, values)
+    return values, _delta_scan(probes, window.radius, pair_budget, seed, geos)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +355,8 @@ class AnnulusCover:
     assignment: dict  # annulus element -> sorted tuple of set indices
     # probe radius -> reach map (see _reach_map), made on first request
     _reach: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # annulus element -> point 2n of its canonical geodesic, kept by the build
+    _exits: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -338,12 +407,14 @@ def build_annulus_cover(window: Window, n: int, p: int, s: int) -> AnnulusCover:
     near = window.translator(sep)
     near_cache = {}
     assignment = {}
+    exits = {}
     sets = [[] for _ in net_points]
     for g in window.annulus(2 * n, 2 * n + sep):
         # point 2n of g's canonical geodesic
         rho = g
         for _ in range(window.norms[g] - 2 * n):
             rho = window.predecessor(rho)
+        exits[g] = rho
         ids = near_cache.get(rho)
         if ids is None:
             ids = tuple(sorted({net_index[y] for y in near(rho) if y in net_index}))
@@ -363,6 +434,7 @@ def build_annulus_cover(window: Window, n: int, p: int, s: int) -> AnnulusCover:
         net=tuple(net_points),
         sets=tuple(tuple(v) for v in sets),
         assignment=assignment,
+        _exits=exits,
     )
 
 
@@ -416,21 +488,44 @@ def verify_cover(cover: AnnulusCover, probe_radius: int, n2delta: int) -> CoverS
         raise ParameterError(f"probe radius must lie in 1..{ps}")
     if not window.symmetric:
         raise ParameterError("step set is not closed under inverses")
+    exits, shell = cover._exits, 2 * cover.n
+    gaps: dict = {}  # exit pair -> D, shared by every set
+
+    def gap(a, b) -> int:
+        d = gaps.get((a, b))
+        if d is None:
+            d = gaps[a, b] = gaps[b, a] = 0 if a == b else norms.get(divide(a, b), far)
+        return d
+
     max_diam = 0
     # a maximum over the sets with a pair: an equal set met again cannot raise it
     for members in dict.fromkeys(filter(None, cover.sets)):
-        # members by their distance from the pivot members[0], which bounds
-        # each pair: D(g, h) <= D(g, p) + D(p, h)
-        pivot = members[0]
-        level: dict = {}
-        for g in members[1:]:
-            level.setdefault(norms.get(divide(pivot, g), far), []).append(g)
-        max_diam = max((max_diam, *level))  # the pivot's own pairs
-        bounds = sorted(((a + b, a, b) for a in level for b in level if b <= a), reverse=True)
-        for bound, a, b in bounds:
+        # members x by (exit, rise): the exit is point k = min(2n, |x|) of x's
+        # canonical geodesic and the rise |x| - k = D(exit, x)
+        groups: dict = {}
+        for x in members:
+            rise = max(window.knorm(x) - shell, 0)
+            rho = exits.get(x)
+            if rho is None:  # not an annulus element the build walked
+                rho = x
+                for _ in range(rise):
+                    rho = window.predecessor(rho)
+            groups.setdefault((rho, rise), []).append(x)
+        keys, parts = list(groups), list(groups.values())
+        # one pivot exit bounds each pair of groups:
+        # D(g, h) <= rise + D(rho, pivot) + D(pivot, rho') + rise'
+        pivot = keys[0][0]
+        lift = [rise + gap(pivot, rho) for rho, rise in keys]
+        pairings = combinations_with_replacement(range(len(keys)), 2)
+        ranked = sorted(((min(lift[i] + lift[j], far), i, j) for i, j in pairings), reverse=True)
+        for bound, i, j in ranked:
             if bound <= max_diam:
                 break
-            pairs = combinations(level[a], 2) if a == b else product(level[a], level[b])
+            (rho, a), (sigma, b) = keys[i], keys[j]
+            bound = min(a + gap(rho, sigma) + b, far)
+            if bound <= max_diam:
+                continue
+            pairs = combinations(parts[i], 2) if i == j else product(parts[i], parts[j])
             for g, h in pairs:
                 d = norms.get(divide(g, h), far)
                 if d > max_diam:
@@ -510,8 +605,9 @@ def asdim_upper_bound(
     """Full asymptotic-dimension witness: bound 2*N - 1 with verified covers.
 
     Refuses with NonHyperbolicError when the thin-geodesics estimate
-    strictly increases across window.at(r), r in PROBE_RADII (grown under
-    the window's cap past R). delta is max(delta_hat, 1)
+    strictly increases across the balls B(r), r in PROBE_RADII, all read
+    off the window, or off its growth to radius 8 under its own cap when R
+    is smaller. delta is max(delta_hat, 1)
     + 1, the offset is t = 2*delta, and N maximizes the covering number
     over base radii S in [t, min(t+3, R-t)]. Annuli must be spaced by
     exactly p*s so that consecutive pairs are adjacent; each cover is
@@ -520,12 +616,11 @@ def asdim_upper_bound(
     """
     if p < 1 or s < 1:
         raise ParameterError("p and s must be at least 1")
+    if pair_budget < 1:
+        raise ParameterError(f"pair_budget must be at least 1, got {pair_budget}")
     ps = p * s
     radius = window.radius
-    probe_values = tuple(estimate_delta(window.at(r), pair_budget, seed) for r in PROBE_RADII)
-    if all(a < b for a, b in zip(probe_values, probe_values[1:])):
-        raise NonHyperbolicError(PROBE_RADII, probe_values)
-    delta_hat = estimate_delta(window, pair_budget, seed)
+    probe_values, delta_hat = _thin_geodesics(window, pair_budget, seed)
     delta = max(delta_hat, 1) + 1
     t = 2 * delta
     samples = covering_samples(window, t)

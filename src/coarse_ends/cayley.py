@@ -65,6 +65,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
@@ -77,6 +78,7 @@ __all__ = ["DEFAULT_CAP", "Window", "build_window"]
 
 DEFAULT_CAP = 5_000_000
 ENLARGE_BY = 4  # radius added to a window to recheck a verdict read off it
+_drop = deque(maxlen=0).append  # an append that keeps nothing
 
 
 @dataclass
@@ -279,13 +281,15 @@ class Window:
                 for pair in filter(None, least.values()):  # in (k, j) order
                     tries[pair[0]].append(moves[pair[1]])
             reached = []
+            # the outer sphere is not expanded here, and a growth tries every step on it
+            keep = reached.append if r < radius else _drop
             for p, k in zip(elements[offsets[r - 1] :], came):
                 for j, step in tries[k]:
                     q = step(p)
                     if q not in norms:
                         norms[q] = r
                         elements.append(q)
-                        reached.append(j)
+                        keep(j)
                 if len(elements) > cap:
                     raise WindowCapError(cap, r - 1)
             offsets.append(len(elements))
@@ -367,8 +371,7 @@ class Window:
         One array('i') per step s: entry i is the id of elements[i]*s, or -1
         when that product lies outside the window. A table window returns
         the columns its search wrote, with no product; a plain window, on
-        the first request, reads them off a table search of its radius,
-        whose window order, and so whose ids, are its own.
+        the first request, reads them off its table twin.
         """
         return self._cols
 
@@ -379,10 +382,16 @@ class Window:
 
     @cached_property
     def _cols(self) -> tuple:
-        grp = self.group
+        return self._twin._cols
+
+    @cached_property
+    def _twin(self) -> Window:
+        """A plain window's table twin: the table search of its radius,
+        whose window order, and so whose ids, are its own. Kept, so that a
+        caller can grow the table too."""
         if not self.symmetric:
             raise ParameterError("step set is not closed under inverses")
-        return build_window(grp, self.gens, self.radius, self.cap, table=True)._cols
+        return build_window(self.group, self.gens, self.radius, self.cap, table=True)
 
 
 def build_window(

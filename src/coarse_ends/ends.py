@@ -466,11 +466,11 @@ def _count_rows(window: Window, r_max: int):
 def end_count(window: Window, r_max: int, stab_span: int = 3, growth_span: int = 3) -> EndVerdict:
     """End-count verdict from component counts at radii 1..r_max of window.
 
-    window should be a table window (build_window(..., table=True)); a plain
-    one reads its table through neighbours(). A candidate One or Two is
-    rechecked on window.at(window.radius + ENLARGE_BY), which grows under
-    the window's own cap, so a cap that fits B(R) but not B(R + 4) raises
-    WindowCapError there.
+    A plain window is read as its table twin, one table search of its
+    radius, which the recheck grows as it would a table window. A candidate
+    One or Two is rechecked on window.at(window.radius + ENLARGE_BY), which
+    grows under the window's own cap, so a cap that fits B(R) but not
+    B(R + 4) raises WindowCapError there.
     """
     if r_max < 1:
         raise ParameterError("r_max must be at least 1")
@@ -478,6 +478,8 @@ def end_count(window: Window, r_max: int, stab_span: int = 3, growth_span: int =
     radius = window.radius
     if r_max >= radius:
         raise ParameterError(f"r_max {r_max} must be smaller than the window radius {radius}")
+    if not window.table:
+        window = window._twin
     rows, exhausted_at = _count_rows(window, r_max)
     outer = [c.outer for c in rows]
     candidate, anomaly, growth_flag = classify_counts(

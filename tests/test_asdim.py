@@ -4,11 +4,14 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarse_ends import (
     EmptyShellError,
     NonHyperbolicError,
+    OutOfWindowError,
     ParameterError,
+    Window,
     WindowCapError,
     asdim_upper_bound,
     build_annulus_cover,
@@ -19,7 +22,8 @@ from coarse_ends import (
     growth_series,
     verify_cover,
 )
-from helpers import get_gens, get_group, get_window, random_subset
+from coarse_ends.asdim import PROBE_RADII, _delta_scan
+from helpers import get_gens, get_group, get_window, nested_specs, random_subset
 from oracles import (
     estimate_delta_reference,
     exact_covering_number,
@@ -110,6 +114,22 @@ def test_greedy_cover_matches_reference():
             for s in range(4):
                 want = greedy_ball_cover_reference(w, target, s)
                 assert greedy_ball_cover(w, target, s) == want, (text, power, s)
+
+
+def test_greedy_cover_reads_any_target_order():
+    # a target out of norm order, with repeats, buckets as a ball does
+    rng = random.Random("greedy-shuffled")
+    for text, radius in [("F2", 5), ("Z^2", 6), ("(C2 * C3)", 8)]:
+        w = get_window(text, radius)
+        target = w.ball(radius - 1) + rng.sample(w.ball(radius - 1), 20)
+        rng.shuffle(target)
+        for s in range(3):
+            assert greedy_ball_cover(w, target, s) == greedy_ball_cover_reference(w, target, s)
+            assert greedy_ball_cover(w, iter(target), s) == greedy_ball_cover(w, target, s)
+    # the first outside element in target order is named
+    w = get_window("Z", 6)
+    with pytest.raises(OutOfWindowError, match=r"^element \(9\) lies outside the radius-6 window$"):
+        greedy_ball_cover(w, [(2,), (-1,), (9,), (3,), (-8,)], 1)
 
 
 def test_covering_number_frozen():
@@ -209,6 +229,78 @@ def test_estimate_delta_matches_reference():
             assert got == estimate_delta_reference(w, budget, seed), (text, seed)
             values.append(got)
     assert max(values) > 0
+
+
+def test_probe_scans_read_one_window():
+    # every probe radius, and R, read off the one probe window with one
+    # geodesic memo give estimate_delta on the window of that radius
+    cases = [("F2", (5, 7, 8)), ("(C2 * C3)", (5, 7, 8, 12)), ("Z^2", (5, 7, 8, 12)),
+             ("(Z x C2)", (5, 7, 8, 12)), ("(C2 * C2)", (5, 7, 8, 12))]
+    sampled = 0
+    for text, radii in cases:
+        for radius in radii:
+            w = get_window(text, radius)
+            probes = w if radius >= 8 else w.at(8)
+            for budget, seed in ((20000, 0), (300, 5)):
+                geos = {}
+                for r in (*PROBE_RADII, radius):
+                    n = len(probes.ball(r)) - 1
+                    sampled += n * (n - 1) // 2 > budget
+                    want = estimate_delta(w.at(r), budget, seed)
+                    assert _delta_scan(probes, r, budget, seed, geos) == want, (text, radius, r)
+    assert sampled > 20
+    # the witness reports those values, or refuses with them
+    for text, radius, budget in [("F2", 8, 500), ("(C2 * C3)", 12, 20000), ("Z", 12, 20000),
+                                 ("(C2 * C2)", 12, 300)]:
+        w = get_window(text, radius)
+        witness = asdim_upper_bound(w, pair_budget=budget, seed=2)
+        assert witness.probe_values == tuple(
+            estimate_delta(w.at(r), budget, 2) for r in PROBE_RADII
+        ), text
+        assert witness.delta_hat == estimate_delta(w, budget, 2), text
+    for radius in (5, 7, 8, 12):
+        with pytest.raises(NonHyperbolicError) as err:
+            asdim_upper_bound(get_window("Z^2", radius), pair_budget=300, seed=4)
+        assert err.value.values == tuple(
+            estimate_delta(get_window("Z^2", radius).at(r), 300, 4) for r in PROBE_RADII
+        )
+
+
+def test_asdim_builds_at_most_one_probe_window(monkeypatch):
+    # none when R >= 8, and one of radius 8 below that
+    wide = [get_window("(C2 * C3)", 12), get_window("Z", 8)]
+    narrow = [get_window("Z", 7), get_window("Z", 0), get_window("(C2 * C3)", 5)]
+    grid = get_window("Z^2", 3)
+    grown = []
+    at = Window.at
+
+    def record(self, radius):
+        grown.append(radius)
+        return at(self, radius)
+
+    monkeypatch.setattr(Window, "at", record)
+    for window in wide:
+        asdim_upper_bound(window, pair_budget=500)
+    assert grown == []
+    for window in narrow:
+        with pytest.raises(ParameterError, match="too small to sample"):
+            asdim_upper_bound(window)
+        assert grown == [8], window.radius
+        grown.clear()
+    with pytest.raises(NonHyperbolicError):
+        asdim_upper_bound(grid)
+    assert grown == [8]
+
+
+def test_probe_scans_precede_the_cap():
+    # B(4) of F2 fits a cap of 400 and B(5) does not: the radius-4 probe is
+    # scanned, and its empty sample refused, before the cap stops the growth
+    window = build_window(get_group("F2"), get_gens("F2"), 3, cap=400)
+    with pytest.raises(ParameterError, match="^no sampled pair in the radius-4 window"):
+        asdim_upper_bound(window, pair_budget=1, seed=0)
+    with pytest.raises(WindowCapError) as err:
+        asdim_upper_bound(window, pair_budget=100, seed=0)
+    assert err.value.radius_reached == 4
 
 
 def test_estimate_delta_deterministic_sampling():
@@ -334,6 +426,46 @@ def test_max_diameter_matches_reference():
             mixed = dataclasses.replace(cover, sets=heads + cover.sets + heads)
             assert verify_cover(mixed, 1, len(cover.sets)).max_diameter == want
     assert escaped == 3
+
+
+@settings(max_examples=100)
+@given(
+    nested_specs(2),
+    st.sampled_from([1, 2]),
+    st.sampled_from([1, 2]),
+    st.sampled_from([1, 2]),
+    st.randoms(use_true_random=False),
+)
+def test_max_diameter_matches_reference_on_nested_specs(text, power, p, s, rng):
+    # the exit-point bounds against every pair, on the built sets, on sets
+    # shuffled within and between, and on sets that mix annulus members with
+    # elements inside the shell, which have no stored exit. A window over the
+    # cap falls back to p = s = 1; a finite group may have no annulus.
+    grp, gens = get_group(text), get_gens(text, power)
+    try:
+        w = build_window(grp, gens, 4 * p * s + 2, cap=2000)
+    except WindowCapError:
+        p = s = 1
+        try:
+            w = build_window(grp, gens, 6, cap=3000)
+        except WindowCapError:
+            return
+    n = p * s + 1
+    try:
+        cover = build_annulus_cover(w, n, p, s)
+    except EmptyShellError:
+        return
+    want = max_diameter_reference(w, cover.sets)
+    assert verify_cover(cover, 1, len(cover.sets)).max_diameter == want
+    shuffled = [rng.sample(members, len(members)) for members in cover.sets]
+    rng.shuffle(shuffled)
+    inner = w.ball(2 * n)
+    mixed = [rng.sample(inner, min(3, len(inner))) + members for members in shuffled[:3]]
+    for sets in (shuffled, mixed + shuffled):
+        sets = tuple(map(tuple, sets))
+        replaced = dataclasses.replace(cover, sets=sets)
+        got = verify_cover(replaced, 1, len(sets)).max_diameter
+        assert got == max_diameter_reference(w, sets), (text, power, p, s)
 
 
 def test_probe_multiplicity_matches_reference():

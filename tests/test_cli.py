@@ -182,6 +182,9 @@ _FROZEN = [
      "761d2e1d2d7ba05e4c6a5823739457881232901809c93d4b7bfc8c99b3e2983e", ""),
     ('asdim --group "(Z x C3)" --gen-power 2', 0,
      "7f5c760059a3737697f3fbe09e7ec983337d6f3059eb11ea793c387b908fdd16", ""),
+    # two annuli, so a cross multiplicity
+    ("asdim --group F2 --window 8 --pair-budget 2000", 0,
+     "74405872f7723be83e855ed297aa8476d61ef708e07d8d6110025ec9f25731be", ""),
     ("growth --group Z --window 4 --format csv --out report.csv", 0,
      "007d4eed33b686e66f26a79e301b14decde0d49fd1523b8f8bbd6ede0a4c876a", ""),
     ('tree --group "(C2 * C3)" --rmax 3 --format dot --out tree.dot', 0,
@@ -204,6 +207,10 @@ _FROZEN = [
     ("growth --group F2 --window 8 --gen-power 3 --cap 1000", 2, None,
      "resource cap: window element cap 1000 exceeded; last fully built radius 1"),
     ("asdim --group Z^2 --window 8", 4, None,
+     "refusing: geodesic divergence grows with the window (delta_hat [4, 6, 8] at radii [4, "
+     "6, 8]); refusing"),
+    # the probe at radius 8 is read off a window grown past radius 6
+    ("asdim --group Z^2 --window 6", 4, None,
      "refusing: geodesic divergence grows with the window (delta_hat [4, 6, 8] at radii [4, "
      "6, 8]); refusing"),
     ("asdim --group Z^2 --window 8 --pair-budget 1 --seed 1", 4, None,

@@ -8,6 +8,7 @@ import pytest
 from coarse_ends import (
     DEFAULT_CAP,
     ParameterError,
+    Window,
     WindowCapError,
     build_window,
     classify_counts,
@@ -333,6 +334,26 @@ def test_end_count_reads_a_plain_window_as_a_table_window(text):
     grp, gens = get_group(text), get_gens(text)
     plain = end_count(build_window(grp, gens, 10), 3)
     assert plain == end_count(build_window(grp, gens, 10, table=True), 3)
+
+
+def test_end_count_searches_a_plain_window_as_a_table_window(monkeypatch):
+    # a plain window is read as one table search of B(R), which the recheck
+    # continues to B(R + 4), as it continues a table window
+    search = Window._search_table
+    calls = []
+
+    def record(self, elements, norms, offsets, radius):
+        calls.append((len(offsets) - 2, radius))  # (radius searched from, radius)
+        return search(self, elements, norms, offsets, radius)
+
+    monkeypatch.setattr(Window, "_search_table", record)
+    grp, gens = get_group("Z^3"), get_gens("Z^3")
+    verdicts = []
+    for table in (False, True):
+        calls.clear()
+        verdicts.append(end_count(build_window(grp, gens, 10, table=table), 3).verdict)
+        assert calls == [(0, 10), (10, 10 + ENLARGE_BY)], table
+    assert verdicts == ["One", "One"]
 
 
 def test_end_count_recheck_grows_under_the_window_cap():
