@@ -106,7 +106,7 @@ from itertools import (
     groupby,
     product,
 )
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cayley import Window
 from .errors import (
@@ -243,6 +243,15 @@ def estimate_delta(window: Window, pair_budget: int = 20000, seed: int = 0) -> i
     return _delta_scan(window, window.radius, pair_budget, seed, {})
 
 
+def _indices(rng: random.Random, n: int) -> Iterator[int]:
+    """rng.randrange(n) forever: its getrandbits(n.bit_length()) rejection loop, inline."""
+    bits, k = rng.getrandbits, n.bit_length()
+    while True:
+        i = bits(k)
+        if i < n:
+            yield i
+
+
 def _delta_scan(window: Window, r: int, pair_budget: int, seed: int, geos: dict) -> int:
     """estimate_delta(window.at(r), pair_budget, seed), read off a window of
     radius at least r.
@@ -262,16 +271,8 @@ def _delta_scan(window: Window, r: int, pair_budget: int, seed: int, geos: dict)
     if not sampled:
         pairs = ((els[i], els[j]) for i in range(n) for j in range(i + 1, n))
     else:
-        rng = random.Random(seed)
-
-        def draw():
-            for _ in range(pair_budget):
-                i = rng.randrange(n)
-                j = rng.randrange(n)
-                if i != j:
-                    yield els[i], els[j]
-
-        pairs = draw()
+        draws = _indices(random.Random(seed), n)
+        pairs = ((els[i], els[j]) for i, j, _ in zip(draws, draws, range(pair_budget)) if i != j)
 
     def geo(g):
         cached = geos.get(g)

@@ -341,12 +341,10 @@ class Window:
         for c in cols:
             del c[n:]
         # The outer sphere's entries that the search left at -1 lead outside
-        # the window or along the sphere. When every step has parity 1, the
-        # parity of x is |x| mod 2, so no edge stays on a sphere and they all
-        # lead outside. Otherwise one step of each inverse pair finds both:
-        # an entry of s^-1 still at -1 after every s product of the sphere
-        # has been mirrored leads outside.
-        if radius == top or all(map(grp.parity, self.steps)):
+        # the window or, unless odd_steps, along the sphere. One step of each
+        # inverse pair finds both: an entry of s^-1 still at -1 after every s
+        # product of the sphere has been mirrored leads outside.
+        if radius == top or self.odd_steps:
             return ids, tuple(cols)
         pairs = tuple(move for j, move in enumerate(moves) if j <= back[j])
         get = ids.get
@@ -374,6 +372,12 @@ class Window:
         the first request, reads them off its table twin.
         """
         return self._cols
+
+    @cached_property
+    def odd_steps(self) -> bool:
+        """Whether every step has exponent-sum parity 1 (Group.parity): then x
+        has parity |x| mod 2, and no edge stays on a sphere."""
+        return all(map(self.group.parity, self.steps))
 
     @property
     def symmetric(self) -> bool:

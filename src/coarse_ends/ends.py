@@ -11,9 +11,11 @@ change when the window grows.
 
 All of it comes from one union-find sweep that adds the spheres R, R-1,
 ... of the window's generator table. Each added id keeps its own root as
-it joins its present neighbours, so an edge costs one root walk; the root
-labels of a whole tail of ids are read by repeated parent lookups over
-the list, with no call per id, and the anchors off sphere r alone.
+it joins its present neighbours, so an edge costs one root walk. When no
+edge stays on a sphere (Window.odd_steps), the outer sphere, added
+first, meets no member: each of its ids becomes a component of its own
+and no table row is read. A tree level is read off the roots of sphere
+r alone, as every component meets sphere r.
 
 Verdicts are conservative. One and Two require the outer count to sit
 still across a span of radii, to survive growing the window 4 larger,
@@ -28,7 +30,6 @@ group such as Z x C8 shows one outer component at every radius.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -72,51 +73,53 @@ class ComponentDecomposition:
 
 
 class _UnionFind:
-    """Components of a growing member set of window ids.
+    """Components of {|g| >= r} as the spheres R, R-1, ..., r are added.
 
     Adding an id joins it to every member among its generator neighbours,
     read off the window's generator table. The table holds right
     neighbours only, so an edge is seen from whichever end is added second;
     that is the whole adjacency because the generators are closed under
-    inverses.
-    Adding the spheres R, R-1, ..., r in turn yields the decomposition of
-    {|g| >= r} after each one (offline incremental connectivity, as in
-    Tarjan 1975). count and outer track the number of components and of
-    those reaching the outer sphere.
+    inverses. After each sphere the members form {|g| >= r} (offline
+    incremental connectivity, as in Tarjan 1975); count and outer track the
+    number of components and of those reaching the outer sphere. parent[i]
+    is -1 until id i is added, and so is parent[-1], read for an entry
+    that leads outside the window.
 
     add keeps the root of the id being added as it goes: a fresh id is its
     own root, and after each union the winner is. So a present neighbour
-    costs one root walk (with path halving), not two. labels reads the
-    roots of a whole tail of ids by replacing every entry with its parent's
-    until a pass changes nothing, and writes them back, which only shortens
-    paths.
+    costs one root walk (with path halving), not two. When every step has
+    parity 1, no edge joins two ids of the outer sphere, which is added
+    first, so its ids are set up as singletons without reading a row.
     """
 
     def __init__(self, window: Window):
+        self.window = window
         self.cols = window.neighbours()
         n = len(window)
-        self.boundary = window.offsets[window.radius]
-        self.parent = list(range(n))
+        self.parent = [-1] * (n + 1)  # the last slot stays -1, for an entry -1
         self.size = [1] * n
-        self.present = bytearray(n)
-        self.touches = bytearray(n)  # at roots: the component reaches the boundary
-        self.count = 0
-        self.outer = 0
+        self.touches = bytearray(n)  # at roots: the component reaches the outer sphere
+        self.count = self.outer = 0
 
-    def add(self, ids: Iterable[int]) -> None:
-        parent, size, present, touches = self.parent, self.size, self.present, self.touches
-        cols, boundary = self.cols, self.boundary
-        count, outer = self.count, self.outer
-        for i in ids:
-            present[i] = 1
-            count += 1
-            if i >= boundary:
-                touches[i] = 1
-                outer += 1
-            a = i  # the root of i's component
+    def add(self, r: int) -> None:
+        """Add sphere r, after the spheres R, R-1, ..., r + 1."""
+        window = self.window
+        lo, hi = window.offsets[r], window.offsets[r + 1]
+        parent, size, touches = self.parent, self.size, self.touches
+        count, outer = self.count + hi - lo, self.outer
+        if r == window.radius:
+            touches[lo:hi] = b"\1" * (hi - lo)
+            outer += hi - lo
+            if window.odd_steps:
+                parent[lo:hi] = range(lo, hi)
+                self.count, self.outer = count, outer
+                return
+        cols = self.cols
+        for i in range(lo, hi):
+            parent[i] = a = i  # a: the root of i's component
             for col in cols:
                 b = col[i]
-                if b < 0 or not present[b]:
+                if parent[b] < 0:
                     continue
                 while parent[b] != b:
                     parent[b] = b = parent[parent[b]]
@@ -132,30 +135,28 @@ class _UnionFind:
                 touches[a] |= touches[b]
         self.count, self.outer = count, outer
 
-    def labels(self, lo: int) -> list:
-        """Root of every id from lo to the end of the window, all of them
-        members."""
-        parent = self.parent
-        roots = parent[lo:]
+    def roots(self, ids: Iterable[int]) -> list:
+        """The root of each of ids, all members: parent lookups until a pass changes nothing."""
+        get = self.parent.__getitem__
+        roots = list(map(get, ids))
         while True:
-            up = list(map(parent.__getitem__, roots))
+            up = list(map(get, roots))
             if up == roots:
-                break
-            parent[lo:] = roots = up
-        return roots
+                return roots
+            roots = up
 
 
 def _anchored(roots: list, window: Window, r: int) -> list:
-    """(anchor, root) for every root label of {|g| >= r}, sorted by anchor:
-    the least printed element of the component's part of sphere r. roots
-    holds the label of every id from offsets[r] on. Every component meets
-    sphere r, as a canonical geodesic keeps norm >= r down to sphere r by
-    generator steps.
+    """(anchor, root) for every root of {|g| >= r}, sorted by anchor: the
+    least printed element of the component's part of sphere r. roots
+    starts with the root of every id of sphere r, in window order. Every
+    component meets sphere r, as a canonical geodesic keeps norm >= r down
+    to sphere r by generator steps.
     """
     lo, hi = window.offsets[r], window.offsets[r + 1]
     shown = window.group.show_many(window.elements[lo:hi])
     # in descending printed order, the last value written for a root is its least
-    least = dict(sorted(zip(roots[: hi - lo], shown), key=itemgetter(1), reverse=True))
+    least = dict(sorted(zip(roots, shown), key=itemgetter(1), reverse=True))
     return sorted(zip(least.values(), least))
 
 
@@ -172,8 +173,9 @@ def components(window: Window, r: int) -> ComponentDecomposition:
         raise ParameterError(f"base radius {r} must satisfy 0 <= r < window radius {window.radius}")
     lo = window.offsets[r]
     uf = _UnionFind(window)
-    uf.add(range(lo, len(window)))
-    roots = uf.labels(lo)
+    for s in range(window.radius, r - 1, -1):
+        uf.add(s)
+    roots = uf.roots(range(lo, len(window)))
     label = roots.__getitem__
     order = sorted(range(len(roots)), key=label)  # stable: window order inside each root
     members = {root: list(ids) for root, ids in groupby(order, label)}
@@ -185,7 +187,7 @@ def components(window: Window, r: int) -> ComponentDecomposition:
         comps.append(
             Component(
                 elements=tuple(map(tail.__getitem__, ids)),
-                outer=last >= uf.boundary,
+                outer=last >= window.offsets[window.radius],
                 size=len(ids),
                 max_norm=window.norm(last),
                 least=least,
@@ -254,10 +256,11 @@ class EndTree:
 def component_tree(window: Window, r_min: int, r_max: int, margin: int = 4) -> EndTree:
     """Nest the decompositions at radii r_min..r_max into a tree.
 
-    One sweep adds the spheres R..r_min and records every element's
-    component at each radius in range. Components only merge as the sweep
-    moves inward, so every component at radius r+1 lies inside exactly one
-    component at radius r, its parent.
+    One sweep adds the spheres R..r_min and reads each level in range off
+    the roots of its sphere: a node's size and outer flag are its root's.
+    Components only merge as the sweep moves inward, so every component at
+    radius r+1 lies inside exactly one component at radius r, its parent,
+    found from its root once sphere r is in.
     The verdict is the classification read off this window alone, with no
     enlargement re-run, and is refused when this window's sphere sizes
     contradict it (sphere_guard); end_count applies the stricter discipline.
@@ -270,36 +273,28 @@ def component_tree(window: Window, r_min: int, r_max: int, margin: int = 4) -> E
         )
     offsets = window.offsets
     uf = _UnionFind(window)
-    labels = {}
-    outer_counts = []  # from r_max down to r_min
+    levels = []  # from r_max in: (r, (size, outer) per node, parents of the level one out)
+    outer_counts = []
+    above = []  # the roots of the nodes one radius out
     for r in range(window.radius, r_min - 1, -1):
-        uf.add(range(offsets[r], offsets[r + 1]))
+        uf.add(r)
         if r <= r_max:
-            labels[r] = uf.labels(offsets[r])
+            roots = uf.roots(range(offsets[r], offsets[r + 1]))
+            anchored = [root for _, root in _anchored(roots, window, r)]
+            owner = dict(zip(anchored, range(len(anchored))))
+            nodes = [(uf.size[root], uf.touches[root] == 1) for root in anchored]
+            levels.append((r, nodes, list(map(owner.__getitem__, uf.roots(above)))))
+            above = anchored
             outer_counts.append(uf.outer)
-    levels = []
-    owner = None  # root label at the previous radius -> node id
-    for r in range(r_min, r_max + 1):
-        roots = labels[r]
-        sizes = Counter(roots)
-        reach = set(roots[uf.boundary - offsets[r] :])  # roots of the outer sphere
-        anchored = [root for _, root in _anchored(roots, window, r)]
-        nodes = tuple(
-            TreeNode(
-                id=idx,
-                size=sizes[root],
-                outer=root in reach,
-                # root is a member, so its label one radius in names the parent
-                parent=None if owner is None else owner[labels[r - 1][root - offsets[r - 1]]],
-            )
-            for idx, root in enumerate(anchored)
-        )
-        levels.append(TreeLevel(r=r, nodes=nodes))
-        owner = {root: idx for idx, root in enumerate(anchored)}
+    parents = [up for _, _, up in levels[1:]] + [[None] * len(above)]
+    tree = tuple(
+        TreeLevel(r, tuple(TreeNode(idx, *node, up[idx]) for idx, node in enumerate(nodes)))
+        for (r, nodes, _), up in zip(reversed(levels), reversed(parents))
+    )
     verdict, _, _ = classify_counts(outer_counts[::-1], exhausted=offsets[r_max] == len(window))
     if sphere_guard(verdict, _sphere_sizes(window)):
         verdict = "Undetermined"
-    return EndTree(levels=tuple(levels), verdict=verdict)
+    return EndTree(levels=tree, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +448,7 @@ def _count_rows(window: Window, r_max: int):
     uf = _UnionFind(window)
     counts = {}
     for r in range(window.radius, 0, -1):
-        uf.add(range(offsets[r], offsets[r + 1]))
+        uf.add(r)
         counts[r] = RadiusCount(r=r, outer=uf.outer, inner=uf.count - uf.outer)
     rows = []
     for r in range(1, r_max + 1):

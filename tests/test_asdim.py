@@ -22,7 +22,7 @@ from coarse_ends import (
     growth_series,
     verify_cover,
 )
-from coarse_ends.asdim import PROBE_RADII, _delta_scan
+from coarse_ends.asdim import PROBE_RADII, _delta_scan, _indices
 from helpers import get_gens, get_group, get_window, nested_specs, random_subset
 from oracles import (
     estimate_delta_reference,
@@ -309,6 +309,15 @@ def test_estimate_delta_deterministic_sampling():
     b = estimate_delta(w, pair_budget=500, seed=3)
     assert a == b
     assert a <= estimate_delta(w)  # sampled scan is a lower bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000, 39_364])
+def test_sampled_draws_are_randrange(n):
+    # the inline rejection loop draws what randrange(n) draws, seed for seed
+    for seed in (0, 11, "draws"):
+        want = random.Random(seed)
+        got = _indices(random.Random(seed), n)
+        assert [next(got) for _ in range(500)] == [want.randrange(n) for _ in range(500)]
 
 
 def test_estimate_delta_refuses_an_empty_sample():

@@ -189,6 +189,12 @@ _FROZEN = [
      "007d4eed33b686e66f26a79e301b14decde0d49fd1523b8f8bbd6ede0a4c876a", ""),
     ('tree --group "(C2 * C3)" --rmax 3 --format dot --out tree.dot', 0,
      "466932ef70416da53edece1d4d7e72a61dcbbfb68ff90d16abfa21a5271d0dcb", ""),
+    # an outer sphere added in one step (every F2 step is odd), and one whose
+    # C3 steps join elements of the sphere
+    ("tree --group F2 --rmax 3 --window 8", 0,
+     "9f8cd8de11b900c6162b04ff82c011ecea90c4c27a07ffddd4632ca8f3adffb5", ""),
+    ('tree --group "(Z x C3)" --rmax 3 --format text', 0,
+     "980afff84b8b4ff41c0b8f9f880f45b3f92dd6e089a0b6a2d578e669e73b3dee", ""),
     ('ends --group "(Z x C8)" --format text --out ends.txt', 3,
      "b0a8730f41e49387ac082637c73da1bb20d24502e866ce320b44c38296ac2379", ""),
     ("asdim --group Z --out report.json", 0,

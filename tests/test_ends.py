@@ -17,7 +17,7 @@ from coarse_ends import (
     end_count,
 )
 from coarse_ends.cayley import ENLARGE_BY
-from coarse_ends.ends import sphere_guard
+from coarse_ends.ends import _UnionFind, sphere_guard
 from helpers import ZOO, get_gens, get_group, get_window
 from oracles import (
     bounded_mass_report,
@@ -86,6 +86,9 @@ def _window_pool():
         ("(Z x C3)", 6, 1),
         ("Z", 6, 2),
         ("(Z x C2)", 4, 2),
+        # a free window with parity-0 steps (a*b, a^2, ...); radius 4 (13,121
+        # elements) would make the oracle floods here about 90 times slower
+        ("F2", 3, 2),
     ]
 
 
@@ -100,7 +103,8 @@ def test_partition_laws_randomized():
 
     Each case also checks the swept counts and tree against the oracle: the
     outer/inner counts end_count reports at r, and the tree's parent of
-    every component at r.
+    every component at r. Once per window, the sweep's components of the
+    outer sphere alone, added first, are checked too.
     """
     rng = random.Random("partition-laws")
     pool = _window_pool()
@@ -111,6 +115,10 @@ def test_partition_laws_randomized():
         window = get_window(text, radius, power)
         grp = window.group
         if (text, radius, power) not in sweeps:
+            uf = _UnionFind(window)
+            uf.add(radius)
+            _, rim = _oracle(window, radius, window.steps)
+            assert uf.count == uf.outer == len(rim), text
             sweeps[text, radius, power] = (
                 end_count(window, radius - 1).evidence,
                 component_tree(window, 0, radius - 1, margin=1),
@@ -153,6 +161,48 @@ def test_partition_laws_randomized():
                 assert set(dec.components[n.id].elements) <= inside
         cases += 1
     assert cases == 1000
+
+
+class _CountingColumn:
+    """A table column that records every row read from it."""
+
+    def __init__(self, col, rows):
+        self.col, self.rows = col, rows
+
+    def __getitem__(self, i):
+        self.rows.add(i)
+        return self.col[i]
+
+
+@pytest.mark.parametrize(
+    "text, radius, power, odd",
+    [
+        ("F2", 5, 1, True),
+        ("Z^2", 6, 1, True),
+        ("Z^3", 5, 1, True),
+        ("(Z x C2)", 6, 1, True),
+        ("(Z x C3)", 6, 1, False),
+        ("(C2 * C3)", 8, 1, False),
+        ("F2", 3, 2, False),
+    ],
+)
+def test_outer_sphere_reads_no_row_when_every_step_is_odd(text, radius, power, odd):
+    # with every step of parity 1 no edge stays on the outer sphere, which
+    # the sweep adds first: its ids become singletons and none of its rows
+    # is read. A parity-0 step can join two of them, so their rows are read.
+    window = build_window(get_group(text), get_gens(text, power), radius, table=True)
+    assert window.odd_steps is odd
+    rows = set()
+    counting = tuple(_CountingColumn(c, rows) for c in window.neighbours())
+    window.neighbours = lambda: counting
+    uf = _UnionFind(window)
+    uf.add(radius)
+    outer = set(range(window.offsets[radius], len(window)))
+    assert rows == (set() if odd else outer)
+    for r in range(radius - 1, 0, -1):
+        uf.add(r)
+    inner = set(range(window.offsets[1], window.offsets[radius]))
+    assert rows == (inner if odd else inner | outer)
 
 
 def test_step_set_must_be_closed_under_inverses():
