@@ -86,7 +86,7 @@ walk B(r)'s predecessor tree with step maps (Window.translator), not the
 neighbour table: a greedy cover on a free group spends about one step
 product per covered element, less than the |K|/2 per element that a table
 costs, and a translate y*B(r) may leave the window, which is only sure to
-reach norm 2n+2ps. Distances D(g, h) come from Group.divide, which forms
+reach norm 2n+2ps. Distances D(g, h) come from group.divide, which forms
 g^-1 h without forming g^-1. A reach map is made on the first request and
 kept on the cover, so the cross scan reads the maps that `verify_cover`
 built at radius ps.

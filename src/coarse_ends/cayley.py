@@ -37,7 +37,7 @@ once, and the way back is one such mirrored entry. The outer sphere then
 forms products for the first step of each inverse pair where the entry
 is still unknown, mirroring those that land on the sphere; an entry left
 unknown after that leads outside the window. When every step has
-exponent-sum parity 1 (Group.parity), as the standard steps of free, free
+exponent-sum parity 1 (group.parity), as the standard steps of free, free
 abelian and even-order cyclic groups and their products do, the parity
 of x is |x| mod 2, no edge joins two elements of one sphere, and the
 outer sphere forms no product at all. A skipped product would only
@@ -51,7 +51,7 @@ search's table.
 
 Every product p*s by a fixed step s, in both searches, in the
 predecessor walk and in a ball translate, goes through the step's map
-Group.step_map(s), built once per step; only the |K|^2 products of two
+group.step_map(s), built once per step; only the |K|^2 products of two
 steps that a plain search pairs up go through Group.mul. A ball translate
 (see translator) forms x*v for every v in B(r) by walking B(r)'s
 canonical predecessor tree: x*v = (x*p)*s for v's predecessor p = v*s^-1,
@@ -375,7 +375,7 @@ class Window:
 
     @cached_property
     def odd_steps(self) -> bool:
-        """Whether every step has exponent-sum parity 1 (Group.parity): then x
+        """Whether every step has exponent-sum parity 1 (group.parity): then x
         has parity |x| mod 2, and no edge stays on a sphere."""
         return all(map(self.group.parity, self.steps))
 

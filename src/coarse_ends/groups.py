@@ -284,20 +284,21 @@ def _step_maps(build):
 # factors left and right, and a free group's batch printer, see
 # Group.show_many) and returns, in this order: the identity; the
 # kernels mul, divide (a^-1*b), inv, show (of a non-identity payload) and
-# step_map (see Group.step_map, built once per step); parity (see
-# Group.parity); the parser of a stripped printed form other than "e"; and
-# the standard generators. So no product, parse or generator set
-# re-dispatches on the family, and Group.__init__ picks the factory by the
-# spec's type.
+# step_map (built once per step); parity; the parser of a stripped printed
+# form other than "e"; and the standard generators. Group.__init__ picks
+# the factory by the spec's type and binds divide, inv, step_map and
+# parity on the group as they are (see Group). So no product, parse or
+# generator set re-dispatches on the family.
 # mul, divide and inv check only a payload's outer shape (type, a pair's
 # arity, a free abelian rank), once per call, and raise MismatchError on a
 # wrong one; a payload malformed inside can give a non-payload or another
 # error. A step map checks its step deeply, once, when it is built, and
 # never checks the payloads it is applied to.
 # Payloads from parse are well formed; tests/oracles.validate checks deeply.
-# Nested products go through child.mul, child.divide, child.step_map and
-# child.show, the class entry points (see Group.mul), so a wrapper patched
-# onto Group sees divide as it sees mul. A free product calls child.mul
+# Nested products go through child.mul and child.show, the class entry
+# points (see Group.mul), so a wrapper patched onto Group sees them; the
+# child's divide, inv, step_map and parity are its kernels, bound on the
+# child and looked up there at each call. A free product calls child.mul
 # only at the seam and child.divide only where the first differing
 # syllables share a side, and child.inv and child.show once per distinct
 # syllable, through per-syllable tables that also check the syllable's
@@ -717,7 +718,26 @@ class Group:
     supplies multiplication, inversion, canonical printing via show(), whose
     string is the sort key of every deterministic tie-break downstream, and
     the inverse parse(). Its family's factory (see _FAMILIES) builds all of
-    them, once.
+    them, once, and four are its functions, bound on the instance:
+
+    divide(a, b) is a^-1*b, formed without a^-1 (see the kernels); it checks
+    a payload's outer shape as mul does. inv(a) is the inverse of a.
+    step_map(s) is the map a -> a*s for one fixed step s, built on the first
+    request for s and kept. It checks s deeply, once, and raises
+    MismatchError on a malformed step, as mul does on a payload of the wrong
+    shape; the map checks nothing of a, so it takes only payloads of this
+    group, such as a window's elements, and spends on each product only
+    what s leaves to do (see the kernels). parity(a) is the exponent-sum
+    parity of a, a homomorphism onto Z/2: the coordinate sum of a free
+    abelian payload, the length of a free word, the residue of an even-order
+    cyclic one (an odd-order cyclic group has only the zero map) and the sum
+    over a product's parts, all mod 2. It walks the payload, so callers read
+    it on generators, never once per product.
+
+    mul and show stay methods of the class, so that a wrapper patched onto
+    Group sees every call, nested ones included. A quotient formed by
+    divide, or a product formed by a step map, does not pass through mul:
+    a tracer that wraps mul counts general products only.
     """
 
     def __init__(self, spec: GroupSpec, _cursor: list[int] | None = None):
@@ -730,58 +750,16 @@ class Group:
         if family is None:
             raise MismatchError(f"not a group spec: {spec!r}")
         (
-            self.identity, self._mul, self._divide, self._inv, self._show, self._step_map,
-            self._parity, self._parse, self._generators,
+            self.identity, self._mul, self.divide, self.inv, self._show, self.step_map,
+            self.parity, self._parse, self._generators,
         ) = family(self, spec, [0] if _cursor is None else _cursor)
 
     def __repr__(self) -> str:
         return f"Group({spec_to_string(self.spec)!r})"
 
-    # -- arithmetic -------------------------------------------------------
-
-    # mul, divide, inv, step_map and show stay methods of the class, each
-    # delegating to the family's kernel, so that a wrapper patched onto
-    # Group sees every call, nested ones included. A quotient formed by
-    # divide, or a product formed by a step map, does not pass through mul:
-    # a tracer that counts products by patching mul alone sees only general
-    # products, and must also wrap divide, and the maps that step_map
-    # returns, to see the quotients of the asdim scans and the step
-    # products of a search or a ball translate.
-
     def mul(self, a, b):
         """Product a*b in canonical form."""
         return self._mul(a, b)
-
-    def divide(self, a, b):
-        """a^-1*b in canonical form, without forming a^-1 first (see the
-        kernels); it checks a payload's outer shape as mul does."""
-        return self._divide(a, b)
-
-    def inv(self, a):
-        """Inverse of a in canonical form."""
-        return self._inv(a)
-
-    def step_map(self, s):
-        """The map a -> a*s for one fixed step s, in canonical form.
-
-        Built on the first request for s and kept. s is checked deeply,
-        once, here: a malformed step raises MismatchError, as mul does on a
-        payload of the wrong shape. The map checks nothing of a, so it takes
-        only payloads of this group, such as the elements of a window; it
-        spends on each product only what s leaves to do (see the kernels).
-        """
-        return self._step_map(s)
-
-    def parity(self, a) -> int:
-        """Exponent-sum parity of a: a homomorphism onto Z/2.
-
-        The coordinate sum of a free abelian payload, the length of a free
-        word, and the residue of an even-order cyclic one, all mod 2; an
-        odd-order cyclic group has no such map but the zero one. Products
-        add their parts. It walks the payload, so callers read it on
-        generators, never once per product.
-        """
-        return self._parity(a)
 
     # -- printing ---------------------------------------------------------
 

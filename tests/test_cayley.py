@@ -474,7 +474,7 @@ def test_translator_matches_products(text, radius, power, gens):
 def test_translate_forms_one_step_product_per_ball_element(monkeypatch, text):
     grp = Group(parse_spec(text))
     window = build_window(grp, standard_generators(grp), 4)
-    calls = _count_products(monkeypatch, grp)
+    calls = _count_products(monkeypatch, grp, only=grp)
     translate = window.translator(3)
     x = window.elements[-1]
     calls[0] = 0
@@ -482,40 +482,49 @@ def test_translate_forms_one_step_product_per_ball_element(monkeypatch, text):
     assert calls[0] == len(window.ball(3)) - 1
 
 
-def _count_products(monkeypatch, only=None):
-    """Count the products formed through Group.mul, Group.divide and the
-    maps that Group.step_map returns, those of the group `only` alone when
-    it is given.
+def _count_products(monkeypatch, group, only=None):
+    """Count the products formed through Group.mul, divide and the maps
+    that step_map returns, those of the group `only` alone when it is given.
 
-    A product's step map takes its factors' maps when it is built, so the
-    groups counted must be fresh: a map built before the patch counts none
-    of its nested products.
+    divide and step_map are bound on each group, so they are wrapped on
+    `group` and on every factor below it. A product's step map takes its
+    factors' maps when it is built, so the group must be fresh: a map built
+    before the patch counts none of its nested products.
     """
     calls = [0]
-    mul, divide, step_map = Group.mul, Group.divide, Group.step_map
+    mul = Group.mul
 
     def counting_mul(self, a, b):
         calls[0] += only is None or self is only
         return mul(self, a, b)
 
-    def counting_divide(self, a, b):
-        calls[0] += only is None or self is only
-        return divide(self, a, b)
+    def wrap(grp):
+        divide, step_map = grp.divide, grp.step_map
+        counted = only is None or grp is only
 
-    def counting_step_map(self, s):
-        step = step_map(self, s)
-        if only is not None and self is not only:
-            return step
+        def counting_divide(a, b):
+            calls[0] += counted
+            return divide(a, b)
 
-        def counted(a):
-            calls[0] += 1
-            return step(a)
+        def counting_step_map(s):
+            step = step_map(s)
+            if not counted:
+                return step
 
-        return counted
+            def counting_step(a):
+                calls[0] += 1
+                return step(a)
+
+            return counting_step
+
+        monkeypatch.setattr(grp, "divide", counting_divide)
+        monkeypatch.setattr(grp, "step_map", counting_step_map)
+        for factor in (grp.left, grp.right):
+            if factor is not None:
+                wrap(factor)
 
     monkeypatch.setattr(Group, "mul", counting_mul)
-    monkeypatch.setattr(Group, "divide", counting_divide)
-    monkeypatch.setattr(Group, "step_map", counting_step_map)
+    wrap(group)
     return calls
 
 
@@ -525,7 +534,7 @@ def test_table_search_forms_each_entry_once(monkeypatch, text):
     # are the kernel's business
     grp = Group(parse_spec(text))
     gens = standard_generators(grp)
-    calls = _count_products(monkeypatch, grp)
+    calls = _count_products(monkeypatch, grp, only=grp)
     window = build_window(grp, gens, 4, table=True)
     assert calls[0] == table_search_products(window)
     # a grown window forms again only the old outer sphere's entries leading out
@@ -536,13 +545,13 @@ def test_table_search_forms_each_entry_once(monkeypatch, text):
 
 
 @pytest.mark.parametrize("text,per_product", [("Z^2", 1), ("F2", 1), ("(Z x C2)", 3)])
-def test_class_entry_points_see_every_product(monkeypatch, text, per_product):
-    # a tracer counts products by patching Group.mul, Group.divide and
-    # Group.step_map; a family's kernels and step maps, and a direct
-    # product's two nested child products or quotients, must all pass
-    # through them
+def test_wrapped_entry_points_see_every_product(monkeypatch, text, per_product):
+    # a tracer counts products by patching Group.mul, and divide and
+    # step_map on each group and factor; a family's kernels and step maps,
+    # and a direct product's two nested child products or quotients, must
+    # all pass through them
     grp = Group(parse_spec(text))
-    calls = _count_products(monkeypatch)
+    calls = _count_products(monkeypatch, grp)
     radius = 4
     window = build_window(grp, standard_generators(grp), radius)
     formed = calls[0]
@@ -562,7 +571,7 @@ def test_cap_bounds_the_work_of_a_large_step_set(monkeypatch):
     # once the generators are built.
     grp = Group(parse_spec("F2"))
     gens = power_generators(grp, standard_generators(grp), 6)
-    calls = _count_products(monkeypatch, grp)
+    calls = _count_products(monkeypatch, grp, only=grp)
     with pytest.raises(WindowCapError) as exc:
         build_window(grp, gens, 3, cap=100)
     assert (exc.value.cap, exc.value.radius_reached) == (100, 0)

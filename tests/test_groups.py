@@ -1,5 +1,6 @@
 """Group arithmetic, printing, parsing, and generator sets."""
 
+import inspect
 import random
 import re
 
@@ -484,6 +485,28 @@ def test_step_map_checks_a_step_equal_to_a_built_one():
         grp.step_map(good)
         with pytest.raises(MismatchError):
             grp.step_map(bad)
+
+
+def _group_and_factors(grp):
+    yield grp
+    for factor in (grp.left, grp.right):
+        if factor is not None:
+            yield from _group_and_factors(factor)
+
+
+@pytest.mark.parametrize("text", ZOO + ["((Z x C2) * C3)"])
+def test_only_mul_and_show_stay_on_the_class(text):
+    # perfbench counts groups.mul.calls and groups.show.calls by wrapping
+    # Group.mul and Group.show: either name bound on an instance would hide
+    # the wrapper and leave its count at 0. The family's kernels are bound
+    # on each group and factor as plain functions.
+    kernels = ("divide", "inv", "step_map", "parity")
+    assert not any(hasattr(Group, name) for name in kernels)
+    for grp in _group_and_factors(Group(parse_spec(text))):
+        names = vars(grp)
+        assert "mul" not in names and "show" not in names, grp
+        for name in kernels:
+            assert inspect.isfunction(names.get(name)), (grp, name)
 
 
 # ---------------------------------------------------------------------------
