@@ -31,10 +31,11 @@ def main() -> None:
         rmax = args.rmax if args.rmax is not None else rmax
         group = Group(parse_spec(spec_text))
         gens = standard_generators(group)
-        verdict = end_count(build_window(group, gens, 2 * rmax + 4, table=True), rmax)
+        window = build_window(group, gens, 2 * rmax + 4, table=True)
+        verdict = end_count(window, rmax)
         outer = ",".join(str(c.outer) for c in verdict.evidence.counts)
-        window = build_window(group, gens, rmax + 2)
-        balls = ",".join(str(row.ball) for row in growth_series(window))
+        # the growth window is a prefix of the ends window: one search per group
+        balls = ",".join(str(row.ball) for row in growth_series(window.at(rmax + 2)))
         print(f"{spec_text:<12} {verdict.verdict:<12} {outer:<28} {balls}")
 
 

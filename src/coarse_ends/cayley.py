@@ -45,9 +45,9 @@ have reached an element already in the window, so window order, norms
 and the cap check are those of a plain search. Growing a table window
 copies its table and id map and re-expands only the old outer sphere's
 entries that lead out; a prefix of a table window is a plain window.
-Every command that reads a neighbour (ends, tree, clopen) asks for one; a
-plain window builds no id map unless a caller reads it, and reads a table
-search's table.
+Every reader of neighbours, and so every command that reads a neighbour
+(ends, tree, clopen), takes a table window; a plain window has no table
+and builds no id map unless a caller reads it.
 
 Every product p*s by a fixed step s, in both searches, in the
 predecessor walk and in a ball translate, goes through the step's map
@@ -87,12 +87,11 @@ class Window:
 
     The id of an element is its position in window order, so sphere r holds
     the ids offsets[r] up to offsets[r + 1]; window order is the one order
-    on the window. The id map, neighbour table and canonical predecessors
-    are computed on first request and kept, so a caller that needs none of
-    them pays only for the breadth-first search. A table window's search
-    has already written its id map and the table of its generators (see
-    `at`). cap bounds the element count of this window and of every window
-    grown from it by `at`.
+    on the window. The id map and canonical predecessors are computed on
+    first request and kept, so a caller that needs neither pays only for
+    the breadth-first search. A table window's search has already written
+    its id map and the table of its generators (see `at`). cap bounds the
+    element count of this window and of every window grown from it by `at`.
     """
 
     group: Group
@@ -106,6 +105,7 @@ class Window:
     steps: tuple  # non-identity generators, sorted by printed form
     cap: int
     table: bool = False  # the search writes the generator table (see at)
+    _cols: tuple = field(default=(), init=False, repr=False, compare=False)  # neighbours()
     _pred: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (id of the predecessor, step map) per element of B(r) but the identity,
     # in window order, for the largest r a translator was asked for
@@ -249,8 +249,7 @@ class Window:
             self, radius=radius, norms=norms, elements=elements, offsets=tuple(offsets), table=table
         )
         if table:
-            # where cached_property keeps them
-            window.__dict__.update(ids=ids, _cols=cols)
+            window.ids, window._cols = ids, cols
         return window
 
     def _search(self, elements: list, norms: dict, offsets: list, radius: int) -> None:
@@ -367,10 +366,11 @@ class Window:
         """The generator table: right-neighbour columns, in step order.
 
         One array('i') per step s: entry i is the id of elements[i]*s, or -1
-        when that product lies outside the window. A table window returns
-        the columns its search wrote, with no product; a plain window, on
-        the first request, reads them off its table twin.
+        when that product lies outside the window: the columns the table
+        search wrote, with no product. A plain window has none.
         """
+        if not self.table:
+            raise ParameterError("the generator table needs a window built with table=True")
         return self._cols
 
     @cached_property
@@ -383,19 +383,6 @@ class Window:
     def symmetric(self) -> bool:
         """Whether the step set is closed under inverses."""
         return all(self.group.inv(s) in self.gens for s in self.steps)
-
-    @cached_property
-    def _cols(self) -> tuple:
-        return self._twin._cols
-
-    @cached_property
-    def _twin(self) -> Window:
-        """A plain window's table twin: the table search of its radius,
-        whose window order, and so whose ids, are its own. Kept, so that a
-        caller can grow the table too."""
-        if not self.symmetric:
-            raise ParameterError("step set is not closed under inverses")
-        return build_window(self.group, self.gens, self.radius, self.cap, table=True)
 
 
 def build_window(
@@ -411,16 +398,16 @@ def build_window(
     Raises WindowCapError as soon as the element count would exceed cap,
     reporting the last fully enumerated radius. With table set, the search
     also writes the id map and the generator table that neighbours()
-    returns, forming each table entry's product at most once (see at); a
-    generator set that is not closed under inverses gets a plain window.
+    returns, forming each table entry's product at most once (see at); it
+    raises ParameterError on a generator set that is not closed under
+    inverses, whose table no search writes.
     """
     if cap < 1:
         raise ParameterError(f"window element cap must be at least 1, got {cap}")
     steps = tuple(group.sort_printed([g for g in gens if g != group.identity]))
-    seed = Window(group, gens, 0, {group.identity: 0}, [group.identity], (0, 1), steps, cap)
-    # a step set that is not closed under inverses has no table to write,
-    # and neighbours rejects it
-    seed.table = table and seed.symmetric
-    if seed.table:
-        seed.__dict__["_cols"] = tuple(array("i", [-1]) for _ in steps)
+    seed = Window(group, gens, 0, {group.identity: 0}, [group.identity], (0, 1), steps, cap, table)
+    if table:
+        if not seed.symmetric:
+            raise ParameterError("step set is not closed under inverses")
+        seed.ids, seed._cols = {group.identity: 0}, tuple(array("i", [-1]) for _ in steps)
     return seed.at(radius)

@@ -106,7 +106,7 @@ def interface(A: Iterable, t: int, window: Window, core_radius: int) -> Interfac
     once a finite group is exhausted). A core element x lies in both stars
     iff it is within k steps of A and within k steps of C.
 
-    One breadth-first search on the window graph answers that for the
+    One breadth-first search on the table window's graph answers that for the
     whole core. It starts at the endpoints of the edges between A and C,
     stops at depth k-1, and the interface is the set of core elements it
     reaches, in window order. This is exact. From a core element x every

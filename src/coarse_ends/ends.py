@@ -20,9 +20,10 @@ r alone, as every component meets sphere r.
 Verdicts are conservative. One and Two require the outer count to sit
 still across a span of radii, to survive growing the window 4 larger,
 and to coexist with zero bounded complementary mass; growth across the
-final radii yields Infinite; an exhausted group yields Zero; everything
-else, including a stable count of three or more (which no finitely
-generated group can sustain), is Undetermined with the evidence attached.
+final radii yields Infinite; a window whose outer sphere is empty holds
+the whole group, which is finite, and yields Zero; everything else,
+including a stable count of three or more (which no finitely generated
+group can sustain), is Undetermined with the evidence attached.
 A verdict that the sphere sizes of its windows contradict is refused too
 (see sphere_guard): below the diameter of a finite factor, a two-ended
 group such as Z x C8 shows one outer component at every radius.
@@ -30,6 +31,7 @@ group such as Z x C8 shows one outer component at every radius.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -166,8 +168,8 @@ def components(window: Window, r: int) -> ComponentDecomposition:
 
     Components are indexed by their anchor, the least printed element of
     their part of sphere r, which a larger window changes only when two
-    components merge; each lists its elements in window order. The
-    generators must be closed under inverses.
+    components merge; each lists its elements in window order. The window
+    is a table window, whose generators are closed under inverses.
     """
     if not 0 <= r < window.radius:
         raise ParameterError(f"base radius {r} must satisfy 0 <= r < window radius {window.radius}")
@@ -254,7 +256,8 @@ class EndTree:
 
 
 def component_tree(window: Window, r_min: int, r_max: int, margin: int = 4) -> EndTree:
-    """Nest the decompositions at radii r_min..r_max into a tree.
+    """Nest the decompositions at radii r_min..r_max of a table window
+    into a tree.
 
     One sweep adds the spheres R..r_min and reads each level in range off
     the roots of its sphere: a node's size and outer flag are its root's.
@@ -291,7 +294,8 @@ def component_tree(window: Window, r_min: int, r_max: int, margin: int = 4) -> E
         TreeLevel(r, tuple(TreeNode(idx, *node, up[idx]) for idx, node in enumerate(nodes)))
         for (r, nodes, _), up in zip(reversed(levels), reversed(parents))
     )
-    verdict, _, _ = classify_counts(outer_counts[::-1], exhausted=offsets[r_max] == len(window))
+    # an empty sphere R: the window holds the whole group
+    verdict, _, _ = classify_counts(outer_counts[::-1], exhausted=offsets[-2] == len(window))
     if sphere_guard(verdict, _sphere_sizes(window)):
         verdict = "Undetermined"
     return EndTree(levels=tree, verdict=verdict)
@@ -444,26 +448,22 @@ _NOTES = {
 
 
 def _count_rows(window: Window, r_max: int):
-    offsets = window.offsets
+    """The counts at radii 1..r_max, cut before the least r <= R with
+    B(r - 1) the whole group, and that r (None when sphere R is not empty)."""
     uf = _UnionFind(window)
-    counts = {}
+    rows = []
     for r in range(window.radius, 0, -1):
         uf.add(r)
-        counts[r] = RadiusCount(r=r, outer=uf.outer, inner=uf.count - uf.outer)
-    rows = []
-    for r in range(1, r_max + 1):
-        if offsets[r] == len(window):  # the ball of radius r-1 is everything
-            return rows, r
-        rows.append(counts[r])
-    return rows, None
+        rows.append(RadiusCount(r=r, outer=uf.outer, inner=uf.count - uf.outer))
+    top = bisect_left(window.offsets, len(window))  # spheres top.. are empty
+    return rows[::-1][: min(r_max, top - 1)], (top if top <= window.radius else None)
 
 
 def end_count(window: Window, r_max: int, stab_span: int = 3, growth_span: int = 3) -> EndVerdict:
     """End-count verdict from component counts at radii 1..r_max of window.
 
-    A plain window is read as its table twin, one table search of its
-    radius, which the recheck grows as it would a table window. A candidate
-    One or Two is rechecked on window.at(window.radius + ENLARGE_BY), which
+    The window is a table window (see Window.neighbours). A candidate One
+    or Two is rechecked on window.at(window.radius + ENLARGE_BY), which
     grows under the window's own cap, so a cap that fits B(R) but not
     B(R + 4) raises WindowCapError there.
     """
@@ -473,8 +473,6 @@ def end_count(window: Window, r_max: int, stab_span: int = 3, growth_span: int =
     radius = window.radius
     if r_max >= radius:
         raise ParameterError(f"r_max {r_max} must be smaller than the window radius {radius}")
-    if not window.table:
-        window = window._twin
     rows, exhausted_at = _count_rows(window, r_max)
     outer = [c.outer for c in rows]
     candidate, anomaly, growth_flag = classify_counts(

@@ -31,8 +31,9 @@ def get_gens(spec_text: str, power: int = 1):
 
 
 @functools.lru_cache(maxsize=None)
-def get_window(spec_text: str, radius: int, power: int = 1):
-    return build_window(get_group(spec_text), get_gens(spec_text, power), radius)
+def get_window(spec_text: str, radius: int, power: int = 1, table: bool = False):
+    """table=True for a window whose generator table a test reads."""
+    return build_window(get_group(spec_text), get_gens(spec_text, power), radius, table=table)
 
 
 def random_element(group: Group, rng, max_len: int = 6):

@@ -147,6 +147,15 @@ def table_search_products(window):
     return inner // 2 + outer
 
 
+def product_table(window):
+    """The generator table formed by products, one Group.mul per entry: for
+    each step s in step order, the window-order index of x*s for every x
+    in window order, or -1 when x*s lies outside the window."""
+    group = window.group
+    ids = {g: i for i, g in enumerate(window.elements)}
+    return [[ids.get(group.mul(x, s), -1) for x in window.elements] for s in window.steps]
+
+
 def table_edges(window):
     """Edges of the window's generator table: two entries each."""
     return sum(1 for col in window.neighbours() for y in col if y >= 0) // 2

@@ -95,11 +95,11 @@ def test_acceptance_02_component_counts(capsys):
             return dec.outer_count, oracle
 
         for r in range(1, 5):
-            window = get_window("F2", 2 * r + 4)
+            window = get_window("F2", 2 * r + 4, table=True)
             got, oracle = outer_counts(window, r)
             assert got == oracle == 4 * 3 ** (r - 1), r
-        wz = get_window("Z", 16)
-        wz2 = get_window("Z^2", 16)
+        wz = get_window("Z", 16, table=True)
+        wz2 = get_window("Z^2", 16, table=True)
         for r in range(1, 7):
             got, oracle = outer_counts(wz, r)
             assert got == oracle == 2, r
@@ -109,7 +109,7 @@ def test_acceptance_02_component_counts(capsys):
 
 def test_acceptance_03_tree_laws(capsys):
     with check(3, capsys):
-        tree = component_tree(get_window("F2", 8), 1, 4)
+        tree = component_tree(get_window("F2", 8, table=True), 1, 4)
         for depth, level in enumerate(tree.levels):
             for node in level.nodes:
                 if depth == 0:
@@ -130,7 +130,7 @@ def test_acceptance_03_tree_laws(capsys):
         ]
         for _ in range(1000):
             text, radius = rng.choice(pool)
-            window = get_window(text, radius)
+            window = get_window(text, radius, table=True)
             grp = window.group
             r = rng.randrange(0, radius)
             dec = components(window, r)
@@ -172,7 +172,7 @@ def test_acceptance_04_clopen_algebra(capsys):
                 assert A1 & core_ball <= s1
                 assert s1 & core_ball == naive_star(grp, A1, B) & core_ball
 
-        wz = get_window("Z", 20)
+        wz = get_window("Z", 20, table=True)
         half = clopen_scale_test(wz, lambda w: {g for g in w if g[0] >= 1}, 4)
         assert half.verdict is True
         assert [e.rho for e in half.entries] == [2, 4, 6, 8]  # rho(t) = 2t
@@ -311,20 +311,20 @@ def test_acceptance_10_window_stability(capsys):
             assert base.verdict == wider.verdict == want, text
 
         half_fn = lambda w: {g for g in w if g[0] >= 1}
-        cert_a = clopen_scale_test(get_window("Z", 16), half_fn, 3)
-        cert_b = clopen_scale_test(get_window("Z", 20), half_fn, 3)
+        cert_a = clopen_scale_test(get_window("Z", 16, table=True), half_fn, 3)
+        cert_b = clopen_scale_test(get_window("Z", 20, table=True), half_fn, 3)
         assert cert_a.verdict is cert_b.verdict is True
         assert [e.rho for e in cert_a.entries] == [e.rho for e in cert_b.entries]
 
         def component_fn(w):
             return set(components(w, 1).components[1].elements)
 
-        cert_c = clopen_scale_test(get_window("(C2 * C3)", 10), component_fn, 2)
-        cert_d = clopen_scale_test(get_window("(C2 * C3)", 14), component_fn, 2)
+        cert_c = clopen_scale_test(get_window("(C2 * C3)", 10, table=True), component_fn, 2)
+        cert_d = clopen_scale_test(get_window("(C2 * C3)", 14, table=True), component_fn, 2)
         assert cert_c.verdict is cert_d.verdict is True
         assert [e.rho for e in cert_c.entries] == [e.rho for e in cert_d.entries]
 
         evens_fn = lambda w: {g for g in w if g[0] % 2 == 0}
-        fail_a = clopen_scale_test(get_window("Z", 16), evens_fn, 3)
-        fail_b = clopen_scale_test(get_window("Z", 20), evens_fn, 3)
+        fail_a = clopen_scale_test(get_window("Z", 16, table=True), evens_fn, 3)
+        fail_b = clopen_scale_test(get_window("Z", 20, table=True), evens_fn, 3)
         assert fail_a.verdict is fail_b.verdict is False

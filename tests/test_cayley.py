@@ -22,6 +22,7 @@ from oracles import (
     bfs_norms,
     distance,
     plain_search_products,
+    product_table,
     spec_spheres,
     table_edges,
     table_search_products,
@@ -355,20 +356,21 @@ def test_at_equals_a_fresh_build(text, radius, power):
 
 def test_at_shares_no_lazy_state():
     grp, gens = get_group("(C2 * C3)"), get_gens("(C2 * C3)")
-    source = build_window(grp, gens, 6)
-    # fill the id map, predecessors, the neighbour table and a translate plan
-    source.ids, source.geodesic(source.elements[-1])
-    source.neighbours()
-    source.translator(3)
-    for r in (3, 6, 8):
-        w = source.at(r)
-        assert w.elements is not source.elements and w.norms is not source.norms
-        assert "ids" not in vars(w) and "_cols" not in vars(w) and w._pred == {}
-        assert w._plan == []
-    assert len(source.ids) == len(source) and "_cols" in vars(source) and source._pred
-    assert len(source._plan) == len(source.ball(3)) - 1
-    with pytest.raises(ValueError):
-        source.at(-1)
+    for table in (False, True):
+        source = build_window(grp, gens, 6, table=table)
+        # fill the id map, predecessors and a translate plan
+        source.ids, source.geodesic(source.elements[-1])
+        source.translator(3)
+        for r in (3, 6, 8):
+            w = source.at(r)
+            assert w.elements is not source.elements and w.norms is not source.norms
+            # a table search writes its own id map; a plain window's waits for a request
+            assert ("ids" in vars(w)) is w.table is (table and r >= 6)
+            assert w.ids is not source.ids and w._pred == {} and w._plan == []
+        assert len(source.ids) == len(source) and source._pred
+        assert len(source._plan) == len(source.ball(3)) - 1
+        with pytest.raises(ValueError):
+            source.at(-1)
 
 
 @pytest.mark.parametrize("text,power", [(text, 1) for text in ZOO] + [(text, 2) for text in ZOO])
@@ -377,9 +379,11 @@ def test_table_window_matches_plain_search_and_fill(text, power):
     grp, gens = get_group(text), get_gens(text, power)
     radius, grow = (5, 4) if power == 1 else (2, 2)
     source = build_window(grp, gens, radius, table=True)
-    # a prefix of a table window is a plain window, whose table neighbours fills
+    # a prefix of a table window is a plain window, which has no table
     prefix = source.at(radius - 2)
-    assert not prefix.table and "ids" not in vars(prefix) and "_cols" not in vars(prefix)
+    assert not prefix.table and "ids" not in vars(prefix)
+    with pytest.raises(ParameterError):
+        prefix.neighbours()
     assert prefix.elements == build_window(grp, gens, radius - 2).elements
     for w, r in [
         (source, radius),
@@ -393,11 +397,11 @@ def test_table_window_matches_plain_search_and_fill(text, power):
         assert w.offsets == plain.offsets, (text, r)
         assert list(w.norms.items()) == list(plain.norms.items()), (text, r)
         assert list(w.ids.items()) == list(plain.ids.items())
-        want = plain.neighbours()
+        want = product_table(plain)
         got = w.neighbours()
         assert len(got) == len(want) == len(w.steps)
         for s, col, filled in zip(w.steps, got, want):
-            assert list(col) == list(filled), (text, r, grp.show(s))
+            assert list(col) == filled, (text, r, grp.show(s))
 
 
 @pytest.mark.parametrize("text,power", [(text, 1) for text in ZOO] + [(text, 2) for text in ZOO])
@@ -412,18 +416,17 @@ def test_table_columns_match_fill_at_every_radius(text, power):
         except WindowCapError:
             break
         for w in (source, grown):
-            plain = build_window(grp, gens, w.radius)
-            want = [[plain.ids.get(grp.mul(x, s), -1) for x in plain] for s in plain.steps]
-            assert [list(c) for c in plain.neighbours()] == want, (text, power, w.radius)
+            want = product_table(build_window(grp, gens, w.radius))
             assert [list(c) for c in w.neighbours()] == want, (text, power, w.radius)
     assert radius > 0  # radius 0 at least was checked
 
 
-def test_one_way_table_window_is_plain():
-    w = build_window(get_group("Z"), _one_way_z(), 4, table=True)
-    assert not w.table and "ids" not in vars(w)
+def test_one_way_table_window_is_refused():
+    # no search writes the table of a step set not closed under inverses
+    with pytest.raises(ParameterError, match="not closed under inverses"):
+        build_window(get_group("Z"), _one_way_z(), 4, table=True)
     with pytest.raises(ParameterError):
-        w.neighbours()
+        build_window(get_group("Z"), _one_way_z(), 4).neighbours()
 
 
 def test_grown_table_window_shares_no_table():
@@ -431,7 +434,7 @@ def test_grown_table_window_shares_no_table():
     source = build_window(grp, gens, 6, table=True)
     cols = source.neighbours()
     before = ([list(c) for c in cols], list(source.ids.items()), list(source.norms.items()))
-    for r in (3, 6, 8):
+    for r in (6, 8):
         w = source.at(r)
         assert w.ids is not source.ids and w.norms is not source.norms
         assert w.elements is not source.elements

@@ -123,8 +123,9 @@ _FROZEN = [
      "b0a8730f41e49387ac082637c73da1bb20d24502e866ce320b44c38296ac2379", ""),
     ('ends --group "(Z x C8)" --format csv', 3,
      "b5afbb43b69cef21851a69e8da0cfa91ca210c91d814d9a413b60cb85d064966", ""),
-    ("ends --group C30 --rmax 6", 3,
-     "d318b6336adbee65a0d5302b8131fc920ef86ed90b8ff3d295c6f26f19220e02", ""),
+    # the radius-16 window holds all of C30 (diameter 15): Zero
+    ("ends --group C30 --rmax 6", 0,
+     "5cfbf12ea94a7945abe8b33a9316c7d4567e2e4c50adfe4184a41af90527d1d2", ""),
     ("tree --group F2 --rmax 2 --window 6", 0,
      "f0fffc4b07de629cd64d1daec03067edea784bc950a7fee289de58fb755aa5e3", ""),
     ("tree --group F2 --rmax 2 --window 6 --format csv", 0,
@@ -719,7 +720,9 @@ def test_one_search_per_command(capsys, monkeypatch, tmp_path, argv, key, value)
 
 
 def test_exit_undetermined(capsys):
-    code, out, _ = run_cli(capsys, ["ends", "--group", "C30", "--rmax", "6"])
+    # the radius-14 window stops short of C30's diameter 15, so no sphere of
+    # it is empty and no component reaches its boundary
+    code, out, _ = run_cli(capsys, ["ends", "--group", "C30", "--rmax", "5", "--window", "14"])
     assert code == 3
     doc = json.loads(out)
     assert doc["result"]["verdict"] == "Undetermined"

@@ -87,7 +87,7 @@ def test_star_refuses_one_way_steps():
 
 def test_scale_radius_past_the_window():
     # B(t) past R is read only off a window that has exhausted a finite group
-    wz = get_window("Z", 6)
+    wz = get_window("Z", 6, table=True)
     with pytest.raises(OutOfWindowError):
         interface({(1,)}, 7, wz, 0)
     with pytest.raises(OutOfWindowError):
@@ -96,7 +96,7 @@ def test_scale_radius_past_the_window():
     with pytest.raises(ParameterError):
         star({(0,)}, -1, wz)
     # C6 has spheres 1, 2, 2, 1: at R = 8 every ball B(t), t >= 3, is the group
-    w6 = get_window("C6", 8)
+    w6 = get_window("C6", 8, table=True)
     grp = w6.group
     A = {0, 1}
     whole = set(w6)
@@ -109,7 +109,7 @@ def test_scale_radius_past_the_window():
         interface(A, 9, w6, 3)
     # a window whose outer sphere is not empty refuses, even for a finite group
     with pytest.raises(OutOfWindowError):
-        interface(A, 4, get_window("C6", 3), 0)
+        interface(A, 4, get_window("C6", 3, table=True), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_scale_radius_past_the_window():
 
 
 def test_half_space_interface_rho_is_2t():
-    window = get_window("Z", 20)
+    window = get_window("Z", 20, table=True)
     grp = window.group
     A = {g for g in window if g[0] >= 1}
     for t in range(1, 5):
@@ -132,7 +132,7 @@ def test_half_space_interface_rho_is_2t():
 
 
 def test_interface_empty_and_full():
-    window = get_window("Z", 10)
+    window = get_window("Z", 10, table=True)
     rep = interface(set(), 1, window, 8)
     assert rep.rho == -1 and rep.verdict is True and rep.interface == ()
     rep = interface(set(window.elements), 1, window, 8)
@@ -156,7 +156,7 @@ def test_interface_matches_naive():
         ("Z^2", 5, 2, (1, 2)),  # gen-power-2 window
     ]
     for text, radius, power, scales in cases:
-        window = get_window(text, radius, power)
+        window = get_window(text, radius, power, table=True)
         grp = window.group
         rng = random.Random(f"iface:{text}:{power}")
         for t in scales:
@@ -178,8 +178,8 @@ def test_interface_matches_naive():
 
 
 def test_interface_ignores_elements_outside_the_window():
-    window = get_window("Z^2", 6)
-    outer = get_window("Z^2", 10)
+    window = get_window("Z^2", 6, table=True)
+    outer = get_window("Z^2", 10, table=True)
     rng = random.Random("iface:outside")
     for t in (1, 2):
         core = 6 - 2 * t
@@ -191,7 +191,7 @@ def test_interface_ignores_elements_outside_the_window():
 
 
 def test_interface_core_bound():
-    window = get_window("Z", 10)
+    window = get_window("Z", 10, table=True)
     with pytest.raises(CoreRadiusError):
         interface({(0,)}, 1, window, 9)
     # core 8 = R - 2*maxnorm(K) is the largest legal core
@@ -204,7 +204,7 @@ def test_interface_core_bound():
 
 def test_intersection_law():
     for text, radius in [("Z", 10), ("Z^2", 5), ("F2", 4), ("(C2 * C3)", 5)]:
-        window = get_window(text, radius)
+        window = get_window(text, radius, table=True)
         core = radius - 2
         rng = random.Random(f"law23:{text}")
         for _ in range(200):
@@ -219,7 +219,7 @@ def test_intersection_law():
 
 
 def test_star_preserves_clopen_frozen_z():
-    window = get_window("Z", 20)
+    window = get_window("Z", 20, table=True)
     A = {g for g in window if g[0] >= 1}
     rep = star_preserves_clopen(A, 1, 1, window, 14)
     assert rep.rho == 3  # the bound 2*maxnorm(V) + 2*maxnorm(B) = 4 holds
@@ -231,7 +231,7 @@ def test_star_preserves_clopen_growth_law():
     # rho(st(A,B)) <= rho(A) + 2 maxnorm(B) + 2 maxnorm(V), whenever the
     # witness stays measurable inside the window
     for text, radius in [("Z", 12), ("F2", 4), ("(C2 * C3)", 6)]:
-        window = get_window(text, radius)
+        window = get_window(text, radius, table=True)
         core_v = radius - 2
         core_sb = radius - 4
         rng = random.Random(f"spl:{text}")
@@ -258,7 +258,7 @@ def test_coarsely_identical():
 
 
 def test_half_space_certificate():
-    window = get_window("Z", 20)
+    window = get_window("Z", 20, table=True)
     cert = clopen_scale_test(window, lambda w: {g for g in w if g[0] >= 1}, 4)
     assert cert.verdict is True
     assert cert.affine_ok is True
@@ -272,7 +272,7 @@ def test_half_space_certificate():
 
 
 def test_evens_certificate_fails():
-    window = get_window("Z", 20)
+    window = get_window("Z", 20, table=True)
     cert = clopen_scale_test(window, lambda w: {g for g in w if g[0] % 2 == 0}, 4)
     assert cert.verdict is False
     for e in cert.entries:
@@ -281,7 +281,7 @@ def test_evens_certificate_fails():
 
 
 def test_bounded_set_certificate():
-    window = get_window("Z", 12)
+    window = get_window("Z", 12, table=True)
     fixed = {(1,), (2,)}
     cert = clopen_scale_test(window, fixed, 2)
     assert cert.verdict is True
@@ -293,7 +293,7 @@ def test_component_union_certificates():
     from coarse_ends import components
 
     for text, radius, t_max in [("Z", 16, 3), ("(C2 * C3)", 10, 2), ("F2", 8, 1)]:
-        window = get_window(text, radius)
+        window = get_window(text, radius, table=True)
 
         def half(w):
             dec = components(w, 1)
@@ -305,7 +305,7 @@ def test_component_union_certificates():
 
 
 def test_certificate_parameter_errors():
-    window = get_window("Z", 8)
+    window = get_window("Z", 8, table=True)
     with pytest.raises(ParameterError):
         clopen_scale_test(window, {(1,)}, 0)
     with pytest.raises(CoreRadiusError):
@@ -314,7 +314,7 @@ def test_certificate_parameter_errors():
 
 def test_recheck_obeys_the_window_cap():
     # |B(8)| = 145 fits the cap of 200, but the recheck window B(12) does not
-    window = build_window(get_group("Z^2"), get_gens("Z^2"), 8, cap=200)
+    window = build_window(get_group("Z^2"), get_gens("Z^2"), 8, cap=200, table=True)
     with pytest.raises(WindowCapError) as exc:
         clopen_scale_test(window, lambda w: {(1, 0)}, 1)
     assert exc.value.cap == 200
@@ -357,7 +357,7 @@ def test_grown_interfaces_run_only_where_the_sets_differ(monkeypatch):
         return interface(A, t, window, core_radius)
 
     monkeypatch.setattr(covers, "interface", recorded)
-    window = get_window("Z", 20)
+    window = get_window("Z", 20, table=True)
     half = clopen_scale_test(window, lambda w: {g for g in w if g[0] >= 1}, 2)
     assert radii == [20, 20] and all(e.stable for e in half.entries)
     # a set that moves with the window differs inside B(20), so the grown

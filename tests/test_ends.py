@@ -15,6 +15,7 @@ from coarse_ends import (
     component_tree,
     components,
     end_count,
+    interface,
 )
 from coarse_ends.cayley import ENLARGE_BY
 from coarse_ends.ends import _UnionFind, sphere_guard
@@ -35,7 +36,7 @@ from oracles import (
 
 
 def test_z_components_frozen():
-    w = get_window("Z", 10)
+    w = get_window("Z", 10, table=True)
     dec = components(w, 2)
     assert dec.outer_count == 2 and all(c.outer for c in dec.components)
     assert sorted(c.size for c in dec.components) == [9, 9]
@@ -46,26 +47,26 @@ def test_z_components_frozen():
 
 
 def test_f2_components_frozen():
-    w = get_window("F2", 8)
+    w = get_window("F2", 8, table=True)
     dec = components(w, 2)
     assert dec.outer_count == 12 and all(c.outer for c in dec.components)
 
 
 def test_z2_components_frozen():
-    w = get_window("Z^2", 12)
+    w = get_window("Z^2", 12, table=True)
     dec = components(w, 2)
     assert dec.outer_count == 1 and all(c.outer for c in dec.components)
 
 
 def test_whole_window_at_r0():
-    w = get_window("Z", 6)
+    w = get_window("Z", 6, table=True)
     dec = components(w, 0)
     assert len(dec.components) == 1
     assert dec.components[0].size == len(w)
 
 
 def test_components_parameter_errors():
-    w = get_window("Z", 6)
+    w = get_window("Z", 6, table=True)
     with pytest.raises(ParameterError):
         components(w, 6)
     with pytest.raises(ParameterError):
@@ -112,7 +113,7 @@ def test_partition_laws_randomized():
     cases = 0
     while cases < 1000:
         text, radius, power = rng.choice(pool)
-        window = get_window(text, radius, power)
+        window = get_window(text, radius, power, table=True)
         grp = window.group
         if (text, radius, power) not in sweeps:
             uf = _UnionFind(window)
@@ -206,9 +207,10 @@ def test_outer_sphere_reads_no_row_when_every_step_is_odd(text, radius, power, o
 
 
 def test_step_set_must_be_closed_under_inverses():
-    w = build_window(get_group("Z"), frozenset({(0,), (1,)}), 6)
-    with pytest.raises(ParameterError, match="inverses"):
-        components(w, 1)
+    # the sweep reads right neighbours only, so it needs the steps' inverses;
+    # a table window of a one-way step set is refused when it is built
+    with pytest.raises(ParameterError, match="not closed under inverses"):
+        build_window(get_group("Z"), frozenset({(0,), (1,)}), 6, table=True)
 
 
 LABEL_SPECS = ZOO + ["(Z * C2)", "(C2 * C4)"]
@@ -253,7 +255,7 @@ def test_labels_survive_window_growth(power):
 
 
 def test_f2_tree_frozen():
-    w = get_window("F2", 8)
+    w = get_window("F2", 8, table=True)
     tree = component_tree(w, 1, 4)
     assert [len(lv.nodes) for lv in tree.levels] == [4, 12, 36, 108]
     assert tree.verdict == "Infinite"
@@ -267,7 +269,7 @@ def test_f2_tree_frozen():
 
 
 def test_z_tree_straight_chains():
-    w = get_window("Z", 12)
+    w = get_window("Z", 12, table=True)
     tree = component_tree(w, 1, 4)
     assert [len(lv.nodes) for lv in tree.levels] == [2, 2, 2, 2]
     for lv in tree.levels[1:]:
@@ -280,14 +282,14 @@ def test_z_tree_straight_chains():
 
 
 def test_exhausted_tree():
-    w = get_window("C12", 20)
+    w = get_window("C12", 20, table=True)
     tree = component_tree(w, 12, 12)
     assert tree.levels[0].nodes == ()
     assert tree.verdict == "Zero"
 
 
 def test_tree_dot_output():
-    w = get_window("Z", 10)
+    w = get_window("Z", 10, table=True)
     tree = component_tree(w, 1, 2)
     dot = tree.to_dot()
     assert dot.startswith("digraph endtree {")
@@ -297,7 +299,7 @@ def test_tree_dot_output():
 
 
 def test_tree_window_too_small():
-    w = get_window("Z", 6)
+    w = get_window("Z", 6, table=True)
     with pytest.raises(ParameterError):
         component_tree(w, 1, 4)
 
@@ -378,17 +380,45 @@ def test_end_count_parameter_errors():
             _ends("Z^2", 4, *spans)
 
 
+def test_neighbour_readers_refuse_a_plain_window(monkeypatch):
+    # only a table search writes the generator table: every reader of
+    # neighbours refuses a plain window, and none searches for a table
+    window = get_window("Z^2", 10)
+    calls = []
+    for name in ("_search", "_search_table"):
+        monkeypatch.setattr(Window, name, lambda *args, name=name: calls.append(name))
+    readers = [
+        lambda: end_count(window, 3),
+        lambda: components(window, 1),
+        lambda: component_tree(window, 1, 3),
+        lambda: interface({(1, 0)}, 1, window, 4),
+    ]
+    for read in readers:
+        with pytest.raises(ParameterError, match="table=True"):
+            read()
+    assert calls == []
+
+
 @pytest.mark.parametrize("text", ZOO)
 def test_end_count_reads_a_plain_window_as_a_table_window(text):
-    # a plain window reads its generator table through neighbours()
+    # end_count refuses a plain window; the table window of the same
+    # arguments has the plain window's order, and so its ids, and reads a
+    # verdict that the closed form allows
     grp, gens = get_group(text), get_gens(text)
-    plain = end_count(build_window(grp, gens, 10), 3)
-    assert plain == end_count(build_window(grp, gens, 10, table=True), 3)
+    plain = build_window(grp, gens, 10)
+    with pytest.raises(ParameterError, match="table=True"):
+        end_count(plain, 3)
+    table = build_window(plain.group, plain.gens, plain.radius, plain.cap, table=True)
+    assert (table.elements, table.offsets, table.norms) == (plain.elements, plain.offsets, plain.norms)
+    assert table.ids == plain.ids
+    verdict = end_count(table, 3).verdict
+    assert verdict in (_VERDICT_OF[spec_ends(grp.spec)], "Undetermined"), text
 
 
 def test_end_count_searches_a_plain_window_as_a_table_window(monkeypatch):
-    # a plain window is read as one table search of B(R), which the recheck
-    # continues to B(R + 4), as it continues a table window
+    # end_count on a plain window runs no table search; the table window of
+    # its arguments is one table search of B(R), which the recheck
+    # continues to B(R + 4)
     search = Window._search_table
     calls = []
 
@@ -397,13 +427,13 @@ def test_end_count_searches_a_plain_window_as_a_table_window(monkeypatch):
         return search(self, elements, norms, offsets, radius)
 
     monkeypatch.setattr(Window, "_search_table", record)
-    grp, gens = get_group("Z^3"), get_gens("Z^3")
-    verdicts = []
-    for table in (False, True):
-        calls.clear()
-        verdicts.append(end_count(build_window(grp, gens, 10, table=table), 3).verdict)
-        assert calls == [(0, 10), (10, 10 + ENLARGE_BY)], table
-    assert verdicts == ["One", "One"]
+    plain = build_window(get_group("Z^3"), get_gens("Z^3"), 10)
+    with pytest.raises(ParameterError, match="table=True"):
+        end_count(plain, 3)
+    assert calls == []
+    table = build_window(plain.group, plain.gens, plain.radius, plain.cap, table=True)
+    assert end_count(table, 3).verdict == "One"
+    assert calls == [(0, 10), (10, 10 + ENLARGE_BY)]
 
 
 def test_end_count_recheck_grows_under_the_window_cap():
@@ -448,7 +478,7 @@ def test_sphere_guard_refuses_one_for_two_ended(text, r_max):
     assert [c.outer for c in verdict.evidence.counts] == [1] * r_max
     assert verdict.evidence.stable is True
     assert verdict.verdict == "Undetermined" and "sphere sizes" in verdict.note
-    tree = component_tree(get_window(text, 2 * r_max + 4), 1, r_max)
+    tree = component_tree(get_window(text, 2 * r_max + 4, table=True), 1, r_max)
     assert tree.verdict == "Undetermined"
 
 
@@ -494,7 +524,8 @@ def _random_spec(rng, depth):
 
 def test_end_count_against_closed_form():
     """Over 200 seeded random specs of depth <= 2, at r_max 3 and 4, every
-    end_count verdict is Undetermined, capped, or the spec's end count.
+    end_count verdict is Undetermined, capped, or the spec's end count; a
+    finite group whose diameter is below the window radius reads Zero.
 
     The draw keeps to specs whose finite part has Cayley diameter at most
     R / 2 for the window radius R = 2 r_max + 4: the guard reads the three
@@ -502,7 +533,7 @@ def test_end_count_against_closed_form():
     gives a virtually-Z group spheres that still grow there.
     """
     rng = random.Random("spec-ends")
-    read = refused = 0
+    read = refused = finite = 0
     for _ in range(200):
         text = _random_spec(rng, 2)
         spec = get_group(text).spec
@@ -514,11 +545,15 @@ def test_end_count_against_closed_form():
             except WindowCapError:
                 continue
             read += 1
+            if spec_ends(spec) == 0 and finite_diameter(spec) < 2 * r_max + 4:
+                # the window holds the whole group: its outer sphere is empty
+                assert verdict.verdict == "Zero", (text, r_max)
+                finite += 1
             if verdict.verdict == "Undetermined":
                 refused += "sphere sizes" in verdict.note
                 continue
             assert verdict.verdict == _VERDICT_OF[spec_ends(spec)], (text, r_max)
-    assert read > 150 and refused > 0
+    assert read > 150 and refused > 0 and finite > 0
 
 
 # ---------------------------------------------------------------------------
@@ -526,16 +561,16 @@ def test_end_count_against_closed_form():
 
 
 def test_bounded_mass_report():
-    w = get_window("Z", 10)
+    w = get_window("Z", 10, table=True)
     rep = bounded_mass_report(w, 2)
     assert (rep.count, rep.total_size, rep.max_norm) == (0, 0, -1)
-    c6 = get_window("C6", 16)
+    c6 = get_window("C6", 16, table=True)
     rep = bounded_mass_report(c6, 1)
     assert (rep.count, rep.total_size, rep.max_norm) == (1, 5, 3)
 
 
 def test_union_component_clopen_check():
-    w = get_window("Z", 12)
+    w = get_window("Z", 12, table=True)
     dec = components(w, 1)
     rep = union_component_clopen_check(dec, [1], w)
     assert rep.verdict is True

@@ -48,7 +48,7 @@ def test_star_monotone_and_additive(data):
 @given(_case().flatmap(lambda c: st.tuples(st.just(c), _subset(*c))))
 def test_interface_symmetric_in_complement(data):
     (text, radius), A = data
-    w = get_window(text, radius)
+    w = get_window(text, radius, table=True)
     gens = set(get_gens(text))
     core = w.radius - 2 * maxnorm_of(w, gens)
     comp = set(w) - A
@@ -63,7 +63,7 @@ def test_interface_symmetric_in_complement(data):
 def test_components_refine(case, r):
     text, radius = case
     r = min(r, radius - 2)
-    w = get_window(text, radius)
+    w = get_window(text, radius, table=True)
     coarse = components(w, r)
     fine = components(w, r + 1)
     owner = {}
