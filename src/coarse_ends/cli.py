@@ -174,7 +174,8 @@ def cmd_tree(args) -> tuple:
             )
     config = dict(rmin=args.rmin, rmax=args.rmax)
     return _report(args, window, config, tree.to_json_dict(), lines,
-                   "r,id,size,outer,parent", rows, csv_config={"verdict": tree.verdict}, tree=tree)
+                   "r,id,size,outer,parent", rows, csv_config={"verdict": tree.verdict}, tree=tree,
+                   exit_code=3 if tree.verdict == "Undetermined" else 0)
 
 
 def _parse_selector(text: str) -> Callable:

@@ -9,24 +9,28 @@ approximate the ends of the group. Every component meets sphere r, and
 is labelled by the least printed element there, so its label does not
 change when the window grows.
 
-All of it comes from one union-find sweep that adds the spheres R, R-1,
-... of the window's generator table. Each added id keeps its own root as
-it joins its present neighbours, so an edge costs one root walk. When no
-edge stays on a sphere (Window.odd_steps), the outer sphere, added
-first, meets no member: each of its ids becomes a component of its own
-and no table row is read. A tree level is read off the roots of sphere
-r alone, as every component meets sphere r.
+All of it comes from one union-find sweep (_sweep) that adds the spheres
+R, R-1, ... of the window's generator table; components, count rows and
+tree levels are read off it between spheres. Each added id keeps its own
+root as it joins its present neighbours, so an edge costs one root walk.
+When no edge stays on a sphere (Window.odd_steps), the outer sphere,
+added first, meets no member: each of its ids becomes a component of its
+own and no table row is read. A tree level is read off the roots of
+sphere r alone, as every component meets sphere r.
 
-Verdicts are conservative. One and Two require the outer count to sit
-still across a span of radii, to survive growing the window 4 larger,
-and to coexist with zero bounded complementary mass; growth across the
-final radii yields Infinite; a window whose outer sphere is empty holds
-the whole group, which is finite, and yields Zero; everything else,
+Verdicts are conservative, and end_count and component_tree reach theirs
+by one rule (_verdict). One and Two require the outer count to sit still
+across a span of radii, to survive growing the window 4 larger, and to
+coexist with zero bounded complementary mass; growth across the final
+radii yields Infinite; a window whose outer sphere is empty holds the
+whole group, which is finite, and yields Zero; everything else,
 including a stable count of three or more (which no finitely generated
-group can sustain), is Undetermined with the evidence attached.
-A verdict that the sphere sizes of its windows contradict is refused too
-(see sphere_guard): below the diameter of a finite factor, a two-ended
-group such as Z x C8 shows one outer component at every radius.
+group can sustain), is Undetermined with the evidence attached. A verdict
+that the sphere sizes of its windows contradict is refused too (see
+sphere_guard), and so is a One or Two that the rows past r_max, up to
+R - 4, contradict: below the diameter of a finite factor its elements
+join every branch, so two-ended Z x C8 and virtually free C10 x (C2 * C3)
+both show one outer component up to r = 4.
 """
 
 from __future__ import annotations
@@ -162,6 +166,15 @@ def _anchored(roots: list, window: Window, r: int) -> list:
     return sorted(zip(least.values(), least))
 
 
+def _sweep(window: Window, r_min: int):
+    """(r, uf) as each sphere r = R, R-1, ..., r_min of window goes into one
+    _UnionFind: the state a caller reads is that of {|g| >= r}."""
+    uf = _UnionFind(window)
+    for r in range(window.radius, r_min - 1, -1):
+        uf.add(r)
+        yield r, uf
+
+
 def components(window: Window, r: int) -> ComponentDecomposition:
     """Decompose {g in window : |g| >= r} into components of the generator
     adjacency.
@@ -174,9 +187,7 @@ def components(window: Window, r: int) -> ComponentDecomposition:
     if not 0 <= r < window.radius:
         raise ParameterError(f"base radius {r} must satisfy 0 <= r < window radius {window.radius}")
     lo = window.offsets[r]
-    uf = _UnionFind(window)
-    for s in range(window.radius, r - 1, -1):
-        uf.add(s)
+    *_, (_, uf) = _sweep(window, r)
     roots = uf.roots(range(lo, len(window)))
     label = roots.__getitem__
     order = sorted(range(len(roots)), key=label)  # stable: window order inside each root
@@ -244,61 +255,53 @@ class EndTree:
             for n in lv.nodes:
                 if n.outer:
                     names[(lv.r, n.id)] = f"{lv.r}:{n.id}:{n.size}"
-        for (r, i), label in names.items():
-            lines.append(f'  "{label}";')
-        for idx, lv in enumerate(self.levels[1:], start=1):
-            prev_r = self.levels[idx - 1].r
+        lines.extend(f'  "{label}";' for label in names.values())
+        for prev, lv in zip(self.levels, self.levels[1:]):
             for n in lv.nodes:
-                if n.outer and n.parent is not None and (prev_r, n.parent) in names:
-                    lines.append(f'  "{names[(prev_r, n.parent)]}" -> "{names[(lv.r, n.id)]}";')
+                if n.outer and n.parent is not None and (prev.r, n.parent) in names:
+                    lines.append(f'  "{names[(prev.r, n.parent)]}" -> "{names[(lv.r, n.id)]}";')
         lines.append("}")
         return "\n".join(lines)
 
 
-def component_tree(window: Window, r_min: int, r_max: int, margin: int = 4) -> EndTree:
+def component_tree(window: Window, r_min: int, r_max: int) -> EndTree:
     """Nest the decompositions at radii r_min..r_max of a table window
-    into a tree.
+    into a tree, with end_count's verdict at r_max.
 
-    One sweep adds the spheres R..r_min and reads each level in range off
-    the roots of its sphere: a node's size and outer flag are its root's.
-    Components only merge as the sweep moves inward, so every component at
-    radius r+1 lies inside exactly one component at radius r, its parent,
-    found from its root once sphere r is in.
-    The verdict is the classification read off this window alone, with no
-    enlargement re-run, and is refused when this window's sphere sizes
-    contradict it (sphere_guard); end_count applies the stricter discipline.
+    One sweep adds the spheres R..min(r_min, 1). It reads each level in
+    range off the roots of its sphere, a node's size and outer flag being
+    its root's, and the count rows 1..R that end_count reads. Components
+    only merge as the sweep moves inward, so every component at radius r+1
+    lies inside exactly one component at radius r, its parent, found from
+    its root once sphere r is in. The verdict is _verdict's on those rows,
+    so a One or Two candidate is rechecked on window.at(R + ENLARGE_BY).
     """
     if r_min < 0 or r_min > r_max:
         raise ParameterError("need 0 <= r_min <= r_max")
-    if r_max + margin > window.radius:
-        raise ParameterError(
-            f"window radius {window.radius} too small: need r_max + {margin} <= R"
-        )
+    if r_max >= window.radius:
+        raise ParameterError(f"r_max {r_max} must be smaller than the window radius {window.radius}")
     offsets = window.offsets
-    uf = _UnionFind(window)
     levels = []  # from r_max in: (r, (size, outer) per node, parents of the level one out)
-    outer_counts = []
-    above = []  # the roots of the nodes one radius out
-    for r in range(window.radius, r_min - 1, -1):
-        uf.add(r)
-        if r <= r_max:
-            roots = uf.roots(range(offsets[r], offsets[r + 1]))
-            anchored = [root for _, root in _anchored(roots, window, r)]
-            owner = dict(zip(anchored, range(len(anchored))))
-            nodes = [(uf.size[root], uf.touches[root] == 1) for root in anchored]
-            levels.append((r, nodes, list(map(owner.__getitem__, uf.roots(above)))))
-            above = anchored
-            outer_counts.append(uf.outer)
-    parents = [up for _, _, up in levels[1:]] + [[None] * len(above)]
+
+    def read_levels():
+        above = []  # the roots of the nodes one radius out
+        for r, uf in _sweep(window, min(r_min, 1)):
+            if r_min <= r <= r_max:
+                roots = uf.roots(range(offsets[r], offsets[r + 1]))
+                anchored = [root for _, root in _anchored(roots, window, r)]
+                owner = dict(zip(anchored, range(len(anchored))))
+                nodes = [(uf.size[root], uf.touches[root] == 1) for root in anchored]
+                levels.append((r, nodes, list(map(owner.__getitem__, uf.roots(above)))))
+                above = anchored
+            yield r, uf
+
+    rows, exhausted_at = _count_rows(window, read_levels())
+    parents = [up for _, _, up in levels[1:]] + [[None] * len(levels[-1][1])]
     tree = tuple(
         TreeLevel(r, tuple(TreeNode(idx, *node, up[idx]) for idx, node in enumerate(nodes)))
         for (r, nodes, _), up in zip(reversed(levels), reversed(parents))
     )
-    # an empty sphere R: the window holds the whole group
-    verdict, _, _ = classify_counts(outer_counts[::-1], exhausted=offsets[-2] == len(window))
-    if sphere_guard(verdict, _sphere_sizes(window)):
-        verdict = "Undetermined"
-    return EndTree(levels=tree, verdict=verdict)
+    return EndTree(levels=tree, verdict=_verdict(window, rows, exhausted_at, r_max).verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +339,6 @@ class EndVerdict:
         return {"verdict": self.verdict, "note": self.note, **asdict(self.evidence)}
 
 
-def _check_spans(stab_span: int, growth_span: int) -> None:
-    # a span of 0 makes the whole sequence its tail, and a growth span of 1
-    # makes "strictly increasing" true of an empty run of comparisons
-    if stab_span < 1:
-        raise ParameterError(f"stab_span must be at least 1, got {stab_span}")
-    if growth_span < 2:
-        raise ParameterError(f"growth_span must be at least 2, got {growth_span}")
-
-
 def classify_counts(
     counts: Sequence[int],
     stab_span: int = 3,
@@ -359,7 +353,12 @@ def classify_counts(
     no finitely generated group has a finite end count above two, so the
     window is reporting an artifact.
     """
-    _check_spans(stab_span, growth_span)
+    # a span of 0 makes the whole sequence its tail, and a growth span of 1
+    # makes "strictly increasing" true of an empty run of comparisons
+    if stab_span < 1:
+        raise ParameterError(f"stab_span must be at least 1, got {stab_span}")
+    if growth_span < 2:
+        raise ParameterError(f"growth_span must be at least 2, got {growth_span}")
     if exhausted:
         return "Zero", None, False
     counts = list(counts)
@@ -430,11 +429,6 @@ def sphere_guard(verdict: str, *spheres: Sequence[int]) -> Optional[str]:
     return None
 
 
-def _sphere_sizes(window: Window) -> list:
-    offsets = window.offsets
-    return [b - a for a, b in zip(offsets, offsets[1:])]
-
-
 _NOTES = {
     "Zero": "the window exhausts the group, which is therefore finite and has no ends",
     "One": "a single unbounded complementary component persists at every radius and "
@@ -447,16 +441,14 @@ _NOTES = {
 }
 
 
-def _count_rows(window: Window, r_max: int):
-    """The counts at radii 1..r_max, cut before the least r <= R with
-    B(r - 1) the whole group, and that r (None when sphere R is not empty)."""
-    uf = _UnionFind(window)
-    rows = []
-    for r in range(window.radius, 0, -1):
-        uf.add(r)
-        rows.append(RadiusCount(r=r, outer=uf.outer, inner=uf.count - uf.outer))
+def _count_rows(window: Window, sweep: Optional[Iterable] = None):
+    """The counts at radii 1..R read off sweep (by default _sweep(window, 1)),
+    cut before the least r <= R with B(r - 1) the whole group, and that r
+    (None when sphere R is not empty)."""
+    sweep = _sweep(window, 1) if sweep is None else sweep
+    rows = [RadiusCount(r=r, outer=uf.outer, inner=uf.count - uf.outer) for r, uf in sweep if r]
     top = bisect_left(window.offsets, len(window))  # spheres top.. are empty
-    return rows[::-1][: min(r_max, top - 1)], (top if top <= window.radius else None)
+    return rows[::-1][: top - 1], (top if top <= window.radius else None)
 
 
 def end_count(window: Window, r_max: int, stab_span: int = 3, growth_span: int = 3) -> EndVerdict:
@@ -469,60 +461,66 @@ def end_count(window: Window, r_max: int, stab_span: int = 3, growth_span: int =
     """
     if r_max < 1:
         raise ParameterError("r_max must be at least 1")
-    _check_spans(stab_span, growth_span)
+    if r_max >= window.radius:
+        raise ParameterError(f"r_max {r_max} must be smaller than the window radius {window.radius}")
+    return _verdict(window, *_count_rows(window), r_max, stab_span, growth_span)
+
+
+def _verdict(window: Window, rows: list, exhausted_at: Optional[int], r_max: int,
+             stab_span: int = 3, growth_span: int = 3) -> EndVerdict:
+    """The verdict on window from all its rows and exhausted_at (see _count_rows).
+
+    Rows 1..r_max give the candidate (classify_counts). A One or Two needs
+    no bounded complementary mass over the last stab_span rows and the same
+    counts on the recheck window, built for it alone; then it must pass the
+    sphere guard on both windows and match row r_max at every row past it
+    up to R - ENLARGE_BY (nearer the outer sphere, a component that reaches
+    it may still close up). A refused verdict is Undetermined.
+    """
     radius = window.radius
-    if r_max >= radius:
-        raise ParameterError(f"r_max {r_max} must be smaller than the window radius {radius}")
-    rows, exhausted_at = _count_rows(window, r_max)
-    outer = [c.outer for c in rows]
+    counts = rows[:r_max]
+    outer = [c.outer for c in counts]
     candidate, anomaly, growth_flag = classify_counts(
         outer, stab_span, growth_span, exhausted_at is not None
     )
-
-    recheck_rows = None
-    recheck_radius = None
-    stable = None
-    big = None
-    verdict = candidate
+    recheck = stable = None
+    read = [window]
     if candidate in ("One", "Two"):
-        tail = rows[-stab_span:]
-        if any(c.inner > 0 for c in tail):
-            verdict = "Undetermined"
+        if any(c.inner > 0 for c in counts[-stab_span:]):
             anomaly = (
                 "bounded complementary components persist inside the window, so the "
                 "component tree cannot be trusted at this size"
             )
         else:
-            recheck_radius = radius + ENLARGE_BY
-            big = window.at(recheck_radius)
-            recheck_rows, re_exhausted = _count_rows(big, r_max)
-            stable = (
-                re_exhausted is None
-                and [c.outer for c in recheck_rows] == outer
-            )
+            read.append(window.at(radius + ENLARGE_BY))
+            recheck, re_exhausted = _count_rows(read[1])
+            stable = re_exhausted is None and [c.outer for c in recheck[:r_max]] == outer
             if not stable:
-                verdict = "Undetermined"
                 anomaly = "outer counts changed when the window was enlarged"
-    # a One or Two that got here stands on the recheck window too; Infinite builds none
-    read = (window,) if big is None else (window, big)
-    refusal = sphere_guard(verdict, *map(_sphere_sizes, read))
-    if refusal:
-        verdict, anomaly = "Undetermined", refusal
-
-    if verdict == "Undetermined":
-        note = "the window does not certify a verdict: " + (anomaly or "insufficient data")
-    else:
-        note = _NOTES[verdict]
+    if anomaly is None:
+        # a One or Two that got here stands on the recheck window too; Infinite builds none
+        sizes = ([b - a for a, b in zip(w.offsets, w.offsets[1:])] for w in read)
+        anomaly = sphere_guard(candidate, *sizes)
+    if anomaly is None and candidate in ("One", "Two"):
+        moved = [c for c in rows[r_max : radius - ENLARGE_BY] if c.outer != outer[-1]]
+        if moved:
+            anomaly = (
+                f"the outer count reads {outer[-1]} at r_max={r_max} but {moved[0].outer} "
+                f"at r={moved[0].r}: below the width of a finite part, its elements can "
+                "join branches that larger radii separate"
+            )
+    verdict = candidate if anomaly is None else "Undetermined"
     evidence = EndEvidence(
-        counts=tuple(rows),
-        recheck_counts=None if recheck_rows is None else tuple(recheck_rows),
+        counts=tuple(counts),
+        recheck_counts=None if recheck is None else tuple(recheck[:r_max]),
         stab_span=stab_span,
         growth_span=growth_span,
         window_radius=radius,
-        recheck_radius=recheck_radius,
+        recheck_radius=None if recheck is None else radius + ENLARGE_BY,
         exhausted_at=exhausted_at,
         growth_flag=growth_flag,
         stable=stable,
         anomaly=anomaly,
     )
+    note = _NOTES[verdict] if anomaly is None else "the window does not certify a verdict: " + anomaly
     return EndVerdict(verdict=verdict, note=note, evidence=evidence)

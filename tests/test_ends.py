@@ -1,5 +1,6 @@
 """Component decompositions, end trees, verdicts, and the covering bound."""
 
+import json
 import math
 import random
 
@@ -18,6 +19,7 @@ from coarse_ends import (
     interface,
 )
 from coarse_ends.cayley import ENLARGE_BY
+from coarse_ends.cli import main
 from coarse_ends.ends import _UnionFind, sphere_guard
 from helpers import ZOO, get_gens, get_group, get_window
 from oracles import (
@@ -122,7 +124,7 @@ def test_partition_laws_randomized():
             assert uf.count == uf.outer == len(rim), text
             sweeps[text, radius, power] = (
                 end_count(window, radius - 1).evidence,
-                component_tree(window, 0, radius - 1, margin=1),
+                component_tree(window, 0, radius - 1),
             )
         evidence, tree = sweeps[text, radius, power]
         r = rng.randrange(0, radius)
@@ -299,9 +301,12 @@ def test_tree_dot_output():
 
 
 def test_tree_window_too_small():
+    # the bound end_count keeps: r_max < R
     w = get_window("Z", 6, table=True)
-    with pytest.raises(ParameterError):
-        component_tree(w, 1, 4)
+    assert len(component_tree(w, 1, 5).levels) == 5
+    for r_max in (6, 7):
+        with pytest.raises(ParameterError, match="smaller than the window radius 6"):
+            component_tree(w, 1, r_max)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +492,48 @@ def test_sphere_guard_keeps_verdicts():
     # the guard's limit: below r = 20 the spheres of (Z x C40) grow as Z^2's do
     for r_max in (4, 8):
         assert _ends("(Z x C40)", r_max).verdict == "One"
+
+
+@pytest.mark.parametrize(
+    "text, r_max",
+    [
+        ("(C10 x (C2 * C3))", 4),
+        ("((C8 x C1) x (C3 * C2))", 4),
+        ("((C2 x C8) x (C2 * C3))", 4),
+        ("(C6 x (C3 * C3))", 3),
+    ],
+)
+def test_rows_past_r_max_refuse_one(text, r_max):
+    # virtually free, so infinitely many ends; up to the diameter of the finite
+    # factor an element of it joins every branch, so rows 1..r_max read 1 and
+    # survive the recheck. Its spheres grow, so the sphere guard passes them,
+    # but a row past r_max, up to R - 4, reads the branches apart.
+    assert spec_ends(get_group(text).spec) == math.inf
+    verdict = _ends(text, r_max)
+    assert [c.outer for c in verdict.evidence.counts] == [1] * r_max
+    assert verdict.evidence.stable is True
+    assert verdict.verdict == "Undetermined" and f"at r_max={r_max} but" in verdict.note
+
+
+def test_tree_verdict_is_the_ends_verdict(capsys):
+    """tree and ends give the same exit code and verdict for the same flags,
+    over 80 seeded specs of depth <= 2 at r_max 3 and 4, and a group of
+    order 256 and diameter 10: the radius-10 window holds it with a nonempty
+    outer sphere, so only the recheck tells it finite."""
+    rng = random.Random("tree-agrees-with-ends")
+    cases = [(_random_spec(rng, 2), str(r_max)) for _ in range(80) for r_max in (3, 4)]
+    cases.append(("((C8 * C1) x (C4 x C8))", "3"))
+    seen = []
+    for text, r_max in cases:
+        got = []
+        for command in ("ends", "tree"):
+            code = main([command, "--group", text, "--rmax", r_max, "--cap", "3000"])
+            out = capsys.readouterr().out
+            got.append((code, json.loads(out)["result"]["verdict"] if out else None))
+        assert got[0] == got[1], (text, r_max)
+        seen.append(got[0])
+    assert seen[-1] == (3, "Undetermined")
+    assert {"Zero", "One", "Two", "Undetermined"} <= {verdict for _, verdict in seen}
 
 
 def test_spec_ends_closed_form():
