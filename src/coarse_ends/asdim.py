@@ -98,7 +98,6 @@ perfbench/spans.py wraps `greedy_ball_cover`, `build_annulus_cover` and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import (
     combinations,
     combinations_with_replacement,
@@ -106,7 +105,7 @@ from itertools import (
     groupby,
     product,
 )
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cayley import Window
 from .errors import (
@@ -137,15 +136,13 @@ __all__ = [
 # Growth and covering numbers
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     r: int
     sphere: int
     ball: int
 
 
-@dataclass(frozen=True)
-class CoveringSample:
+class CoveringSample(NamedTuple):
     base: int
     offset: int
     count: int
@@ -345,23 +342,20 @@ def _thin_geodesics(window: Window, pair_budget: int, seed: int) -> tuple:
 # Annulus covers
 
 
-@dataclass(frozen=True)
 class AnnulusCover:
-    n: int
-    p: int
-    s: int
-    window: Window
-    net: tuple  # the 2ps-separated net points on the norm-2n sphere
-    sets: tuple  # sets[i] = elements assigned to net point i, window order
-    assignment: dict  # annulus element -> sorted tuple of set indices
-    # probe radius -> reach map (see _reach_map), made on first request
-    _reach: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # annulus element -> point 2n of its canonical geodesic, kept by the build
-    _exits: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, n: int, p: int, s: int, window: Window, net: tuple, sets: tuple,
+                 assignment: dict, exits: dict):
+        self.n, self.p, self.s, self.window = n, p, s, window
+        self.net = net  # the 2ps-separated net points on the norm-2n sphere
+        self.sets = sets  # sets[i] = elements assigned to net point i, window order
+        self.assignment = assignment  # annulus element -> sorted tuple of set indices
+        # probe radius -> reach map (see _reach_map), made on first request
+        self._reach: dict = {}
+        # annulus element -> point 2n of its canonical geodesic, kept by the build
+        self._exits = exits
 
 
-@dataclass(frozen=True)
-class CoverStats:
+class CoverStats(NamedTuple):
     n: int
     net_size: int
     set_count: int
@@ -435,7 +429,7 @@ def build_annulus_cover(window: Window, n: int, p: int, s: int) -> AnnulusCover:
         net=tuple(net_points),
         sets=tuple(tuple(v) for v in sets),
         assignment=assignment,
-        _exits=exits,
+        exits=exits,
     )
 
 
@@ -552,8 +546,7 @@ def verify_cover(cover: AnnulusCover, probe_radius: int, n2delta: int) -> CoverS
     )
 
 
-@dataclass(frozen=True)
-class AsdimWitness:
+class AsdimWitness(NamedTuple):
     delta_hat: int
     delta: int
     n2delta: int

@@ -66,7 +66,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
 from typing import Iterator
@@ -81,7 +80,6 @@ ENLARGE_BY = 4  # radius added to a window to recheck a verdict read off it
 _drop = deque(maxlen=0).append  # an append that keeps nothing
 
 
-@dataclass
 class Window:
     """A radius-R ball: elements in window order, sphere offsets and norms.
 
@@ -94,22 +92,22 @@ class Window:
     element count of this window and of every window grown from it by `at`.
     """
 
-    group: Group
-    gens: frozenset
-    radius: int
-    # element -> norm. The values are small cached ints; an id map in its
-    # place would add one int object per element to every window.
-    norms: dict
-    elements: list  # window order: sphere by sphere, build order
-    offsets: tuple  # radius + 2 entries; offsets[-1] == len(elements)
-    steps: tuple  # non-identity generators, sorted by printed form
-    cap: int
-    table: bool = False  # the search writes the generator table (see at)
-    _cols: tuple = field(default=(), init=False, repr=False, compare=False)  # neighbours()
-    _pred: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (id of the predecessor, step map) per element of B(r) but the identity,
-    # in window order, for the largest r a translator was asked for
-    _plan: list = field(default_factory=list, init=False, repr=False, compare=False)
+    def __init__(self, group: Group, gens: frozenset, radius: int, norms: dict, elements: list,
+                 offsets: tuple, steps: tuple, cap: int, table: bool = False):
+        self.group, self.gens, self.radius = group, gens, radius
+        # element -> norm. The values are small cached ints; an id map in its
+        # place would add one int object per element to every window.
+        self.norms = norms
+        self.elements = elements  # window order: sphere by sphere, build order
+        self.offsets = offsets  # radius + 2 entries; offsets[-1] == len(elements)
+        self.steps = steps  # non-identity generators, sorted by printed form
+        self.cap = cap
+        self.table = table  # the search writes the generator table (see at)
+        self._cols: tuple = ()  # neighbours()
+        self._pred: dict = {}
+        # (id of the predecessor, step map) per element of B(r) but the identity,
+        # in window order, for the largest r a translator was asked for
+        self._plan: list = []
 
     def __contains__(self, g) -> bool:
         return g in self.norms
@@ -245,9 +243,8 @@ class Window:
             ids, cols = self._search_table(elements, norms, offsets, radius)
         else:
             self._search(elements, norms, offsets, radius)
-        window = replace(
-            self, radius=radius, norms=norms, elements=elements, offsets=tuple(offsets), table=table
-        )
+        window = Window(self.group, self.gens, radius, norms, elements, tuple(offsets), self.steps,
+                        self.cap, table)
         if table:
             window.ids, window._cols = ids, cols
         return window

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from typing import Callable
 
 from . import __version__
@@ -25,8 +24,17 @@ from .asdim import asdim_upper_bound, covering_number, covering_samples, growth_
 from .cayley import DEFAULT_CAP, build_window
 from .covers import clopen_scale_test
 from .ends import component_tree, components, end_count
-from .errors import CoarseEndsError, ElementSyntaxError, SelectorError
-from .groups import Group, parse_spec, power_generators, spec_to_string, standard_generators
+from .errors import CoarseEndsError, ElementSyntaxError, SelectorError, WindowCapError
+from .groups import (
+    DirectProduct,
+    FreeAbelian,
+    FreeProduct,
+    Group,
+    parse_spec,
+    power_generators,
+    spec_to_string,
+    standard_generators,
+)
 
 REPORT_SCHEMA = "coarse-ends.report/1"
 
@@ -38,12 +46,26 @@ class _ArgumentError(CoarseEndsError):
 _LABELS = {1: "error", 2: "resource cap", 4: "refusing"}
 
 
+def _coordinates(spec) -> int:
+    """Coordinates in the generator tuples of the spec's free abelian
+    factors, which the group builds at once: 2k^2 for each Z^k."""
+    if isinstance(spec, FreeAbelian):
+        return 2 * spec.rank**2
+    if isinstance(spec, (DirectProduct, FreeProduct)):
+        return _coordinates(spec.left) + _coordinates(spec.right)
+    return 0
+
+
 def _bind(args, default_radius: int, table: bool = False):
     """The window a command reads, built from the common flags.
 
     table has the search write the generator table, for the commands that
-    read neighbours."""
-    group = Group(parse_spec(args.group))
+    read neighbours. A spec whose free abelian generators alone hold more
+    coordinates than the cap is refused before they are built."""
+    spec = parse_spec(args.group)
+    if _coordinates(spec) > args.cap:
+        raise WindowCapError(args.cap, 0)
+    group = Group(spec)
     gens = standard_generators(group)
     radius = args.window if args.window is not None else default_radius
     if args.gen_power > 1:
@@ -255,7 +277,8 @@ def cmd_clopen(args) -> tuple:
         (e.scale_t, e.rho, e.core_radius, _bool(e.stable), _bool(e.verdict))
         for e in cert.entries
     ]
-    return _report(args, window, dict(tmax=args.tmax, set=chosen), asdict(cert), lines,
+    result = {**cert._asdict(), "entries": tuple(e._asdict() for e in cert.entries)}
+    return _report(args, window, dict(tmax=args.tmax, set=chosen), result, lines,
                    "scale_t,rho,core_radius,stable,verdict", rows,
                    csv_config={"verdict": _bool(cert.verdict)})
 

@@ -25,8 +25,7 @@ that is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .cayley import ENLARGE_BY, Window
 from .errors import CoreRadiusError, OutOfWindowError, ParameterError
@@ -40,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InterfaceReport:
+class InterfaceReport(NamedTuple):
     """The overlap st(A) meet st(complement of A) inside the core ball.
 
     rho is the largest norm in the interface, -1 when it is empty. The
@@ -56,8 +54,7 @@ class InterfaceReport:
     verdict: bool
 
 
-@dataclass(frozen=True)
-class ScaleEntry:
+class ScaleEntry(NamedTuple):
     scale_t: int
     rho: int
     core_radius: int
@@ -65,8 +62,7 @@ class ScaleEntry:
     verdict: bool
 
 
-@dataclass(frozen=True)
-class ClopenCertificate:
+class ClopenCertificate(NamedTuple):
     """Per-scale interface sizes plus the combined clopen-consistency verdict.
 
     verdict = every scale clopen, every scale stable under window

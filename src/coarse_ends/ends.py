@@ -36,10 +36,9 @@ both show one outer component up to r = 4.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cayley import ENLARGE_BY, Window
 from .errors import ParameterError
@@ -60,8 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     elements: tuple
     outer: bool
     size: int
@@ -69,8 +67,7 @@ class Component:
     least: str  # printed form of the least element on sphere r, the label anchor
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
+class ComponentDecomposition(NamedTuple):
     components: tuple
 
     @property
@@ -213,22 +210,19 @@ def components(window: Window, r: int) -> ComponentDecomposition:
 # End tree
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     id: int
     size: int
     outer: bool
     parent: Optional[int]
 
 
-@dataclass(frozen=True)
-class TreeLevel:
+class TreeLevel(NamedTuple):
     r: int
     nodes: tuple
 
 
-@dataclass(frozen=True)
-class EndTree:
+class EndTree(NamedTuple):
     levels: tuple
     verdict: str
 
@@ -308,15 +302,13 @@ def component_tree(window: Window, r_min: int, r_max: int) -> EndTree:
 # Verdicts
 
 
-@dataclass(frozen=True)
-class RadiusCount:
+class RadiusCount(NamedTuple):
     r: int
     outer: int
     inner: int
 
 
-@dataclass(frozen=True)
-class EndEvidence:
+class EndEvidence(NamedTuple):
     counts: tuple
     recheck_counts: Optional[tuple]
     stab_span: int
@@ -329,14 +321,17 @@ class EndEvidence:
     anomaly: Optional[str]
 
 
-@dataclass(frozen=True)
-class EndVerdict:
+class EndVerdict(NamedTuple):
     verdict: str
     note: str
     evidence: EndEvidence
 
     def to_json_dict(self) -> dict:
-        return {"verdict": self.verdict, "note": self.note, **asdict(self.evidence)}
+        evidence = self.evidence._asdict()
+        for key in ("counts", "recheck_counts"):
+            if evidence[key] is not None:
+                evidence[key] = tuple(c._asdict() for c in evidence[key])
+        return {"verdict": self.verdict, "note": self.note, **evidence}
 
 
 def classify_counts(

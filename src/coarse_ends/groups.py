@@ -20,8 +20,7 @@ direct products as pairs. The identity of any group prints as "e".
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import (
     ElementSyntaxError,
@@ -49,43 +48,57 @@ __all__ = [
 # Spec tree
 
 
-@dataclass(frozen=True)
-class FreeAbelian:
-    rank: int
+class _Node:
+    """A spec node equals only a node of its own family: Free(2) and
+    FreeAbelian(2) are both the tuple (2,), yet differ."""
 
-    def __post_init__(self):
-        if self.rank < 1:
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class FreeAbelian(_Node, NamedTuple("FreeAbelian", [("rank", int)])):
+    __slots__ = ()
+
+    def __new__(cls, rank: int):
+        if rank < 1:
             raise ValueError("free abelian rank must be at least 1")
+        return super().__new__(cls, rank)
 
 
-@dataclass(frozen=True)
-class Free:
-    rank: int
+class Free(_Node, NamedTuple("Free", [("rank", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __new__(cls, rank: int):
+        if rank < 1:
             raise ValueError("free rank must be at least 1")
+        return super().__new__(cls, rank)
 
 
-@dataclass(frozen=True)
-class Cyclic:
-    order: int
+class Cyclic(_Node, NamedTuple("Cyclic", [("order", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __new__(cls, order: int):
+        if order < 1:
             raise ValueError("cyclic order must be at least 1")
+        return super().__new__(cls, order)
 
 
-@dataclass(frozen=True)
-class DirectProduct:
-    left: "GroupSpec"
-    right: "GroupSpec"
+_PAIR = [("left", "GroupSpec"), ("right", "GroupSpec")]
 
 
-@dataclass(frozen=True)
-class FreeProduct:
-    left: "GroupSpec"
-    right: "GroupSpec"
+class DirectProduct(_Node, NamedTuple("DirectProduct", _PAIR)):
+    __slots__ = ()
+
+
+class FreeProduct(_Node, NamedTuple("FreeProduct", _PAIR)):
+    __slots__ = ()
 
 
 GroupSpec = Union[FreeAbelian, Free, Cyclic, DirectProduct, FreeProduct]

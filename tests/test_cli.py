@@ -673,6 +673,30 @@ def test_exit_cap_before_a_large_step_set(capsys, monkeypatch):
     assert json.loads(out)["result"]["rows"] == [{"r": 0, "sphere": 1, "ball": 1}]
 
 
+def test_exit_cap_before_free_abelian_generators(capsys):
+    # Z^k's 2k generator tuples hold 2k^2 coordinates, all built with the
+    # group: (Z^2 x Z^3) holds 8 + 18, and a cap below that is refused
+    argv = ["growth", "--group", "(Z^2 x Z^3)", "--window", "1", "--cover-offsets", "1"]
+    code, _, _ = run_cli(capsys, argv + ["--cap", "26"])
+    assert code == 0
+    code, out, err = run_cli(capsys, argv + ["--cap", "25"])
+    assert (code, out) == (2, "")
+    assert err == "coarse-ends: resource cap: window element cap 25 exceeded; last fully built radius 0\n"
+    # Z^100000's would hold 2*10^10: the child's address space is limited, so
+    # a build that goes ahead fails there with a MemoryError, not here
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+        "from coarse_ends.cli import main\n"
+        "sys.exit(main(['ends', '--group', 'Z^100000']))\n"
+    )
+    run = _python(["-c", code])
+    assert (run.returncode, run.stdout) == (2, b"")
+    assert run.stderr == (
+        b"coarse-ends: resource cap: window element cap 5000000 exceeded; last fully built radius 0\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv,key,value",
     [
@@ -983,3 +1007,29 @@ def test_public_names_resolve():
         "spec_to_string", "standard_generators", "verify_cover",
     }
     assert len(coarse_ends.__all__) == 55
+
+
+def test_records_are_read_only_named_tuples():
+    # every value record, spec nodes included, is a named tuple: no field can
+    # be set and no attribute added. Window and AnnulusCover keep caches, so
+    # they are plain classes.
+    import coarse_ends
+
+    public = [getattr(coarse_ends, name) for name in coarse_ends.__all__]
+    records = [cls for cls in public if isinstance(cls, type) and issubclass(cls, tuple)]
+    assert len(records) == 20
+    for cls in records:
+        record = cls._make(range(len(cls._fields)))
+        assert record._asdict() == dict(zip(cls._fields, range(len(cls._fields))))
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], -1)
+        with pytest.raises(AttributeError):
+            record.extra = -1
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # a fresh interpreter pays for each module the CLI imports: dataclasses
+    # compiles several methods per class it decorates, and imports inspect
+    code = "import sys, coarse_ends.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    run = _python(["-c", code])
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"[]\n", b"")

@@ -54,6 +54,30 @@ def test_spec_to_string_roundtrip():
         assert parse_spec(canonical) == spec
 
 
+def test_specs_keep_their_family():
+    # a spec is a named tuple, yet it equals, and hashes into a set with, only
+    # a spec of its own family, although Free(2) and FreeAbelian(2) are both (2,)
+    leaves = [(Free(2), FreeAbelian(2)), (Cyclic(2), Free(2)), (Cyclic(2), FreeAbelian(2))]
+    nodes = [
+        (DirectProduct(Free(1), Cyclic(2)), FreeProduct(Free(1), Cyclic(2))),
+        (DirectProduct(Free(2), Cyclic(2)), DirectProduct(FreeAbelian(2), Cyclic(2))),
+    ]
+    for a, b in leaves:
+        assert tuple(a) == tuple(b) == (2,)
+    for a, b in leaves + nodes:
+        assert a != b and b != a and not a == b
+        assert len({a, b}) == 2 and {a: 1}.get(b) is None
+        assert a != tuple(a) and tuple(a) != a
+    for text in ZOO:
+        a, b = parse_spec(text), parse_spec(text)
+        assert a == b and not a != b and hash(a) == hash(b)
+    for family in (Free, FreeAbelian, Cyclic):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            family(0)
+        with pytest.raises(AttributeError):
+            setattr(family(1), family._fields[0], 2)
+
+
 @pytest.mark.parametrize(
     "bad,offset",
     [
