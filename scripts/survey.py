@@ -34,8 +34,7 @@ def main() -> None:
         window = build_window(group, gens, 2 * rmax + 4, table=True)
         verdict = end_count(window, rmax)
         outer = ",".join(str(c.outer) for c in verdict.evidence.counts)
-        # the growth window is a prefix of the ends window: one search per group
-        balls = ",".join(str(row.ball) for row in growth_series(window.at(rmax + 2)))
+        balls = ",".join(str(row.ball) for row in growth_series(group.spec, rmax + 2))
         print(f"{spec_text:<12} {verdict.verdict:<12} {outer:<28} {balls}")
 
 

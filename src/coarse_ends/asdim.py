@@ -98,23 +98,28 @@ perfbench/spans.py wraps `greedy_ball_cover`, `build_annulus_cover` and
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import (
     combinations,
     combinations_with_replacement,
+    count,
     filterfalse,
     groupby,
+    islice,
     product,
 )
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .cayley import Window
+from .cayley import DEFAULT_CAP, Window
 from .errors import (
     CoverVerificationError,
     EmptyShellError,
+    MismatchError,
     NonHyperbolicError,
     ParameterError,
     WindowCapError,
 )
+from .groups import Cyclic, DirectProduct, Free, FreeAbelian, FreeProduct
 
 __all__ = [
     "GrowthRow",
@@ -134,6 +139,18 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Growth and covering numbers
+#
+# Sphere sizes come from the spec, not from a window. Under the standard
+# generators every spec's growth series is rational, P/Q with Q(0) = 1:
+# (1+z)/(1-z) for Z, so ((1+z)/(1-z))^k for Z^k; (1+z)/(1-(2k-1)z) for Fk;
+# (1 + z - z^ceil(n/2) - z^(floor(n/2)+1))/(1-z) for Cn, whose spheres are
+# 1, 2, ..., 2 and a last 1 when n is even. Polynomials are kept sparse, as
+# {exponent: coefficient}, so a large n costs no more than a small one.
+# A direct product's series is the product
+# of its factors', (P_A P_B, Q_A Q_B), and a free product's f solves
+# 1/f = 1/f_A + 1/f_B - 1 (de la Harpe, Topics in Geometric Group Theory,
+# ch. VI), so it is (P_A P_B, Q_A P_B + P_A Q_B - P_A P_B). Q*a = P gives
+# each sphere from the deg Q before it, so R radii cost O(R * deg Q).
 
 
 class GrowthRow(NamedTuple):
@@ -148,13 +165,79 @@ class CoveringSample(NamedTuple):
     count: int
 
 
-def growth_series(window: Window) -> tuple:
-    """Sphere and cumulative ball sizes per radius, straight from the window."""
-    off = window.offsets
-    return tuple(
-        GrowthRow(r=r, sphere=off[r + 1] - off[r], ball=off[r + 1])
-        for r in range(window.radius + 1)
-    )
+def _times(f: Counter, g: Counter) -> Counter:
+    """The product of two polynomials kept as {exponent: coefficient}."""
+    out = Counter()
+    for i, a in f.items():
+        for j, b in g.items():
+            out[i + j] += a * b
+    return out
+
+
+def _rational_series(spec) -> tuple:
+    """(P, Q) with P/Q the growth series of spec under its standard
+    generators and Q(0) = 1 (see the section comment)."""
+    if isinstance(spec, FreeAbelian):
+        p, q = Counter({0: 1}), Counter({0: 1})
+        for _ in range(spec.rank):
+            p, q = _times(p, Counter({0: 1, 1: 1})), _times(q, Counter({0: 1, 1: -1}))
+        return p, q
+    if isinstance(spec, Free):
+        return Counter({0: 1, 1: 1}), Counter({0: 1, 1: 1 - 2 * spec.rank})
+    if isinstance(spec, Cyclic):
+        n = spec.order
+        p = Counter({0: 1, 1: 1})
+        p.subtract([(n + 1) // 2, n // 2 + 1])  # one exponent twice when n is odd
+        return p, Counter({0: 1, 1: -1})
+    if not isinstance(spec, (DirectProduct, FreeProduct)):
+        raise MismatchError(f"not a group spec: {spec!r}")
+    (pa, qa), (pb, qb) = _rational_series(spec.left), _rational_series(spec.right)
+    p = _times(pa, pb)
+    if isinstance(spec, DirectProduct):
+        return p, _times(qa, qb)
+    q = _times(qa, pb)
+    q.update(_times(pa, qb))
+    q.subtract(p)
+    return p, q
+
+
+def _sphere_sizes(spec) -> Iterator[int]:
+    """The sphere sizes of spec under its standard generators, from radius
+    0 up to its last nonempty sphere: a_r = p_r - sum of q_k * a_(r-k)."""
+    p, q = _rational_series(spec)
+    terms = [(k, c) for k, c in q.items() if k and c]
+    a = []
+    for r in count():
+        size = p[r] - sum(c * a[r - k] for k, c in terms if k <= r)
+        if not size:
+            return  # a Cayley graph past an empty sphere has no element left
+        a.append(size)
+        yield size
+
+
+def growth_series(spec, radius: int, power: int = 1, cap: int = DEFAULT_CAP) -> tuple:
+    """Sphere and cumulative ball sizes per radius, up to radius, under the
+    standard generators K of spec or, with power t, under K^t.
+
+    K holds the identity, so K^t = B_K(t) and the K^t-ball of radius m is
+    the K-ball of radius t*m. Raises WindowCapError(cap, m - 1) at the
+    first radius m whose ball holds more than cap elements, the error
+    build_window raises on the same generators.
+    """
+    if power < 1:
+        raise ParameterError(f"generator power must be at least 1, got {power}")
+    if cap < 1:
+        raise ParameterError(f"window element cap must be at least 1, got {cap}")
+    sizes = _sphere_sizes(spec)
+    rows = []
+    ball = 0
+    for m in range(radius + 1):
+        sphere = sum(islice(sizes, power if m else 1))
+        if ball + sphere > cap:
+            raise WindowCapError(cap, m - 1)
+        ball += sphere
+        rows.append(GrowthRow(r=m, sphere=sphere, ball=ball))
+    return tuple(rows)
 
 
 def greedy_ball_cover(window: Window, target: Iterable, s: int) -> list:

@@ -5,7 +5,9 @@ no timings, stable ordering everywhere. JSON is the canonical format;
 csv and text are projections of it, and dot exists for trees only. Each
 command builds its window once, in `_bind`, runs its analysis on it and
 hands the result, its text lines and its csv rows to one builder,
-`_report`, which renders only the format asked for.
+`_report`, which renders only the format asked for. `growth` reads its
+sphere sizes off the spec's growth series, and builds its window only to
+the radius its covering numbers read.
 
 Exit codes: 0 determinate result, 1 usage or parse error, 2 element cap
 exceeded, 3 Undetermined end verdict, 4 precondition refusal (window too
@@ -56,23 +58,30 @@ def _coordinates(spec) -> int:
     return 0
 
 
-def _bind(args, default_radius: int, table: bool = False):
-    """The window a command reads, built from the common flags.
-
-    table has the search write the generator table, for the commands that
-    read neighbours. A spec whose free abelian generators alone hold more
-    coordinates than the cap is refused before they are built."""
+def _steps(args, radius: int) -> tuple:
+    """The group and the step set of a window of the given radius, built
+    from the common flags. A spec whose free abelian generators alone hold
+    more coordinates than the cap is refused before they are built."""
     spec = parse_spec(args.group)
     if _coordinates(spec) > args.cap:
         raise WindowCapError(args.cap, 0)
     group = Group(spec)
     gens = standard_generators(group)
-    radius = args.window if args.window is not None else default_radius
     if args.gen_power > 1:
         # K^t is B(1) of the window, so a window of radius 1 or more stops
         # at the cap before K^t is complete
         cap = args.cap if radius >= 1 else None
         gens = power_generators(group, gens, args.gen_power, cap)
+    return group, gens
+
+
+def _bind(args, default_radius: int, table: bool = False):
+    """The window a command reads, built from the common flags.
+
+    table has the search write the generator table, for the commands that
+    read neighbours."""
+    radius = args.window if args.window is not None else default_radius
+    group, gens = _steps(args, radius)
     return build_window(group, gens, radius, cap=args.cap, table=table)
 
 
@@ -108,7 +117,8 @@ def _report(args, window, config, result, lines, header, rows, *, csv_config=(),
             warnings=(), tree=None, exit_code=0) -> tuple:
     """(payload, exit code) of a command's report, rendered in args.format only.
 
-    config holds the command's own settings, after the common ones. json
+    config holds the command's own settings, after the common ones; a
+    common key in it replaces the window's value in place. json
     wraps result in the envelope. csv writes the config, with csv_config
     added, as sorted `# key=value` lines, then header and rows. text writes
     a `group:` line, then lines. dot writes the tree's graph.
@@ -287,8 +297,14 @@ def cmd_growth(args) -> tuple:
     offsets = _int_list(args.cover_offsets, "--cover-offsets")
     for t in offsets:
         _at_least("--cover-offsets", t, 1)
-    window = _bind(args, 8)
-    series = growth_series(window)
+    radius = args.window if args.window is not None else 8
+    group, gens = _steps(args, radius)
+    series = growth_series(group.spec, radius, args.gen_power, args.cap)
+    # Past the largest offset T, the report reads only sphere sizes: offset
+    # t <= T covers B(S + t) for S <= min(t + 3, R - t), which is t + 3 on a
+    # window of radius W = 2T + 3 whenever R >= W, and the bounded-geometry
+    # count reads B(2) when R >= 3 (W >= 5). So the window stops at W.
+    window = build_window(group, gens, min(radius, 2 * max(offsets) + 3), cap=args.cap)
     warnings = []
     samples = []
     for t in offsets:
@@ -297,7 +313,7 @@ def cmd_growth(args) -> tuple:
             warnings.append(f"offset {t} does not fit the window; skipped")
         samples.extend(fits)
     bg = None
-    if window.radius >= 3:
+    if radius >= 3:
         # K holds the identity, so K*K is the ball B(2)
         bg = covering_number(window, 1, 1)
     else:
@@ -316,8 +332,8 @@ def cmd_growth(args) -> tuple:
     if bg is not None:
         lines.append(f"bounded geometry count: {bg}")
         rows.append(("bounded_geometry", bg, "", ""))
-    return _report(args, window, dict(cover_offsets=args.cover_offsets), result, lines,
-                   "kind,a,b,c", rows, warnings=warnings)
+    return _report(args, window, dict(window=radius, cover_offsets=args.cover_offsets),
+                   result, lines, "kind,a,b,c", rows, warnings=warnings)
 
 
 def cmd_asdim(args) -> tuple:

@@ -20,6 +20,7 @@ from coarse_ends import (
     estimate_delta,
     greedy_ball_cover,
     growth_series,
+    parse_spec,
     verify_cover,
 )
 from coarse_ends.asdim import PROBE_RADII, _delta_scan, _indices
@@ -40,22 +41,39 @@ from oracles import (
 
 
 def test_growth_series_frozen():
-    rows = growth_series(get_window("Z", 6))
+    rows = growth_series(parse_spec("Z"), 6)
     assert [(r.r, r.sphere, r.ball) for r in rows] == [
         (0, 1, 1), (1, 2, 3), (2, 2, 5), (3, 2, 7), (4, 2, 9), (5, 2, 11), (6, 2, 13),
     ]
-    rows = growth_series(get_window("(C2 * C3)", 8))
+    rows = growth_series(parse_spec("(C2 * C3)"), 8)
     assert [r.ball for r in rows] == [1, 4, 8, 14, 22, 34, 50, 74, 106]
+    # K^2 reads every other ball of K; C6 is exhausted at radius 3
+    rows = growth_series(parse_spec("(C2 * C3)"), 4, power=2)
+    assert [r.ball for r in rows] == [1, 8, 22, 50, 106]
+    assert [r.sphere for r in growth_series(parse_spec("C6"), 6)] == [1, 2, 2, 1, 0, 0, 0]
 
 
 def test_growth_series_consistency():
     for text in ["Z^2", "F2", "C6", "(C2 * C2)"]:
         w = get_window(text, 6)
-        rows = growth_series(w)
+        rows = growth_series(parse_spec(text), 6)
         assert rows[0] == rows[0].__class__(r=0, sphere=1, ball=1)
         for prev, row in zip(rows, rows[1:]):
             assert row.ball == prev.ball + row.sphere
         assert rows[-1].ball == len(w)
+    # a cyclic factor's series is sparse: an order of 10^9 costs nothing
+    text = "(C1000000000 * C7)"
+    w = build_window(get_group(text), get_gens(text), 6)
+    assert tuple(row.ball for row in growth_series(parse_spec(text), 6)) == w.offsets[1:]
+
+
+def test_growth_series_errors():
+    with pytest.raises(WindowCapError) as err:
+        growth_series(parse_spec("F2"), 40)  # |B(13)| = 3,188,645, |B(14)| = 9,565,937
+    assert err.value.radius_reached == 13
+    for kwargs in (dict(power=0), dict(cap=0)):
+        with pytest.raises(ParameterError):
+            growth_series(parse_spec("Z"), 3, **kwargs)
 
 
 # ---------------------------------------------------------------------------

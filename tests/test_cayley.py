@@ -12,6 +12,7 @@ from coarse_ends import (
     ParameterError,
     WindowCapError,
     build_window,
+    growth_series,
     parse_spec,
     power_generators,
     standard_generators,
@@ -135,6 +136,15 @@ def test_offsets_match_closed_form_spheres(text, power):
         gens = power_generators(grp, gens, power)
     cap = balls[radius]  # a wrong search that reaches more elements stops here
     assert build_window(grp, gens, radius, cap).offsets == offsets
+    # the spec's rational growth series gives the same balls, and refuses a
+    # cap one below the last of them at the radius the search reaches
+    assert (0, *(row.ball for row in growth_series(spec, radius, power, cap))) == offsets
+    if cap > 1:
+        with pytest.raises(WindowCapError) as search:
+            build_window(grp, gens, radius, cap - 1)
+        with pytest.raises(WindowCapError) as series:
+            growth_series(spec, radius, power, cap - 1)
+        assert series.value.radius_reached == search.value.radius_reached
     # a table window writes |K^t| - 1 entries per element: up to 500,000 here
     top = max(m for m in range(radius + 1) if balls[m] * balls[1] <= 500_000)
     assert build_window(grp, gens, top, cap, table=True).offsets == offsets[: top + 2]

@@ -32,8 +32,14 @@ from coarse_ends import (
     __version__,
     build_window,
     cli,
+    covering_number,
+    parse_spec,
+    power_generators,
+    standard_generators,
 )
+from coarse_ends.asdim import covering_samples
 from coarse_ends.cli import main
+from oracles import spec_spheres
 
 
 def run_cli(capsys, argv):
@@ -515,6 +521,79 @@ def test_growth_small_window_text_has_no_count(capsys):
     assert code == 0 and "bounded_geometry" not in csv
     code, text, _ = run_cli(capsys, ["growth", "--group", "Z", "--window", "3", "--format", "text"])
     assert code == 0 and text.endswith("bounded geometry count: 2\n")
+
+
+def _growth_fields(fmt, out):
+    """(window, spheres, covering, bounded geometry) of a growth report;
+    text prints no window, so it reads None there."""
+    if fmt == "json":
+        doc = json.loads(out)
+        res = doc["result"]
+        return (doc["config"]["window"], [row["sphere"] for row in res["rows"]],
+                [(c["S"], c["t"], c["N"]) for c in res["covering"]], res["bounded_geometry"])
+    lines = out.splitlines()
+    if fmt == "csv":
+        config = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+        rows = [line.split(",") for line in lines[len(config) + 1 :]]
+        bg = [int(row[1]) for row in rows if row[0] == "bounded_geometry"]
+        return (int(config["window"]), [int(row[2]) for row in rows if row[0] == "sphere"],
+                [tuple(map(int, row[1:])) for row in rows if row[0] == "covering"],
+                bg[0] if bg else None)
+    cut = lines.index("covering numbers (cover K^(S+t) by translates of K^S):")
+    covering = [tuple(int(f.split("=")[1]) for f in line.split()) for line in lines[cut + 1 :]
+                if line.startswith("S=")]
+    bg = [int(line.split()[-1]) for line in lines if line.startswith("bounded geometry count")]
+    return (None, [int(line.split()[1]) for line in lines[2:cut]], covering,
+            bg[0] if bg else None)
+
+
+@pytest.mark.parametrize("text", ["Z^2", "C5", "(C2 * C3)"])
+@pytest.mark.parametrize("power", [1, 2])
+def test_growth_reads_the_series_and_a_short_window(capsys, text, power):
+    # rows come from the spec's series and the covering numbers from a window
+    # of radius min(R, 2T + 3): both must read as on the full radius-R window.
+    # C5 is exhausted at radius 2 (1 under K^2); R = 12 exceeds every 2T + 3 here
+    spec = parse_spec(text)
+    group = Group(spec)
+    gens = standard_generators(group)
+    if power > 1:
+        gens = power_generators(group, gens, power)
+    for radius in (0, 1, 2, 3, 5, 12):
+        full = build_window(group, gens, radius)
+        spheres = spec_spheres(spec, radius + 1, power)
+        bg = covering_number(full, 1, 1) if radius >= 3 else None
+        for offsets in ("1,2", "1,3", "2,1"):
+            covering = [tuple(c) for t in map(int, offsets.split(","))
+                        for c in covering_samples(full, t)]
+            for fmt in ("json", "csv", "text"):
+                code, out, _ = run_cli(capsys, [
+                    "growth", "--group", text, "--window", str(radius), "--gen-power", str(power),
+                    "--cover-offsets", offsets, "--format", fmt])
+                want = (None if fmt == "text" else radius, spheres, covering, bg)
+                assert (code, _growth_fields(fmt, out)) == (0, want), (radius, offsets, fmt)
+
+
+def test_growth_cap_refusal_builds_nothing(capsys):
+    # the series refuses F2's radius 40 at |B(14)| = 9,565,937 before any
+    # window is built; the child's address space is far below what the
+    # 3,188,645 words of B(13) would take
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from coarse_ends.cli import main\n"
+        "sys.exit(main(['growth', '--group', 'F2', '--window', '40']))\n"
+    )
+    run = _python(["-c", code])
+    assert (run.returncode, run.stdout) == (2, b"")
+    assert run.stderr == (
+        b"coarse-ends: resource cap: window element cap 5000000 exceeded; "
+        b"last fully built radius 13\n"
+    )
+    # the group is bound before the series reads the cap: F26 needs more
+    # letters than there are, whatever the cap
+    code, out, err = run_cli(capsys, ["growth", "--group", "F26", "--cap", "10"])
+    assert (code, out) == (1, "")
+    assert err.startswith("coarse-ends: error: spec needs more than 25 generator letters")
 
 
 def test_asdim_report(capsys):
