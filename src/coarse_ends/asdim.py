@@ -26,6 +26,15 @@ every product of a translate, since covered is read only at target
 elements. Its norm buckets are filled a run of equal norms at a time
 (itertools.groupby), so a ball, which is in norm order, costs one run per
 sphere, and any target keeps its order and repeats within a bucket.
+A covering number needs only the count, so on the outermost sphere S(k)
+of B(S+t) it counts the classes of the greedy's centres instead: the
+greedy centres every u in S(k) on the sphere C = S(max(k - S, 0)), and
+when the balls of C meet S(k) in pairwise disjoint sets, it picks each
+ball that meets S(k) once, in any printed order. The balls are taken in
+window order and checked for disjointness on S(k) as they are added; at
+the first overlap the count is the greedy's, from scratch. Where
+geodesics are unique, as on a free group, (C2 * C2) or (C2 * C3), the
+classes are disjoint, and the outermost sphere is never printed.
 
 The multiplicity scans read a reach map per cover: for every window
 element z, how many sets the probe ball z*B(r) meets. The map is built
@@ -81,7 +90,9 @@ All greedy choices (net points, cover centers) are ordered by norm then
 printed form, so witnesses are reproducible byte for byte; the printed
 keys come in one batch per sphere (Group.sort_printed, through
 Group.show_many), one for the uncovered part of each target sphere and
-one for the net's shell. Ball translates
+one for the net's shell. A covering number prints no batch for its
+outermost sphere when the classes there are disjoint, and one for each
+sphere, the outermost included, when they meet. Ball translates
 walk B(r)'s predecessor tree with step maps (Window.translator), not the
 neighbour table: a greedy cover on a free group spends about one step
 product per covered element, less than the |K|/2 per element that a table
@@ -91,8 +102,10 @@ g^-1 h without forming g^-1. A reach map is made on the first request and
 kept on the cover, so the cross scan reads the maps that `verify_cover`
 built at radius ps.
 perfbench/spans.py wraps `greedy_ball_cover`, `build_annulus_cover` and
-`verify_cover` by name. The witness's thin-geodesics scans run inside
-`asdim_upper_bound`, not through `estimate_delta`.
+`verify_cover` by name; a covering number calls `greedy_ball_cover` only
+when two classes meet, so its span times those covers alone. The
+witness's thin-geodesics scans run inside `asdim_upper_bound`, not
+through `estimate_delta`.
 """
 
 from __future__ import annotations
@@ -251,7 +264,6 @@ def greedy_ball_cover(window: Window, target: Iterable, s: int) -> list:
     """
     if s < 0:
         raise ParameterError("covering radius must be nonnegative")
-    grp = window.group
     norms = window.norms
     target = list(target)
     outside = next(filterfalse(norms.__contains__, target), None)
@@ -261,13 +273,20 @@ def greedy_ball_cover(window: Window, target: Iterable, s: int) -> list:
     # a ball is in norm order, so each of its spheres is one run
     for k, run in groupby(target, norms.__getitem__):
         by_norm.setdefault(k, []).extend(run)
-    translate = window.translator(min(s, window.radius))
+    spheres = [(k, by_norm[k]) for k in sorted(by_norm, reverse=True)]
+    return _greedy_spheres(window, spheres, s, window.translator(min(s, window.radius)), set())
+
+
+def _greedy_spheres(window: Window, spheres: list, s: int, translate, covered: set) -> list:
+    """The greedy cover's centres for spheres, (norm, elements) pairs
+    outermost first, given the elements already covered; covered grows
+    by every translate taken."""
+    grp = window.group
     centers = []
     # every product is kept, but covered is read only for target elements
-    covered = set()
-    for k in sorted(by_norm, reverse=True):
+    for k, sphere in spheres:
         # covered only grows, so what is covered now would be skipped anyway
-        for u in grp.sort_printed([g for g in by_norm[k] if g not in covered]):
+        for u in grp.sort_printed([g for g in sphere if g not in covered]):
             if u in covered:
                 continue
             # point max(k - s, 0) of u's canonical geodesic
@@ -280,7 +299,22 @@ def greedy_ball_cover(window: Window, target: Iterable, s: int) -> list:
 
 
 def covering_number(window: Window, S: int, t: int) -> int:
-    """Greedy count of radius-S ball translates covering the radius-(S+t) ball."""
+    """Greedy count of radius-S ball translates covering the radius-(S+t) ball.
+
+    The count is len(greedy_ball_cover(window, window.ball(S + t), S)),
+    read without printing the outermost sphere S(k) of the target when
+    its classes are disjoint. Every u in S(k) gets the centre c(u), point
+    max(k - S, 0) of its canonical geodesic, which lies in the sphere C =
+    S(max(k - S, 0)) and whose ball c(u)*B(S) holds u. Write H(c) for
+    c*B(S) meeting S(k). When the nonempty H(c), c in C, are pairwise
+    disjoint, the only picked ball that can hold u is that of c(u), so
+    the greedy picks each c with nonempty H(c) once, in whatever printed
+    order, and leaves covered the union of their balls. So the translates
+    of C are taken in window order, each checked against the covered
+    part of S(k) before it is added, and the greedy runs on the spheres
+    below k from there. At the first overlap the count is that of
+    greedy_ball_cover, from scratch.
+    """
     if S < 0 or t < 0:
         raise ParameterError("base radius and offset must be nonnegative")
     if S + t > window.radius:
@@ -289,8 +323,25 @@ def covering_number(window: Window, S: int, t: int) -> int:
         )
     if t == 0:
         return 1
-    target = window.ball(S + t)
-    return len(greedy_ball_cover(window, target, S))
+    offsets = window.offsets
+    k = window.norm(offsets[S + t + 1] - 1)  # the last element of B(S+t) has the largest norm
+    translate = window.translator(S)
+    norms = window.norms
+    # c*v lies in S(k) only for v in S(min(S, k)), the tail of B(S) in window order
+    tail = offsets[min(S, k)]
+    covered: set = set()
+    count = 0
+    for c in window.sphere(max(k - S, 0)):
+        ball = translate(c)
+        hits = [x for x in ball[tail:] if norms[x] == k]
+        if not hits:
+            continue
+        if not covered.isdisjoint(hits):
+            return len(greedy_ball_cover(window, window.ball(S + t), S))
+        covered.update(ball)
+        count += 1
+    below = [(r, window.sphere(r)) for r in range(k - 1, -1, -1)]
+    return count + len(_greedy_spheres(window, below, S, translate, covered))
 
 
 def covering_samples(window: Window, t: int) -> tuple:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from coarse_ends import (
     AnnulusCover,
     EmptyShellError,
+    Group,
     NonHyperbolicError,
     OutOfWindowError,
     ParameterError,
@@ -158,6 +159,49 @@ def test_covering_number_frozen():
     for S in (3, 4, 5):
         assert covering_number(wf, S, 2) == 12
     assert covering_number(wf, 4, 4) == 108
+
+
+def test_covering_number_matches_reference():
+    # the class count on the outermost sphere, against one sort of the whole target
+    cases = [
+        # the centre classes on the outermost sphere are disjoint
+        ("F2", 5, 1), ("(C2 * C3)", 7, 1), ("(C2 * C2)", 8, 1), ("Z", 8, 1), ("(Z * Z)", 5, 1),
+        # two classes meet, so the greedy runs from scratch
+        ("Z^2", 6, 1), ("Z^3", 4, 1), ("(Z x C2)", 6, 1), ("(F2 x C2)", 4, 1),
+        ("((C2 * C2) x C3)", 6, 1), ("(Z x C8)", 6, 1),
+        # finite groups whose window holds the group, so the target stops short of S + t
+        ("C7", 6, 1), ("(C2 x C2)", 4, 1),
+        ("F2", 2, 2), ("(Z x C2)", 3, 2),
+    ]
+    for text, radius, power in cases:
+        w = get_window(text, radius, power)
+        for S in range(radius + 1):
+            for t in range(radius - S + 1):
+                want = len(greedy_ball_cover_reference(w, w.ball(S + t), S))
+                assert covering_number(w, S, t) == want, (text, power, S, t)
+    # three classes reach S(3) here and two of them meet: a count that skipped the check reads 3
+    assert covering_number(get_window("(Z x C2)", 6), 2, 1) == 2
+
+
+def test_covering_number_sorts_only_where_classes_meet(monkeypatch):
+    free, grid = get_window("F2", 9), get_window("Z^2", 6)  # built before sorts are recorded
+    sorted_lengths = []
+    original = Group.sort_printed
+
+    def recording(self, items):
+        sorted_lengths.append(len(items))
+        return original(self, items)
+
+    monkeypatch.setattr(Group, "sort_printed", recording)
+    # F2's classes on S(9) are the extensions of the words in S(4)
+    assert covering_number(free, 5, 4) == 108
+    assert not any(sorted_lengths)
+    # Z^2's classes meet, so the greedy sorts from scratch
+    for S, t in [(1, 1), (2, 2), (3, 3)]:
+        del sorted_lengths[:]
+        want = len(greedy_ball_cover_reference(grid, grid.ball(S + t), S))
+        assert covering_number(grid, S, t) == want
+        assert any(sorted_lengths), (S, t)
 
 
 def test_covering_number_errors():
