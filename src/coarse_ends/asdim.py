@@ -26,15 +26,12 @@ every product of a translate, since covered is read only at target
 elements. Its norm buckets are filled a run of equal norms at a time
 (itertools.groupby), so a ball, which is in norm order, costs one run per
 sphere, and any target keeps its order and repeats within a bucket.
-A covering number needs only the count, so on the outermost sphere S(k)
-of B(S+t) it counts the classes of the greedy's centres instead: the
-greedy centres every u in S(k) on the sphere C = S(max(k - S, 0)), and
-when the balls of C meet S(k) in pairwise disjoint sets, it picks each
-ball that meets S(k) once, in any printed order. The balls are taken in
-window order and checked for disjointness on S(k) as they are added; at
-the first overlap the count is the greedy's, from scratch. Where
-geodesics are unique, as on a free group, (C2 * C2) or (C2 * C3), the
-classes are disjoint, and the outermost sphere is never printed.
+A covering number needs only the count, so it counts the outermost
+sphere of B(S+t) by the classes of the greedy's centres, in window
+order, and hands the greedy what those classes leave, or all of B(S+t)
+once two classes meet (see covering_number). Where geodesics are unique,
+as on a free group, (C2 * C2) or (C2 * C3), the classes are disjoint,
+and the outermost sphere is never printed.
 
 The multiplicity scans read a reach map per cover: for every window
 element z, how many sets the probe ball z*B(r) meets. The map is built
@@ -59,8 +56,8 @@ the largest distance found, which no later pair can then exceed. A pair
 of groups that passes forms its exact exit distance, memoised across the
 cover's sets, and is skipped if the bound through it is at most the
 maximum; otherwise its member pairs are scanned until one reaches that
-bound. The build keeps each annulus element's exit; any other member walks
-its predecessors. The witness is stated for symmetric step sets, and
+bound. The build keeps each annulus element's exit; any other member reads
+its own (Window.ancestor). The witness is stated for symmetric step sets, and
 `verify_cover` refuses any other: there |x^-1| = |x|, so D(rho, pi) =
 D(pi, rho).
 
@@ -76,36 +73,28 @@ window order, a distance is visible when it is at most r, and an escape
 counts as r + 1. So the probes at 4, 6 and 8 and delta_hat at R read one
 window, the window itself or its growth to radius 8 when it is smaller,
 and share one geodesic memo, since a canonical geodesic is the same in
-every window that holds its end.
-
-Cover centres and last-exit points come from predecessor walks. Point i
-of g's canonical geodesic is |g| - i predecessor steps back from g, so
-the greedy cover walks min(s, |u|) steps back from u, and the annulus
-cover |g| - 2n steps back from g, keeping that exit for the diameter
-scan, instead of building a whole geodesic to read one point of it. The
-thin-geodesics scan keeps whole geodesics, since it reads a range of
-indices.
+every window that holds its end. It keeps whole geodesics, since it
+reads a range of indices; a cover centre or an exit is one point of a
+geodesic (Window.ancestor).
 
 All greedy choices (net points, cover centers) are ordered by norm then
 printed form, so witnesses are reproducible byte for byte; the printed
 keys come in one batch per sphere (Group.sort_printed, through
 Group.show_many), one for the uncovered part of each target sphere and
-one for the net's shell. A covering number prints no batch for its
-outermost sphere when the classes there are disjoint, and one for each
-sphere, the outermost included, when they meet. Ball translates
-walk B(r)'s predecessor tree with step maps (Window.translator), not the
-neighbour table: a greedy cover on a free group spends about one step
-product per covered element, less than the |K|/2 per element that a table
-costs, and a translate y*B(r) may leave the window, which is only sure to
-reach norm 2n+2ps. Distances D(g, h) come from group.divide, which forms
-g^-1 h without forming g^-1. A reach map is made on the first request and
-kept on the cover, so the cross scan reads the maps that `verify_cover`
-built at radius ps.
+one for the net's shell. Ball translates walk B(r)'s predecessor tree
+with step maps (Window.translator), not the neighbour table: a greedy
+cover on a free group spends about one step product per covered element,
+less than the |K|/2 per element that a table costs, and a translate
+y*B(r) may leave the window, which is only sure to reach norm 2n+2ps.
+Distances D(g, h) come from group.divide, which forms g^-1 h without
+forming g^-1. A reach map is made on the first request and kept on the
+cover, so the cross scan reads the maps that `verify_cover` built at
+radius ps.
 perfbench/spans.py wraps `greedy_ball_cover`, `build_annulus_cover` and
-`verify_cover` by name; a covering number calls `greedy_ball_cover` only
-when two classes meet, so its span times those covers alone. The
-witness's thin-geodesics scans run inside `asdim_upper_bound`, not
-through `estimate_delta`.
+`verify_cover` by name; every covering number calls `greedy_ball_cover`
+once, so its span times the greedy part of each. The witness's
+thin-geodesics scans run inside `asdim_upper_bound`, not through
+`estimate_delta`.
 """
 
 from __future__ import annotations
@@ -116,7 +105,6 @@ from itertools import (
     combinations,
     combinations_with_replacement,
     count,
-    filterfalse,
     groupby,
     islice,
     product,
@@ -264,35 +252,22 @@ def greedy_ball_cover(window: Window, target: Iterable, s: int) -> list:
     """
     if s < 0:
         raise ParameterError("covering radius must be nonnegative")
-    norms = window.norms
-    target = list(target)
-    outside = next(filterfalse(norms.__contains__, target), None)
-    if outside is not None:
-        window.knorm(outside)  # raises, naming the first outside element in target order
     by_norm: dict = {}
-    # a ball is in norm order, so each of its spheres is one run
-    for k, run in groupby(target, norms.__getitem__):
+    # a ball is in norm order, so each of its spheres is one run; knorm
+    # raises on the first element outside the window, in target order
+    for k, run in groupby(target, window.knorm):
         by_norm.setdefault(k, []).extend(run)
-    spheres = [(k, by_norm[k]) for k in sorted(by_norm, reverse=True)]
-    return _greedy_spheres(window, spheres, s, window.translator(min(s, window.radius)), set())
-
-
-def _greedy_spheres(window: Window, spheres: list, s: int, translate, covered: set) -> list:
-    """The greedy cover's centres for spheres, (norm, elements) pairs
-    outermost first, given the elements already covered; covered grows
-    by every translate taken."""
+    translate = window.translator(min(s, window.radius))
     grp = window.group
     centers = []
+    covered: set = set()
     # every product is kept, but covered is read only for target elements
-    for k, sphere in spheres:
+    for k in sorted(by_norm, reverse=True):
         # covered only grows, so what is covered now would be skipped anyway
-        for u in grp.sort_printed([g for g in sphere if g not in covered]):
+        for u in grp.sort_printed([g for g in by_norm[k] if g not in covered]):
             if u in covered:
                 continue
-            # point max(k - s, 0) of u's canonical geodesic
-            center = u
-            for _ in range(min(s, k)):
-                center = window.predecessor(center)
+            center = window.ancestor(u, max(k - s, 0))
             centers.append(center)
             covered.update(translate(center))
     return centers
@@ -310,10 +285,11 @@ def covering_number(window: Window, S: int, t: int) -> int:
     disjoint, the only picked ball that can hold u is that of c(u), so
     the greedy picks each c with nonempty H(c) once, in whatever printed
     order, and leaves covered the union of their balls. So the translates
-    of C are taken in window order, each checked against the covered
-    part of S(k) before it is added, and the greedy runs on the spheres
-    below k from there. At the first overlap the count is that of
-    greedy_ball_cover, from scratch.
+    of C are taken in window order, each checked against the covered part
+    of S(k) before it is added. The greedy's choices on a sphere depend
+    only on which of its elements are still uncovered, so it then runs
+    once, on what those balls leave of B(k - 1); at the first overlap, on
+    all of B(S+t).
     """
     if S < 0 or t < 0:
         raise ParameterError("base radius and offset must be nonnegative")
@@ -323,12 +299,11 @@ def covering_number(window: Window, S: int, t: int) -> int:
         )
     if t == 0:
         return 1
-    offsets = window.offsets
-    k = window.norm(offsets[S + t + 1] - 1)  # the last element of B(S+t) has the largest norm
+    k = window.maxnorm(S + t)
     translate = window.translator(S)
     norms = window.norms
     # c*v lies in S(k) only for v in S(min(S, k)), the tail of B(S) in window order
-    tail = offsets[min(S, k)]
+    tail = window.offsets[min(S, k)]
     covered: set = set()
     count = 0
     for c in window.sphere(max(k - S, 0)):
@@ -337,11 +312,13 @@ def covering_number(window: Window, S: int, t: int) -> int:
         if not hits:
             continue
         if not covered.isdisjoint(hits):
-            return len(greedy_ball_cover(window, window.ball(S + t), S))
+            count, rest = 0, window.ball(S + t)
+            break
         covered.update(ball)
         count += 1
-    below = [(r, window.sphere(r)) for r in range(k - 1, -1, -1)]
-    return count + len(_greedy_spheres(window, below, S, translate, covered))
+    else:
+        rest = [g for g in window.elements[: window.offsets[k]] if g not in covered]
+    return count + len(greedy_ball_cover(window, rest, S))
 
 
 def covering_samples(window: Window, t: int) -> tuple:
@@ -539,11 +516,7 @@ def build_annulus_cover(window: Window, n: int, p: int, s: int) -> AnnulusCover:
     exits = {}
     sets = [[] for _ in net_points]
     for g in window.annulus(2 * n, 2 * n + sep):
-        # point 2n of g's canonical geodesic
-        rho = g
-        for _ in range(window.norms[g] - 2 * n):
-            rho = window.predecessor(rho)
-        exits[g] = rho
+        rho = exits[g] = window.ancestor(g, 2 * n)
         ids = near_cache.get(rho)
         if ids is None:
             ids = tuple(sorted({net_index[y] for y in near(rho) if y in net_index}))
@@ -636,9 +609,7 @@ def verify_cover(cover: AnnulusCover, probe_radius: int, n2delta: int) -> CoverS
             rise = max(window.knorm(x) - shell, 0)
             rho = exits.get(x)
             if rho is None:  # not an annulus element the build walked
-                rho = x
-                for _ in range(rise):
-                    rho = window.predecessor(rho)
+                rho = window.ancestor(x, window.norms[x] - rise)
             groups.setdefault((rho, rise), []).append(x)
         keys, parts = list(groups), list(groups.values())
         # one pivot exit bounds each pair of groups:

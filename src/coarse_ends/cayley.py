@@ -3,7 +3,9 @@
 A Window is the ball of a chosen radius around the identity in the Cayley
 graph of a group with respect to a finite symmetric generator set. All
 later computations are exact inside the window and refuse to answer
-outside it; growing the radius is the only way to learn more.
+outside it; growing the radius is the only way to learn more. Besides
+balls and spheres, a window reads maxnorm(r), the largest norm in B(r),
+and ancestor(g, i), point i of g's canonical geodesic.
 
 Element order is pinned everywhere: the window enumerates elements sphere
 by sphere in breadth-first insertion order, and the search expands each
@@ -155,6 +157,17 @@ class Window:
             raise OutOfWindowError(f"annulus reach {hi} outside window radius {self.radius}")
         return self.elements[self.offsets[max(lo + 1, 0)] : self.offsets[hi + 1]]
 
+    def maxnorm(self, r: int) -> int:
+        """The largest norm in the ball B(r). A radius above R is read only
+        off a window that has exhausted a finite group (its outer sphere is
+        empty, or it has no step), where B(r) is the whole window."""
+        R = self.radius
+        if r < 0:
+            raise ParameterError("scale radius must be nonnegative")
+        if r > R and self.steps and self.offsets[R] < len(self):
+            raise OutOfWindowError(f"ball B({r}) reaches past the radius-{R} window")
+        return self.norm(self.offsets[min(r, R) + 1] - 1)
+
     def predecessor(self, g):
         """Canonical predecessor: the least-printed p at norm |g|-1 with
         p*s = g for a generator step s."""
@@ -215,6 +228,17 @@ class Window:
         for _ in range(self.knorm(g)):
             points.append(self.predecessor(points[-1]))
         return tuple(reversed(points))
+
+    def ancestor(self, g, i: int):
+        """Point i of g's canonical geodesic, for 0 <= i <= |g|: |g| - i
+        predecessor steps back from g. A cover centre or a last exit is one
+        such point, read without building the rest of the geodesic."""
+        r = self.knorm(g)
+        if not 0 <= i <= r:
+            raise ParameterError(f"geodesic index {i} outside 0..{r}")
+        for _ in range(r - i):
+            g = self.predecessor(g)
+        return g
 
     def at(self, radius: int) -> Window:
         """build_window(group, gens, radius, cap, table=...) from this

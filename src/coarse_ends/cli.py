@@ -26,7 +26,8 @@ from .asdim import asdim_upper_bound, covering_number, covering_samples, growth_
 from .cayley import DEFAULT_CAP, build_window
 from .covers import clopen_scale_test
 from .ends import component_tree, components, end_count
-from .errors import CoarseEndsError, ElementSyntaxError, SelectorError, WindowCapError
+from .errors import (CoarseEndsError, ElementSyntaxError, OutOfWindowError, SelectorError,
+                     WindowCapError)
 from .groups import (
     DirectProduct,
     FreeAbelian,
@@ -241,7 +242,7 @@ def _parse_selector(text: str) -> Callable:
     return resolve
 
 
-def _load_elements(path: str, window) -> set:
+def _load_elements(path: str, window, power: int) -> set:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -253,13 +254,16 @@ def _load_elements(path: str, window) -> set:
         if not text or text.startswith("#"):
             continue
         try:
-            g = window.group.parse(text)
+            # no window element holds a free word of more than R * power letters
+            g = window.group.parse(text, window.radius * power)
+            if g not in window:
+                raise OutOfWindowError(text)
         except ElementSyntaxError as exc:
             raise SelectorError(f"{path}:{lineno}: {exc}") from None
-        if g not in window:
+        except OutOfWindowError:
             raise SelectorError(
                 f"{path}:{lineno}: element {text!r} lies outside the window"
-            )
+            ) from None
         out.add(g)
     return out
 
@@ -271,7 +275,7 @@ def cmd_clopen(args) -> tuple:
         chosen_set = _parse_selector(args.select)
         chosen = f"select={args.select}"
     else:
-        chosen_set = _load_elements(args.elements_file, window)
+        chosen_set = _load_elements(args.elements_file, window, args.gen_power)
         chosen = f"elements_file={args.elements_file}"
     cert = clopen_scale_test(window, chosen_set, args.tmax)
     lines = [

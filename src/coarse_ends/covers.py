@@ -9,12 +9,11 @@ complement overlap only in a bounded region; on a window we measure that
 overlap inside a core ball chosen small enough that the answer agrees
 with the computation in the full group.
 
-Core discipline: let m be the largest norm in B(t), which is t unless a
-finite group is exhausted sooner. With core radius c <= R - 2m, deciding
-whether a core element lies in a star only consults elements of norm at
-most c + 2m <= R, so interfaces restricted to the core are exact, not
-boundary artifacts. A ball of radius above R is read only off a window
-that has exhausted a finite group, where it is the whole window.
+Core discipline: let m be the largest norm in B(t) (Window.maxnorm),
+which is t unless a finite group is exhausted sooner. With core radius
+c <= R - 2m, deciding whether a core element lies in a star only consults
+elements of norm at most c + 2m <= R, so interfaces restricted to the
+core are exact, not boundary artifacts.
 
 Interfaces are computed on the window graph, not by products: the
 interface is the set of core elements within k-1 steps of an edge
@@ -28,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple
 
 from .cayley import ENLARGE_BY, Window
-from .errors import CoreRadiusError, OutOfWindowError, ParameterError
+from .errors import CoreRadiusError, ParameterError
 
 __all__ = [
     "InterfaceReport",
@@ -77,21 +76,6 @@ class ClopenCertificate(NamedTuple):
     enlarged_radius: int
 
 
-def _maxnorm(window: Window, r: int) -> int:
-    """The largest norm in the ball B(r), read off the window's offsets.
-
-    A radius above R is read only off a window that has exhausted a finite
-    group (its outer sphere is empty, or it has no step), where B(r) is the
-    whole window; on any other window B(r) reaches past it.
-    """
-    R = window.radius
-    if r < 0:
-        raise ParameterError("scale radius must be nonnegative")
-    if r > R and window.steps and window.offsets[R] < len(window):
-        raise OutOfWindowError(f"ball B({r}) reaches past the radius-{R} window")
-    return window.norm(window.offsets[min(r, R) + 1] - 1)
-
-
 def interface(A: Iterable, t: int, window: Window, core_radius: int) -> InterfaceReport:
     """Interface of A versus its window complement at scale radius t,
     restricted to B(core_radius).
@@ -115,7 +99,7 @@ def interface(A: Iterable, t: int, window: Window, core_radius: int) -> Interfac
     the search starts and steps only there, and reads no neighbour rows
     beyond that sphere.
     """
-    mn = _maxnorm(window, t)
+    mn = window.maxnorm(t)
     if core_radius < 0:
         raise ParameterError("core radius must be nonnegative")
     limit = window.radius - 2 * mn
@@ -125,7 +109,7 @@ def interface(A: Iterable, t: int, window: Window, core_radius: int) -> Interfac
             "star answers there would be boundary artifacts"
         )
     offsets = window.offsets
-    k = window.norm(offsets[2 * mn + 1] - 1)
+    k = window.maxnorm(2 * mn)
     found = []
     if k > 0:
         A = set(A)
@@ -192,10 +176,10 @@ def clopen_scale_test(
     if t_max < 1:
         raise ParameterError("t_max must be at least 1")
     # K contains the identity, so K = B(1)
-    step_mn = _maxnorm(window, 1)
+    step_mn = window.maxnorm(1)
     cores = {}
     for t in range(1, t_max + 1):
-        cores[t] = window.radius - 2 * _maxnorm(window, t)
+        cores[t] = window.radius - 2 * window.maxnorm(t)
         if cores[t] < 0:
             raise CoreRadiusError(
                 f"window radius {window.radius} cannot host a core at scale t={t}"

@@ -25,6 +25,7 @@ from typing import NamedTuple, Union
 from .errors import (
     ElementSyntaxError,
     MismatchError,
+    OutOfWindowError,
     SpecSyntaxError,
     UnsupportedSpecError,
     WindowCapError,
@@ -373,7 +374,7 @@ def _free_abelian(grp: "Group", spec: FreeAbelian, cursor: list):
         exec(compile(source, f"<free abelian step {s}>", "exec"), code)
         return code["times"]
 
-    def parse(s):
+    def parse(s, limit):
         if not (s.startswith("(") and s.endswith(")")):
             raise ElementSyntaxError(f"expected a vector like (1,0), got {s!r}")
         parts = s[1:-1].split(",")
@@ -424,7 +425,7 @@ def _cyclic(grp: "Group", spec: Cyclic, cursor: list):
             raise MismatchError(mismatch)
         return lambda a: (a + s) % order
 
-    def parse(s):
+    def parse(s, limit):
         return sum(exp for _, exp in _letter_runs(s, letters)) % order
 
     # an odd-order cyclic group has no homomorphism onto Z/2 but the zero one
@@ -520,11 +521,22 @@ def _free(grp: "Group", spec: Free, cursor: list):
 
         return times
 
-    def parse(s):
-        word = ""
+    def parse(s, limit):
+        # runs are reduced as (letter, exponent) pairs, so "a5A5" is e and a
+        # word's length is known before any letter is spelled
+        runs = []
         for letter, exp in _letter_runs(s, letters):
-            word = _free_concat(word, letter * exp if exp > 0 else letter.upper() * -exp)
-        return word
+            if runs and runs[-1][0] == letter:
+                exp += runs.pop()[1]
+            if exp:
+                runs.append((letter, exp))
+        size = sum(abs(exp) for _, exp in runs)
+        if limit is not None and size > limit:
+            raise OutOfWindowError(f"free word {s!r} spells {size} letters, more than {limit}")
+        try:
+            return "".join(x * exp if exp > 0 else x.upper() * -exp for x, exp in runs)
+        except OverflowError:
+            raise ElementSyntaxError(f"exponent too large in {s!r}") from None
 
     def parity(a):
         return len(a) % 2
@@ -568,13 +580,13 @@ def _direct(grp: "Group", spec: DirectProduct, cursor: list):
     def parity(a):
         return (left.parity(a[0]) + right.parity(a[1])) % 2
 
-    def parse(s):
+    def parse(s, limit):
         if not (s.startswith("(") and s.endswith(")")):
             raise ElementSyntaxError(f"expected a pair like (u,v), got {s!r}")
         parts = _split_top(s[1:-1], ",")
         if len(parts) != 2:
             raise ElementSyntaxError(f"expected exactly one top-level comma in {s!r}")
-        return (left.parse(parts[0]), right.parse(parts[1]))
+        return (left.parse(parts[0], limit), right.parse(parts[1], limit))
 
     identity = (left.identity, right.identity)
     gens = {identity}
@@ -684,11 +696,11 @@ def _free_product(grp: "Group", spec: FreeProduct, cursor: list):
     def parity(a):
         return sum(children[side].parity(x) for side, x in a) % 2
 
-    def syllable(frag):
+    def syllable(frag, limit):
         if not tagged:
             for side, child in enumerate(children):
                 if frag[0].lower() in child.letters:
-                    return side, child.parse(frag)
+                    return side, child.parse(frag, limit)
             raise ElementSyntaxError(f"letter {frag[0]!r} belongs to neither factor")
         if frag[0] not in "<>":
             raise ElementSyntaxError(f"syllable {frag!r} must start with '<' or '>' for this group")
@@ -697,14 +709,14 @@ def _free_product(grp: "Group", spec: FreeProduct, cursor: list):
             if not (rest.startswith("(") and rest.endswith(")")):
                 raise ElementSyntaxError(f"nested syllable {frag!r} must be parenthesized")
             rest = rest[1:-1]
-        return side, children[side].parse(rest)
+        return side, children[side].parse(rest, limit)
 
-    def parse(s):
+    def parse(s, limit):
         word = ()
         for frag in _split_top(s, "."):
             if not frag:
                 raise ElementSyntaxError(f"empty syllable in {s!r}")
-            side, x = syllable(frag)
+            side, x = syllable(frag, limit)
             if x != children[side].identity:
                 word = grp.mul(word, ((side, x),))
         return word
@@ -807,19 +819,20 @@ class Group:
 
     # -- parsing ----------------------------------------------------------
 
-    def parse(self, text: str):
+    def parse(self, text: str, limit: int | None = None):
         """Parse a printed element back to a payload.
 
         Accepts any structurally valid form and normalizes it (exponents may
         repeat or cancel), so parse(show(g)) == g and hand-written inputs
-        like "a3" in C3 fold to canonical payloads.
+        like "a3" in C3 fold to canonical payloads. A free word longer than
+        limit letters once reduced raises OutOfWindowError before it is spelled.
         """
         s = text.strip()
         if not s:
             raise ElementSyntaxError("empty element")
         if s == "e":
             return self.identity
-        return self._parse(s)
+        return self._parse(s, limit)
 
 
 # ---------------------------------------------------------------------------

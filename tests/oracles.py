@@ -32,7 +32,6 @@ from coarse_ends import (
     interface,
     power_generators,
 )
-from coarse_ends.covers import _maxnorm
 
 
 def bfs_norms(group, gens, radius):
@@ -669,7 +668,7 @@ def star(A, t, window):
     grp = window.group
     if any(grp.inv(s) not in window.gens for s in window.steps):
         raise ParameterError("step set is not closed under inverses")
-    ball = window.elements[: window.offsets[_maxnorm(window, 2 * t) + 1]]
+    ball = window.elements[: window.offsets[window.maxnorm(2 * t) + 1]]
     out = set()
     for a in A:
         for u in ball:

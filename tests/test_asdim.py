@@ -24,6 +24,7 @@ from coarse_ends import (
     parse_spec,
     verify_cover,
 )
+from coarse_ends import asdim
 from coarse_ends.asdim import PROBE_RADII, _delta_scan, _indices
 from helpers import get_gens, get_group, get_window, nested_specs, random_subset
 from oracles import (
@@ -202,6 +203,32 @@ def test_covering_number_sorts_only_where_classes_meet(monkeypatch):
         want = len(greedy_ball_cover_reference(grid, grid.ball(S + t), S))
         assert covering_number(grid, S, t) == want
         assert any(sorted_lengths), (S, t)
+
+
+def test_covering_number_calls_the_greedy_once(monkeypatch):
+    free, grid = get_window("F2", 9), get_window("Z^2", 6)
+    calls = []
+
+    def recording(window, target, s):
+        calls.append((window, list(target), s))
+        return greedy_ball_cover(window, calls[-1][1], s)
+
+    monkeypatch.setattr(asdim, "greedy_ball_cover", recording)
+    # F2's classes on S(9) are disjoint, and their balls leave nothing of B(8)
+    assert covering_number(free, 5, 4) == 108
+    assert calls == [(free, [], 5)]
+    # Z^2's classes meet, so the greedy covers all of B(S+t)
+    for S, t in [(1, 1), (2, 2), (3, 3)]:
+        del calls[:]
+        covering_number(grid, S, t)
+        assert calls == [(grid, grid.ball(S + t), S)]
+    for text, radius in [("F2", 5), ("Z^2", 5), ("C7", 6), ("(Z x C2)", 6), ("C1", 3)]:
+        w = get_window(text, radius)
+        for S in range(radius + 1):
+            for t in range(1, radius - S + 1):
+                del calls[:]
+                covering_number(w, S, t)
+                assert len(calls) == 1, (text, S, t)
 
 
 def test_covering_number_errors():

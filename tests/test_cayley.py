@@ -308,6 +308,44 @@ def test_geodesic_identity_and_errors():
         w.predecessor((0,))
 
 
+@pytest.mark.parametrize("text", ZOO)
+def test_ancestor_is_a_point_of_the_geodesic(text):
+    window = get_window(text, 5)
+    for g in window:
+        geo = window.geodesic(g)
+        assert [window.ancestor(g, i) for i in range(len(geo))] == list(geo)
+
+
+def test_ancestor_errors():
+    w = get_window("Z", 5)
+    for g, i in [((0,), -1), ((0,), 1), ((3,), 4), ((-2,), -1)]:
+        with pytest.raises(ParameterError):
+            w.ancestor(g, i)
+    with pytest.raises(OutOfWindowError):
+        w.ancestor((9,), 0)
+
+
+@pytest.mark.parametrize("text", ZOO)
+def test_maxnorm_is_the_largest_norm_in_the_ball(text):
+    window = get_window(text, 5)
+    for r in range(window.radius + 1):
+        assert window.maxnorm(r) == max(map(window.knorm, window.ball(r)))
+    with pytest.raises(ParameterError):
+        window.maxnorm(-1)
+
+
+def test_maxnorm_past_the_radius_only_on_an_exhausted_window():
+    # C6's radius-8 window is the group, of diameter 3, and so is C1's
+    # radius-0 window, which has no step; Z's windows are not
+    c6 = get_window("C6", 8)
+    assert [c6.maxnorm(r) for r in (2, 3, 8, 9, 10)] == [2, 3, 3, 3, 3]
+    assert get_window("C1", 0).maxnorm(5) == 0
+    with pytest.raises(OutOfWindowError, match=r"^ball B\(1\) reaches past the radius-0 window$"):
+        get_window("Z", 0).maxnorm(1)
+    with pytest.raises(OutOfWindowError):
+        get_window("Z", 5).maxnorm(6)
+
+
 # ---------------------------------------------------------------------------
 # Determinism and cache
 

@@ -7,11 +7,12 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coarse_ends import (
     CoarseEndsError,
@@ -679,6 +680,31 @@ def test_exit_usage_errors_elements_file(capsys, tmp_path):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ["a99999999999999999999", "a10000000000"])
+def test_long_free_run_lies_outside_the_window(tmp_path, line):
+    # F2's radius-4 window holds no word of more than 4 letters, so a longer
+    # run is refused before it is spelled: 10^20 letters cannot be spelled
+    # at all, and 10^10 would not fit the child's address space
+    path = tmp_path / "long.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    argv = ["clopen", "--group", "F2", "--window", "4", "--tmax", "1", "--elements-file", str(path)]
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from coarse_ends.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    run = _python(["-c", code])
+    assert (run.returncode, run.stdout) == (1, b"")
+    assert run.stderr.decode("utf-8") == (
+        f"coarse-ends: error: {path}:1: element {line!r} lies outside the window\n"
+    )
+    # a cancelling spelling is read whatever its runs' lengths
+    path.write_text("a10000000000A9999999999\n", encoding="utf-8")
+    run = _python(["-c", code])
+    assert (run.returncode, run.stderr) == (0, b"")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -921,6 +947,16 @@ def test_argparse_exits(capsys, tmp_path, monkeypatch):
 # stops at the cap instead of growing. Drawn values are mostly valid; one
 # optional fragment at the end overrides a flag with a bad value.
 _SELECTORS = ["component:r=1:index=0", "component:r=2:index=1", "component:r=0:index=9"]
+# the text of an elements file: letter runs with exponents up to 10^20, which
+# the test writes to a file whose path replaces the text in argv
+_RUN = st.tuples(st.sampled_from("aAbBc"),
+                 st.one_of(st.integers(-3, 3), st.integers(-10**20, 10**20)))
+_ELEMENT_LINES = st.lists(
+    st.one_of(st.lists(_RUN.map(lambda run: f"{run[0]}{run[1]}"), min_size=1, max_size=3)
+              .map("".join),
+              st.sampled_from(["e", "(1)", "(1,0)", "a.b", "(a,e)"])),
+    min_size=1, max_size=3,
+).map("\n".join)
 
 
 def _num(lo, hi):
@@ -947,7 +983,8 @@ _COMMAND_FLAGS = {
     "tree": [_flag("--rmin", _num(1, 5)), _flag("--rmax", _num(1, 5)),
              _flag("--format", st.just("dot"))],
     "clopen": [_flag("--tmax", _num(1, 3)),
-               st.sampled_from(_SELECTORS).map(lambda v: ["--select", v])],
+               st.one_of(st.sampled_from(_SELECTORS).map(lambda v: ["--select", v]),
+                         _ELEMENT_LINES.map(lambda text: ["--elements-file", text]))],
     "growth": [_flag("--cover-offsets", st.sampled_from(["1", "1,2", "2,3"]))],
     "asdim": [_flag("--p", _num(1, 2)), _flag("--s", _num(1, 2)),
               _flag("--n-list", st.sampled_from(["2", "2,3", "3"])),
@@ -972,10 +1009,17 @@ def _argv():
 
 @settings(max_examples=150, deadline=None)
 @given(_argv())
+@example(["clopen", "--group", "F2", "--window", "4", "--elements-file", "a99999999999999999999"])
 def test_any_argv_maps_to_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if "--elements-file" in argv:
+            i = argv.index("--elements-file") + 1
+            path = Path(tmp) / "elements.txt"
+            path.write_text(argv[i] + "\n", encoding="utf-8")
+            argv = argv[:i] + [str(path)] + argv[i + 1 :]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
     assert code in {0, 1, 2, 3, 4}
     assert "Traceback" not in err.getvalue()
     if code not in (0, 3):

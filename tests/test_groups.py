@@ -16,6 +16,7 @@ from coarse_ends import (
     FreeProduct,
     Group,
     MismatchError,
+    OutOfWindowError,
     SpecSyntaxError,
     UnsupportedSpecError,
     WindowCapError,
@@ -246,6 +247,29 @@ def test_element_syntax_errors():
     d = get_group("(Z x C2)")
     with pytest.raises(ElementSyntaxError):
         d.parse("((1)a)")
+
+
+def test_free_runs_are_reduced_before_they_are_spelled():
+    f2 = get_group("F2")
+    # a cancelling spelling parses whatever its runs' lengths
+    assert f2.parse("a5A5", 4) == f2.identity
+    assert f2.parse("a3b9B9a", 4) == "aaaa"
+    assert f2.parse("a99999999999999999999a-99999999999999999999b") == "b"
+    # a run too long to spell is a syntax error, not an OverflowError
+    with pytest.raises(ElementSyntaxError, match="exponent too large"):
+        f2.parse("a99999999999999999999")
+    # a reduced word longer than the limit is refused before it is spelled
+    with pytest.raises(OutOfWindowError, match="spells 10000000000 letters, more than 4"):
+        f2.parse("a10000000000", 4)
+    with pytest.raises(OutOfWindowError):
+        f2.parse("a3b2", 4)
+    # the limit reaches the free words inside products; other families ignore it
+    assert get_group("(F2 x Z)").parse("(a2,(99))", 2) == ("aa", (99,))
+    with pytest.raises(OutOfWindowError):
+        get_group("(F2 x Z)").parse("(a3,(1))", 2)
+    with pytest.raises(OutOfWindowError):
+        get_group("(C2 * F2)").parse("a.b5", 4)
+    assert get_group("C6").parse("a99999999999999999999", 1) == 99999999999999999999 % 6
 
 
 def test_validate_rejects_foreign_payloads():
