@@ -31,7 +31,8 @@ sphere of B(S+t) by the classes of the greedy's centres, in window
 order, and hands the greedy what those classes leave, or all of B(S+t)
 once two classes meet (see covering_number). Where geodesics are unique,
 as on a free group, (C2 * C2) or (C2 * C3), the classes are disjoint,
-and the outermost sphere is never printed.
+and the outermost sphere is never printed. covering_samples translates
+each centre once for all its bases (see there).
 
 The multiplicity scans read a reach map per cover: for every window
 element z, how many sets the probe ball z*B(r) meets. The map is built
@@ -101,6 +102,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import cache
 from itertools import (
     combinations,
     combinations_with_replacement,
@@ -297,24 +299,29 @@ def covering_number(window: Window, S: int, t: int) -> int:
         raise ParameterError(
             f"covering K^{S + t} needs window radius >= {S + t}, have {window.radius}"
         )
+    return _count(window, S, t, window.translator(S))
+
+
+def _count(window: Window, S: int, t: int, translate) -> int:
+    """covering_number(window, S, t) for valid S and t, where translate(c)
+    is a list whose first |B(S)| entries are c*B(S) in window order."""
     if t == 0:
         return 1
     k = window.maxnorm(S + t)
-    translate = window.translator(S)
     norms = window.norms
     # c*v lies in S(k) only for v in S(min(S, k)), the tail of B(S) in window order
-    tail = window.offsets[min(S, k)]
+    tail, end = window.offsets[min(S, k)], window.offsets[S + 1]
     covered: set = set()
     count = 0
     for c in window.sphere(max(k - S, 0)):
         ball = translate(c)
-        hits = [x for x in ball[tail:] if norms[x] == k]
+        hits = [x for x in ball[tail:end] if norms[x] == k]
         if not hits:
             continue
         if not covered.isdisjoint(hits):
             count, rest = 0, window.ball(S + t)
             break
-        covered.update(ball)
+        covered.update(islice(ball, end))
         count += 1
     else:
         rest = [g for g in window.elements[: window.offsets[k]] if g not in covered]
@@ -323,10 +330,20 @@ def covering_number(window: Window, S: int, t: int) -> int:
 
 def covering_samples(window: Window, t: int) -> tuple:
     """Covering numbers at offset t over the base radii S in
-    [t, min(t+3, R-t)]; empty when the window is too small for S = t."""
+    [t, min(t+3, R-t)]; empty when the window is too small for S = t.
+
+    B(S) is a prefix of B(T) for the largest base T, so every centre is
+    translated once, by B(T), and each S reads the prefix of its translate.
+    The translates live for this call only.
+    """
+    if t < 0:
+        raise ParameterError("base radius and offset must be nonnegative")
+    bases = range(t, min(t + 3, window.radius - t) + 1)
+    if not bases:
+        return ()
+    translate = cache(window.translator(bases[-1]))
     return tuple(
-        CoveringSample(base=S, offset=t, count=covering_number(window, S, t))
-        for S in range(t, min(t + 3, window.radius - t) + 1)
+        CoveringSample(base=S, offset=t, count=_count(window, S, t, translate)) for S in bases
     )
 
 

@@ -47,6 +47,8 @@ have reached an element already in the window, so window order, norms
 and the cap check are those of a plain search. Growing a table window
 copies its table and id map and re-expands only the old outer sphere's
 entries that lead out; a prefix of a table window is a plain window.
+Whatever the cap, a table holds at most TABLE_ENTRIES entries, rows x
+steps: the search refuses before its columns would grow past them.
 Every reader of neighbours, and so every command that reads a neighbour
 (ends, tree, clopen), takes a table window; a plain window has no table
 and builds no id map unless a caller reads it.
@@ -55,9 +57,9 @@ Every product p*s by a fixed step s, in both searches, in the
 predecessor walk and in a ball translate, goes through the step's map
 group.step_map(s), built once per step; only the |K|^2 products of two
 steps that a plain search pairs up go through Group.mul. A ball translate
-(see translator) forms x*v for every v in B(r) by walking B(r)'s
-canonical predecessor tree: x*v = (x*p)*s for v's predecessor p = v*s^-1,
-one step-map product per ball element.
+(see translator) forms x*v for every v in B(r) by walking a predecessor
+tree of B(r): x*v = (x*p)*s for a predecessor p = v*s^-1 of v, one
+step-map product per ball element.
 
 perfbench/spans.py wraps `build_window` and `Window.geodesic` by name and
 reads `Window.spheres`, so those names stay.
@@ -78,6 +80,8 @@ from .groups import Group
 __all__ = ["DEFAULT_CAP", "Window", "build_window"]
 
 DEFAULT_CAP = 5_000_000
+# rows x steps that a generator table may hold: 128 MiB of array('i'), whatever the cap
+TABLE_ENTRIES = 1 << 25
 ENLARGE_BY = 4  # radius added to a window to recheck a verdict read off it
 _drop = deque(maxlen=0).append  # an append that keeps nothing
 
@@ -194,22 +198,31 @@ class Window:
     def translator(self, r: int):
         """The map x -> [x*v for v in ball(r)], in window order.
 
-        Each v but the identity is (x*p)*s for its canonical predecessor p
-        and the step s = p^-1*v, so a translate costs one step-map product
-        per ball element. The plan, one (id of p, map of s) pair per
-        element, is read off the predecessor tree once; B(r)'s plan is a
-        prefix of B(r+1)'s, so a larger radius only extends it.
+        Each v but the identity is (x*p)*s for a predecessor p = v*s^-1 at
+        norm |v| - 1, the first in step order, and its step s, so a
+        translate costs one step-map product per ball element. Any
+        predecessor serves: x*v = (x*p)*s does not depend on the path that
+        reaches v, so the translate is the same list whichever is taken,
+        and the plan needs neither the least-printed one nor `_pred`. The
+        plan, one (id of p, map of s) pair per element, is read once;
+        B(r)'s plan is a prefix of B(r+1)'s, so a larger radius only
+        extends it.
         """
         if not 0 <= r <= self.radius:
             raise OutOfWindowError(f"ball radius {r} outside window radius {self.radius}")
         end = self.offsets[r + 1]
         plan = self._plan
         if len(plan) < end - 1:
-            grp, ball = self.group, self.elements[:end]
+            norms, ball = self.norms, self.elements[:end]
             ids = dict(zip(ball, range(end)))
+            moves = tuple(zip(self._backs, map(self.group.step_map, self.steps)))
             for v in ball[len(plan) + 1 :]:
-                p = self.predecessor(v)
-                plan.append((ids[p], grp.step_map(grp.divide(p, v))))
+                below = norms[v] - 1
+                for back, step in moves:
+                    p = back(v)
+                    if norms.get(p) == below:
+                        plan.append((ids[p], step))
+                        break
         plan = plan[: end - 1]
 
         def translate(x) -> list:
@@ -333,8 +346,10 @@ class Window:
         back = [index[grp.inv(s)] for s in self.steps]
         # (column of s, the map x -> x*s, column of s^-1) for every step, in step order
         moves = tuple(zip(cols, map(grp.step_map, self.steps), [cols[k] for k in back]))
-        # the columns grow by doubling, padded with -1, and are cut to n at the end
+        # the columns grow by doubling, padded with -1, up to TABLE_ENTRIES in
+        # all, and are cut to n at the end
         n = rows = len(elements)
+        most = TABLE_ENTRIES // max(len(cols), 1)
         for r in range(top + 1, radius + 1):
             for i in range(offsets[r - 1], offsets[r]):
                 p = elements[i]
@@ -347,12 +362,16 @@ class Window:
                             elements.append(q)
                             n += 1
                             if n > rows:
-                                if n > cap:  # before every column doubles
+                                # before every column grows
+                                if n > cap:
                                     raise WindowCapError(cap, r - 1)
-                                pad = array("i", [-1]) * rows
+                                if n > most:
+                                    raise WindowCapError(TABLE_ENTRIES, r - 1,
+                                                         "generator table entry budget")
+                                pad = array("i", [-1]) * min(rows, most - rows)
                                 for c in cols:
                                     c.extend(pad)
-                                rows *= 2
+                                rows += len(pad)
                         col[i] = y
                         mirror[y] = i
                 if n > cap:
@@ -420,8 +439,9 @@ def build_window(
     reporting the last fully enumerated radius. With table set, the search
     also writes the id map and the generator table that neighbours()
     returns, forming each table entry's product at most once (see at); it
-    raises ParameterError on a generator set that is not closed under
-    inverses, whose table no search writes.
+    raises WindowCapError too before the table would pass TABLE_ENTRIES
+    entries, and ParameterError on a generator set that is not closed
+    under inverses, whose table no search writes.
     """
     if cap < 1:
         raise ParameterError(f"window element cap must be at least 1, got {cap}")

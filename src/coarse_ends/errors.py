@@ -52,14 +52,14 @@ class OutOfWindowError(CoarseEndsError):
 
 
 class WindowCapError(CoarseEndsError):
-    """Element cap hit during window construction."""
+    """Element cap, or a generator table's entry budget, hit during window
+    construction; cap is the value of the bound that was passed, and name
+    names it."""
 
     exit_code = 2
 
-    def __init__(self, cap: int, radius_reached: int):
-        super().__init__(
-            f"window element cap {cap} exceeded; last fully built radius {radius_reached}"
-        )
+    def __init__(self, cap: int, radius_reached: int, name: str = "window element cap"):
+        super().__init__(f"{name} {cap} exceeded; last fully built radius {radius_reached}")
         self.cap = cap
         self.radius_reached = radius_reached
 

@@ -25,7 +25,7 @@ from coarse_ends import (
     verify_cover,
 )
 from coarse_ends import asdim
-from coarse_ends.asdim import PROBE_RADII, _delta_scan, _indices
+from coarse_ends.asdim import PROBE_RADII, _delta_scan, _indices, covering_samples
 from helpers import get_gens, get_group, get_window, nested_specs, random_subset
 from oracles import (
     estimate_delta_reference,
@@ -182,6 +182,25 @@ def test_covering_number_matches_reference():
                 assert covering_number(w, S, t) == want, (text, power, S, t)
     # three classes reach S(3) here and two of them meet: a count that skipped the check reads 3
     assert covering_number(get_window("(Z x C2)", 6), 2, 1) == 2
+
+
+@pytest.mark.parametrize("text,radius,power", [
+    # two classes meet, so the greedy runs on what the shared translates leave
+    ("Z^2", 7, 1), ("Z^3", 5, 1), ("(Z x C8)", 8, 1),
+    # exhausted finite windows: k < S + t, so the centre sphere moves with S
+    ("C7", 6, 1), ("(C2 x C2)", 4, 1),
+    ("Z^2", 4, 2), ("(C2 * C3)", 5, 2), ("F2", 6, 1),
+])
+def test_covering_samples_match_each_count(text, radius, power):
+    # every base reads its balls off one translate per centre, by the largest base's ball
+    w = get_window(text, radius, power)
+    for t in range(radius + 1):
+        samples = covering_samples(w, t)
+        assert [c.base for c in samples] == list(range(t, min(t + 3, radius - t) + 1))
+        for S, offset, count in samples:
+            want = len(greedy_ball_cover_reference(w, w.ball(S + t), S))
+            assert (offset, count) == (t, want), (text, power, S, t)
+            assert covering_number(w, S, t) == want, (text, power, S, t)
 
 
 def test_covering_number_sorts_only_where_classes_meet(monkeypatch):

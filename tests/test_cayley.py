@@ -17,6 +17,7 @@ from coarse_ends import (
     power_generators,
     standard_generators,
 )
+from coarse_ends import cayley
 from coarse_ends.cayley import ENLARGE_BY
 from helpers import ZOO, get_gens, get_group, get_window, nested_specs
 from oracles import (
@@ -384,6 +385,22 @@ def test_window_cap():
             build_window(grp, gens, 3, cap=cap)
 
 
+def test_table_entry_budget(monkeypatch):
+    # a table holds at most TABLE_ENTRIES entries, rows x steps, whatever the
+    # cap: F2's B(5) has 485 rows of 4 entries, and B(6) 1,457 rows
+    grp, gens = get_group("F2"), get_gens("F2")
+    monkeypatch.setattr(cayley, "TABLE_ENTRIES", 4 * 485)
+    window = build_window(grp, gens, 5, table=True)
+    assert [len(c) for c in window.neighbours()] == [485] * 4
+    message = r"^generator table entry budget 1940 exceeded; last fully built radius 5$"
+    for build in (lambda: window.at(6), lambda: build_window(grp, gens, 9, table=True)):
+        with pytest.raises(WindowCapError, match=message) as exc:
+            build()
+        assert (exc.value.cap, exc.value.radius_reached) == (1940, 5)
+    # a plain window has no table, so only the cap bounds it
+    assert len(window.at(4).at(6)) == 1457
+
+
 @pytest.mark.parametrize(
     "text,radius,power", [(text, 5, 1) for text in ZOO] + [("C6", 8, 1), ("Z^2", 4, 2)]
 )
@@ -516,6 +533,8 @@ def test_translator_matches_products(text, radius, power, gens):
         for x in window:
             assert translate(x) == [grp.mul(x, v) for v in ball], (text, r, x)
     assert len(window._plan) == len(window) - 1
+    # a plan takes the first predecessor in step order, not the canonical one
+    assert not window._pred
     for r in (-1, radius + 1):
         with pytest.raises(OutOfWindowError):
             window.translator(r)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -39,6 +40,7 @@ from coarse_ends import (
     standard_generators,
 )
 from coarse_ends.asdim import covering_samples
+from coarse_ends.cayley import TABLE_ENTRIES
 from coarse_ends.cli import main
 from oracles import spec_spheres
 
@@ -1074,6 +1076,28 @@ def test_subprocess_refusal_ignores_hash_seed(group):
     assert {(r.returncode, r.stdout, r.stderr) for r in runs} == {
         (4, b"", b"coarse-ends: refusing: ball B(1) reaches past the radius-0 window\n")
     }
+
+
+@pytest.mark.parametrize("argv,radius", [
+    # 354,292 columns from radius 1 on
+    (["ends", "--group", "F2", "--gen-power", "11"], 0),
+    # B(2) has 180,601 rows of 600 entries, and Z^1000's would hold 2,000 each
+    (["ends", "--group", "Z^300", "--rmax", "1"], 1),
+    (["ends", "--group", "Z^1000", "--rmax", "1"], 1),
+])
+def test_table_entry_budget_refuses_before_allocating(argv, radius):
+    # each table fits the element cap but not a 1.5 GB address space: the
+    # search refuses it where its columns would pass the entry budget
+    limit = 1_500_000 * 1024
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    run = subprocess.run([sys.executable, "-m", "coarse_ends"] + argv, capture_output=True,
+                         timeout=120, preexec_fn=limited)
+    assert (run.returncode, run.stdout, run.stderr.decode("utf-8")) == (2, b"", (
+        f"coarse-ends: resource cap: generator table entry budget {TABLE_ENTRIES} exceeded;"
+        f" last fully built radius {radius}\n"))
 
 
 def test_greedy_cover_refusal_ignores_hash_seed():
